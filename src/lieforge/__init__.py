@@ -68,15 +68,12 @@ from .oracle import (
     AssembledSystem,
     ComparisonReport,
     SolveDiagnostics,
-    UnknownIndex,
     assemble_system,
     compare_tensors,
     count_equations,
-    equation_position,
     extract_unknowns,
     oracle_structure_constants,
     solve_system,
-    unknown_at,
     unknown_position,
 )
 from .serialize import FORMAT_VERSION, read_sample, write_sample
@@ -142,14 +139,11 @@ __all__ = [
     "verify_all",
     # oracle
     "MAX_SYSTEM_DIM",
-    "UnknownIndex",
     "AssembledSystem",
     "SolveDiagnostics",
     "ComparisonReport",
     "count_equations",
     "unknown_position",
-    "unknown_at",
-    "equation_position",
     "assemble_system",
     "solve_system",
     "extract_unknowns",

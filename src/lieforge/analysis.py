@@ -1,24 +1,26 @@
 """Identity and classification checks for generated algebras.
 
 Every check here verifies a statement that holds exactly in exact arithmetic:
-the Jacobi identity, bracket closure of the adjoint matrices, commutativity of
-the derived subalgebra, vanishing of trace(A_i [A_j, A_k]) (Cartan), the
-closed form of the lower central series, and the transfer-matrix product
-identities. Residuals are therefore pure rounding noise and are tested
-against tau_ver * scale^2 (bilinear identities) or tau_ver * scale^(L+2)
-(depth-L series), with scale = max_k ||A_k||_inf.
+the stored payloads equal their rebuild from (P, n), the Jacobi identity,
+bracket closure of the adjoint matrices, commutativity of the derived
+subalgebra, vanishing of trace(A_i [A_j, A_k]) (Cartan), the closed form of
+the lower central series, and the transfer-matrix product identities.
+Residuals are therefore pure rounding noise and are tested against
+tau_ver * scale^2 (bilinear identities) or tau_ver * scale^(L+2) (depth-L
+series), with scale = max_k ||A_k||_inf.
 
-Full evaluation is quintic or worse in N for some checks, so each has a
-dimension cap above which a seeded uniform subsample of index tuples is
-checked instead; reports say which mode ran. Sampled index draws come from a
-SplitMix64 stream: tuples are drawn componentwise modulo N in blocks and
-rejected until the ordering constraint holds, so the checked subset is a pure
-function of the seed.
+Each bilinear identity has one kernel, which evaluates every index tuple that
+shares a leading index (one "slab") with a few BLAS products. Full mode runs
+every slab in ascending order. Above a check's dimension cap, sampled mode
+runs the same kernel on a seeded subset of slabs: leading indices are taken in
+a SplitMix64(seed) order until their tuple counts cover the requested budget,
+so the checked subset is a pure function of (seed, N) and every reported count
+is the number of tuples actually checked. Inside a slab, the second index is
+split so that temporaries stay under _SLAB_CHUNK entries.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -28,7 +30,7 @@ import numpy as np
 from .errors import ContractViolation
 from .linalg import commutator, inf_norm
 from .rng import SplitMix64
-from .sampler import LieAlgebraSample, transfer_matrix
+from .sampler import LieAlgebraSample, adjoint_rows, transfer_matrix
 
 __all__ = [
     "CHECK_NAMES",
@@ -51,11 +53,14 @@ __all__ = [
     "verify_all",
 ]
 
-CHECK_NAMES = ("jacobi", "closure", "derived", "killing", "series", "tproduct")
+CHECK_NAMES = ("payload", "jacobi", "closure", "derived", "killing", "series", "tproduct")
 
 # rescale running series/power iterates outside this window to dodge overflow
 _RESCALE_HI = 1e100
 _RESCALE_LO = 1e-100
+
+# entries per temporary inside one slab
+_SLAB_CHUNK = 1 << 16
 
 
 def _matrix_of(p) -> np.ndarray:
@@ -73,8 +78,28 @@ def _check_cubic(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def _chunk_rows(dim: int) -> int:
-    return int(np.clip(2_000_000 // max(dim, 1), 1024, 65536))
+def _pick_slabs(sizes: np.ndarray, budget: int | None, seed: int) -> np.ndarray:
+    """Leading indices to scan, given each slab's tuple count.
+
+    budget=None takes every nonempty slab, in ascending order. Otherwise
+    nonempty slabs are taken in a SplitMix64(seed) order until their tuple
+    counts cover the budget, and are returned in that order.
+    """
+    live = np.flatnonzero(sizes)
+    if budget is None:
+        return live
+    if budget <= 0:
+        return live[:0]
+    order = live[np.argsort(SplitMix64(seed).uint64s(live.size), kind="stable")]
+    take = int(np.searchsorted(np.cumsum(sizes[order]), budget)) + 1
+    return order[:take]
+
+
+def _scan(sizes: np.ndarray, budget: int | None, seed: int, kernel) -> tuple[float, int]:
+    """Largest kernel(slab) over the picked slabs, and the tuples they hold."""
+    slabs = _pick_slabs(sizes, budget, seed)
+    worst = max((kernel(int(s)) for s in slabs), default=0.0)
+    return worst, int(sizes[slabs].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +111,11 @@ class JacobiReport:
     """Outcome of a Jacobi-identity scan.
 
     worst_indices is the zero-based (i, j, k, m) quadruple realizing
-    max_residual, or None when no quadruple exists (N < 3 or empty sample
-    request). max_residual is recomputed at that quadruple with the scalar
-    formula, so ``jacobi_residual_at(f, *worst_indices)`` reproduces it
-    exactly.
+    max_residual, the lexicographically smallest on ties, or None when no
+    quadruple exists (N < 3 or a zero sample budget). max_residual is
+    recomputed at that quadruple with the scalar formula, so
+    ``jacobi_residual_at(f, *worst_indices)`` reproduces it exactly.
+    checked_count is the number of quadruples the scanned slabs hold.
     """
 
     max_residual: float
@@ -237,8 +263,11 @@ class VerifyConfig:
     """Knobs for verify_all. Defaults keep N <= 100 interactive.
 
     tau_ver=None means "use the tolerance stored with the sample". Caps are
-    the largest dimension at which a check still enumerates every index
-    tuple; above a cap the named sample count is drawn instead. The series
+    the largest dimension at which a check still runs every slab (every
+    index tuple). Above a cap, the named count is a budget: slabs are taken
+    in a SplitMix64(seed) order until they hold at least that many tuples,
+    and the check's detail reports how many it checked. Ties for the worst
+    Jacobi quadruple go to the lexicographically smallest one. The series
     check runs min(dim, series_max_levels) levels on the canonical path and
     on one seeded random path.
     """
@@ -276,40 +305,28 @@ def jacobi_residual_at(f: np.ndarray, i: int, j: int, k: int, m: int) -> float:
     return float(abs(total))
 
 
-def _jacobi_chunk(f: np.ndarray, ii, jj, kk, mm) -> np.ndarray:
+def _jacobi_slab(f: np.ndarray, i: int) -> tuple[float, tuple[int, int, int, int]]:
+    """Largest |J| over (i, j > i, k > j, m), the first in (j, k, m) order on ties.
+
+    For fixed i the three terms over every (j, k, m) are stacked products:
+    f[i, j, :] @ f[k], f[k, i, :] @ f[j] and f[j, k, :] @ f[i]. Rows j are
+    taken in chunks; each chunk evaluates every k after its first row and
+    masks the pairs with k <= j.
+    """
     dim = f.shape[0]
-    cols = np.arange(dim)
-    total = np.einsum("ql,ql->q", f[ii, jj], f[kk[:, None], cols[None, :], mm[:, None]])
-    total = total + np.einsum(
-        "ql,ql->q", f[kk, ii], f[jj[:, None], cols[None, :], mm[:, None]]
-    )
-    total = total + np.einsum(
-        "ql,ql->q", f[jj, kk], f[ii[:, None], cols[None, :], mm[:, None]]
-    )
-    return np.abs(total)
-
-
-def _all_quadruples(dim: int) -> np.ndarray:
-    triples = np.array(list(itertools.combinations(range(dim), 3)), dtype=np.int64)
-    quads = np.empty((triples.shape[0] * dim, 4), dtype=np.int64)
-    quads[:, :3] = np.repeat(triples, dim, axis=0)
-    quads[:, 3] = np.tile(np.arange(dim, dtype=np.int64), triples.shape[0])
-    return quads
-
-
-def _draw_quadruples(rng: SplitMix64, count: int, dim: int) -> np.ndarray:
-    """Uniform (i<j<k, m) quadruples by componentwise draw and rejection."""
-    out = np.empty((count, 4), dtype=np.int64)
-    have = 0
-    while have < count:
-        batch = min(2_000_000, 8 * (count - have) + 1024)
-        raw = rng.uint64s(4 * batch).reshape(batch, 4) % np.uint64(dim)
-        cand = raw.astype(np.int64)
-        keep = cand[(cand[:, 0] < cand[:, 1]) & (cand[:, 1] < cand[:, 2])]
-        take = min(keep.shape[0], count - have)
-        out[have : have + take] = keep[:take]
-        have += take
-    return out
+    left = np.ascontiguousarray(f[:, i, :])  # (k; l), too strided for BLAS as a view
+    step = max(1, _SLAB_CHUNK // (dim * dim))
+    best = (-1.0, (i, i + 1, i + 2, 0))
+    for j0 in range(i + 1, dim - 1, step):
+        js, ks = slice(j0, min(j0 + step, dim - 1)), slice(j0 + 1, dim)
+        total = (f[i, js] @ f[ks]).transpose(1, 0, 2) + left[ks] @ f[js]
+        total += f[js, ks] @ f[i]
+        vals = np.abs(total)
+        vals[np.arange(ks.start, dim) <= np.arange(js.start, js.stop)[:, None]] = -1.0
+        pos = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        if vals[pos] > best[0]:
+            best = (float(vals[pos]), (i, j0 + int(pos[0]), j0 + 1 + int(pos[1]), int(pos[2])))
+    return best
 
 
 def jacobi_residual(
@@ -317,56 +334,54 @@ def jacobi_residual(
 ) -> JacobiReport:
     """Scan |J^A + J^B + J^C| over quadruples (i < j < k, m).
 
-    mode="full" enumerates all of them (O(N^5) work); mode="sampled" draws
-    `count` uniformly with the given seed. The reported maximum is recomputed
-    at the winning quadruple with scalar dot products; ties go to the
-    lexicographically smallest quadruple in full mode (enumeration order) and
-    to the earliest draw in sampled mode.
+    mode="full" runs every leading index i (O(N^5) work in BLAS products);
+    mode="sampled" runs leading indices in a SplitMix64(seed) order until
+    their quadruples cover `count`, and checked_count says how many that was.
+    The reported maximum is recomputed at the winning quadruple with scalar
+    dot products; ties go to the lexicographically smallest quadruple.
     """
     f = _check_cubic(f, "structure tensor")
     if mode not in ("full", "sampled"):
         raise ContractViolation(f"mode must be 'full' or 'sampled', got {mode!r}")
     dim = f.shape[0]
-    if dim < 3 or (mode == "sampled" and count == 0):
+    rest = dim - 1 - np.arange(dim)
+    sizes = dim * rest * (rest - 1) // 2  # quadruples with leading index i
+    slabs = np.sort(_pick_slabs(sizes, None if mode == "full" else count, seed))
+    if slabs.size == 0:
         return JacobiReport(0.0, None, 0, mode == "sampled")
-    if mode == "full":
-        quads = _all_quadruples(dim)
-    else:
-        quads = _draw_quadruples(SplitMix64(seed), count, dim)
-
-    best_val = -1.0
-    best_quad: tuple[int, int, int, int] | None = None
-    step = _chunk_rows(dim)
-    for start in range(0, quads.shape[0], step):
-        part = quads[start : start + step]
-        vals = _jacobi_chunk(f, part[:, 0], part[:, 1], part[:, 2], part[:, 3])
-        pos = int(np.argmax(vals))
-        if vals[pos] > best_val:
-            best_val = float(vals[pos])
-            best_quad = tuple(int(x) for x in part[pos])
+    # max keeps the first of equal values, and slabs run in ascending order
+    _, quad = max((_jacobi_slab(f, int(i)) for i in slabs), key=lambda r: r[0])
     return JacobiReport(
-        max_residual=jacobi_residual_at(f, *best_quad),
-        worst_indices=best_quad,
-        checked_count=quads.shape[0],
+        max_residual=jacobi_residual_at(f, *quad),
+        worst_indices=quad,
+        checked_count=int(sizes[slabs].sum()),
         sampled=(mode == "sampled"),
     )
 
 
 # ---------------------------------------------------------------------------
-# closure
+# closure, derived subalgebra, Killing form / Cartan criterion
 
 
-def _draw_ordered_pairs(rng: SplitMix64, count: int, dim: int) -> np.ndarray:
-    out = np.empty((count, 2), dtype=np.int64)
-    have = 0
-    while have < count:
-        batch = min(2_000_000, 4 * (count - have) + 1024)
-        raw = (rng.uint64s(2 * batch).reshape(batch, 2) % np.uint64(dim)).astype(np.int64)
-        keep = raw[raw[:, 0] < raw[:, 1]]
-        take = min(keep.shape[0], count - have)
-        out[have : have + take] = keep[:take]
-        have += take
-    return out
+def _closure(adj, full_max_dim, sample_pairs, seed) -> tuple[float, int]:
+    adj = _check_cubic(adj, "adjoint stack")
+    dim = adj.shape[0]
+    flat = adj.reshape(dim, dim * dim)
+    step = max(1, _SLAB_CHUNK // (dim * dim))
+
+    def slab(i: int) -> float:
+        worst = 0.0
+        for j0 in range(i + 1, dim, step):
+            rest = adj[j0 : j0 + step]
+            residual = adj[i] @ rest
+            residual -= rest @ adj[i]
+            # sum_k A_i{k,j} A_k for every j in the chunk
+            residual -= (adj[i][:, j0 : j0 + step].T @ flat).reshape(rest.shape)
+            worst = max(worst, inf_norm(residual))
+        return worst
+
+    sizes = dim - 1 - np.arange(dim)  # pairs (i, j > i)
+    return _scan(sizes, None if dim <= full_max_dim else sample_pairs, seed, slab)
 
 
 def closure_residual(
@@ -377,42 +392,35 @@ def closure_residual(
 ) -> float:
     """max over pairs i < j of ||[A_i, A_j] - sum_k A_i{k,j} A_k||_inf.
 
-    Every pair is checked up to full_max_dim; beyond that, sample_pairs
-    seeded uniform pairs.
+    A slab is every pair with leading index i. All slabs up to full_max_dim;
+    beyond that, seeded slabs until they hold sample_pairs pairs.
     """
+    return _closure(adj, full_max_dim, sample_pairs, seed)[0]
+
+
+def _derived(adj, full_max_dim, sample_count, seed) -> tuple[float, int]:
     adj = _check_cubic(adj, "adjoint stack")
     dim = adj.shape[0]
-    if dim < 2:
-        return 0.0
-    flat = adj.reshape(dim, dim * dim)
-    worst = 0.0
-    if dim <= full_max_dim:
-        for i in range(dim - 1):
-            rest = adj[i + 1 :]
-            direct = adj[i] @ rest - rest @ adj[i]
-            recon = np.tensordot(adj[i][:, i + 1 :], adj, axes=(0, 0))
-            worst = max(worst, inf_norm(direct - recon))
-        return worst
-    pairs = _draw_ordered_pairs(SplitMix64(seed), sample_pairs, dim)
-    cols = np.arange(dim)
-    for start in range(0, pairs.shape[0], 8):
-        ii = pairs[start : start + 8, 0]
-        jj = pairs[start : start + 8, 1]
-        a_i, a_j = adj[ii], adj[jj]
-        direct = a_i @ a_j - a_j @ a_i
-        coeff = adj[ii[:, None], cols[None, :], jj[:, None]]  # A_i{:, j}
-        recon = (coeff @ flat).reshape(-1, dim, dim)
-        worst = max(worst, inf_norm(direct - recon))
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# derived subalgebra
-
-
-def _bracket_stack(adj: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    a, b = adj[left], adj[right]
-    return a @ b - b @ a
+    first, second = np.triu_indices(dim, 1)  # pair p = (first[p], second[p])
+    step = max(1, _SLAB_CHUNK // (dim * dim))
+    sizes = first.size - 1 - np.arange(first.size)  # pair-pairs (p, q > p)
+    budget = None if dim <= full_max_dim else sample_count
+    worst, checked = 0.0, 0
+    for p in _pick_slabs(sizes, budget, seed):
+        # one slab holds up to N^2/2 pair-pairs, far above a sampled budget,
+        # so the last slab taken stops where the budget runs out
+        stop = first.size if budget is None else min(first.size, p + 1 + budget - checked)
+        checked += stop - p - 1
+        b_p = commutator(adj[first[p]], adj[second[p]])
+        for q0 in range(p + 1, stop, step):
+            qs = slice(q0, min(q0 + step, stop))
+            a, b = adj[first[qs]], adj[second[qs]]
+            b_q = a @ b
+            b_q -= b @ a
+            cross = b_p @ b_q
+            cross -= b_q @ b_p
+            worst = max(worst, inf_norm(cross))
+    return worst, checked
 
 
 def derived_abelian_residual(
@@ -421,39 +429,38 @@ def derived_abelian_residual(
     sample_count: int = 256,
     seed: int = 0,
 ) -> float:
-    """max over pair-pairs of ||[[A_i,A_j],[A_k,A_l]]||_inf.
+    """max over pair-pairs p < q of ||[[A_i,A_j],[A_k,A_l]]||_inf.
 
-    All ((i<j),(k<l)) combinations up to full_max_dim, else sample_count
-    seeded draws of pair-pair indices.
+    A slab is every pair-pair whose first pair is p = (i < j). All slabs up to
+    full_max_dim; beyond that, seeded slabs until they hold sample_count
+    pair-pairs, the last one cut at that count. [B_q, B_p] = -[B_p, B_q] and
+    [B_p, B_p] = 0 exactly, so q > p covers every pair-pair.
     """
+    return _derived(adj, full_max_dim, sample_count, seed)[0]
+
+
+def _cartan(adj, full_max_dim, sample_count, seed) -> tuple[KillingReport, int]:
     adj = _check_cubic(adj, "adjoint stack")
     dim = adj.shape[0]
-    if dim < 2:
-        return 0.0
-    pairs = np.array(list(itertools.combinations(range(dim), 2)), dtype=np.int64)
-    total = pairs.shape[0]
-    worst = 0.0
-    if dim <= full_max_dim:
-        brackets = _bracket_stack(adj, pairs[:, 0], pairs[:, 1])
-        step = max(1, 4_000_000 // (total * dim * dim) + 1)
-        for start in range(0, total, step):
-            chunk = brackets[start : start + step]
-            cross = chunk[:, None] @ brackets[None, :] - brackets[None, :] @ chunk[:, None]
-            worst = max(worst, inf_norm(cross))
+    flat = adj.reshape(dim, dim * dim)
+    flat_t = adj.transpose(0, 2, 1).reshape(dim, dim * dim)
+    killing = flat @ flat_t.T
+    killing.setflags(write=False)
+    step = max(1, _SLAB_CHUNK // (dim * dim))
+
+    def slab(j: int) -> float:
+        worst = 0.0
+        for k0 in range(j + 1, dim, step):
+            rest = adj[k0 : k0 + step]
+            brackets = adj[j] @ rest - rest @ adj[j]
+            # trace(A_i B) = sum_ab A_i{a,b} B{b,a}, for every i at once
+            traces = flat @ brackets.transpose(0, 2, 1).reshape(rest.shape[0], -1).T
+            worst = max(worst, inf_norm(traces))
         return worst
-    rng = SplitMix64(seed)
-    pp = rng.integers(sample_count, total)
-    qq = rng.integers(sample_count, total)
-    for start in range(0, sample_count, 8):
-        lp, lq = pp[start : start + 8], qq[start : start + 8]
-        b_p = _bracket_stack(adj, pairs[lp, 0], pairs[lp, 1])
-        b_q = _bracket_stack(adj, pairs[lq, 0], pairs[lq, 1])
-        worst = max(worst, inf_norm(b_p @ b_q - b_q @ b_p))
-    return worst
 
-
-# ---------------------------------------------------------------------------
-# Killing form / Cartan criterion
+    sizes = dim * (dim - 1 - np.arange(dim))  # triples (i, j, k > j)
+    worst, count = _scan(sizes, None if dim <= full_max_dim else sample_count, seed, slab)
+    return KillingReport(matrix=killing, max_cartan_residual=worst), count
 
 
 def cartan_residual(
@@ -462,34 +469,13 @@ def cartan_residual(
     sample_count: int = 128,
     seed: int = 0,
 ) -> KillingReport:
-    """Killing form and max |trace(A_i [A_j, A_k])| (zero for solvable algebras)."""
-    adj = _check_cubic(adj, "adjoint stack")
-    dim = adj.shape[0]
-    flat = adj.reshape(dim, dim * dim)
-    flat_t = adj.transpose(0, 2, 1).reshape(dim, dim * dim)
-    killing = flat @ flat_t.T
-    killing.setflags(write=False)
+    """Killing form and max |trace(A_i [A_j, A_k])| (zero for solvable algebras).
 
-    worst = 0.0
-    if dim >= 2:
-        if dim <= full_max_dim:
-            pairs = np.array(list(itertools.combinations(range(dim), 2)), dtype=np.int64)
-            step = max(1, 2_000_000 // (dim * dim))
-            for start in range(0, pairs.shape[0], step):
-                part = pairs[start : start + step]
-                brackets = _bracket_stack(adj, part[:, 0], part[:, 1])
-                traces = flat @ brackets.transpose(0, 2, 1).reshape(part.shape[0], -1).T
-                worst = max(worst, inf_norm(traces))
-        else:
-            rng = SplitMix64(seed)
-            ii = rng.integers(sample_count, dim)
-            pairs = _draw_ordered_pairs(rng, sample_count, dim)
-            for start in range(0, sample_count, 8):
-                sl = slice(start, start + 8)
-                brackets = _bracket_stack(adj, pairs[sl, 0], pairs[sl, 1])
-                traces = np.einsum("cab,cba->c", adj[ii[sl]], brackets)
-                worst = max(worst, float(np.abs(traces).max()))
-    return KillingReport(matrix=killing, max_cartan_residual=worst)
+    A slab is every triple (i, j, k > j) with pair leading index j. All slabs
+    up to full_max_dim; beyond that, seeded slabs until they hold
+    sample_count triples.
+    """
+    return _cartan(adj, full_max_dim, sample_count, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +655,28 @@ def nilpotency_check(p, tau_ver: float = 1e-9) -> bool:
 # transfer-matrix products
 
 
+def _tproduct(null, adj, full_max_dim, sample_pairs, seed) -> tuple[float, int]:
+    adj = _check_cubic(adj, "adjoint stack")
+    n = _vector_of(null)
+    dim = adj.shape[0]
+    if n.shape != (dim,):
+        raise ContractViolation("null vector length must match adjoint dimension")
+    sizes = np.full(dim, dim)  # pairs (j, k) with leading index j
+    slabs = _pick_slabs(sizes, None if dim <= full_max_dim else sample_pairs, seed)
+    step = max(1, _SLAB_CHUNK // (dim * dim))
+    worst = 0.0
+    # the k chunks are the outer loop so each T_k stack is built once
+    for k0 in range(0, dim, step):
+        ks = range(k0, min(k0 + step, dim))
+        t_ks = np.stack([transfer_matrix(n, k) for k in ks])
+        right = t_ks.transpose(1, 0, 2).reshape(dim, -1)  # (b; k, c)
+        for j in slabs:
+            for left, expect in ((transfer_matrix(n, j), t_ks), (adj[j], adj[k0 : ks.stop])):
+                prod = (left @ right).reshape(dim, len(ks), dim)  # (a, k, c)
+                worst = max(worst, inf_norm(prod - n[j] * expect.transpose(1, 0, 2)))
+    return worst, int(sizes[slabs].sum())
+
+
 def t_product_residual(
     p,
     null,
@@ -677,36 +685,12 @@ def t_product_residual(
     sample_pairs: int = 128,
     seed: int = 0,
 ) -> float:
-    """max over (j,k) of ||T_j T_k - n{j} T_k||_inf and ||A_j T_k - n{j} A_k||_inf."""
-    adj = _check_cubic(adj, "adjoint stack")
-    n = _vector_of(null)
-    dim = adj.shape[0]
-    if n.shape != (dim,):
-        raise ContractViolation("null vector length must match adjoint dimension")
-    worst = 0.0
-    if dim <= full_max_dim:
-        tmats = np.stack([transfer_matrix(n, k) for k in range(dim)])
-        right = tmats.transpose(1, 0, 2).reshape(dim, dim * dim)  # (b; k,c)
-        step = max(1, 4_000_000 // dim**3)
-        for family in (tmats, adj):
-            for start in range(0, dim, step):
-                sl = slice(start, min(start + step, dim))
-                rows = family[sl]
-                prod = (rows.reshape(-1, dim) @ right).reshape(
-                    rows.shape[0], dim, dim, dim
-                )  # (j, a, k, c)
-                expect = n[sl, None, None, None] * family.transpose(1, 0, 2)[None]
-                worst = max(worst, inf_norm(prod - expect))
-        return worst
-    rng = SplitMix64(seed)
-    jj = rng.integers(sample_pairs, dim)
-    kk = rng.integers(sample_pairs, dim)
-    for j, k in zip(jj, kk):
-        t_j = transfer_matrix(n, int(j))
-        t_k = transfer_matrix(n, int(k))
-        worst = max(worst, inf_norm(t_j @ t_k - n[j] * t_k))
-        worst = max(worst, inf_norm(adj[j] @ t_k - n[j] * adj[k]))
-    return worst
+    """max over (j,k) of ||T_j T_k - n{j} T_k||_inf and ||A_j T_k - n{j} A_k||_inf.
+
+    A slab is every pair with leading index j. All slabs up to full_max_dim;
+    beyond that, seeded slabs until they hold sample_pairs pairs.
+    """
+    return _tproduct(null, adj, full_max_dim, sample_pairs, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -727,11 +711,39 @@ def _random_series_path(
     return (j, k), inner
 
 
+def _payload_diffs(sample: LieAlgebraSample) -> tuple[dict, float]:
+    """Max |stored - rebuilt| and its index per payload, and the rebuild's scale.
+
+    The rebuild runs build_adjoint's row-chunk kernel on the stored (P, n), so
+    a payload written from that sample matches it bit for bit. The scale
+    comes from the rebuild, so rescaling a stored payload cannot widen the band.
+    """
+    p, n = sample.p.matrix, sample.null.vector
+    dim = sample.dim
+    # adjoint[a, r, c] == structure[a, c, r]; both are compared in adjoint layout
+    stored = {"structure": sample.structure.transpose(0, 2, 1), "adjoint": sample.adjoint}
+    best = {name: (0.0, (0, 0, 0)) for name in stored}
+    scale = 0.0
+    step = max(1, _SLAB_CHUNK // (dim * dim))
+    for r0 in range(0, dim, step):
+        rows = slice(r0, min(r0 + step, dim))
+        rebuilt = adjoint_rows(p, n, rows)
+        scale = max(scale, inf_norm(rebuilt))
+        for name, arr in stored.items():
+            diff = np.abs(arr[:, rows, :] - rebuilt)
+            a, r, c = np.unravel_index(int(np.argmax(diff)), diff.shape)
+            if diff[a, r, c] > best[name][0]:
+                where = (a, r0 + r, c) if name == "adjoint" else (a, c, r0 + r)
+                best[name] = (float(diff[a, r, c]), tuple(int(x) for x in where))
+    return best, scale
+
+
 def verify_all(sample: LieAlgebraSample, config: VerifyConfig | None = None) -> VerificationReport:
     """Run the configured checks and collect residual/tolerance/time per check.
 
-    Check failures become report entries; nothing raises. The bilinear checks
-    (jacobi, closure, derived, killing, tproduct) pass at tau_ver * scale^2;
+    Check failures become report entries; nothing raises. The payload check
+    and the bilinear checks (jacobi, closure, derived, killing, tproduct) pass
+    at tau_ver * scale^2, the payload check with the rebuilt adjoint's scale;
     the series check requires per-level closed-form agreement on the
     canonical path and one seeded random path, plus the mode-appropriate
     termination behavior (generic: none within the tested depth; nilpotent:
@@ -760,8 +772,21 @@ def verify_all(sample: LieAlgebraSample, config: VerifyConfig | None = None) -> 
             )
         )
 
+    def check_payload():
+        diffs, rebuilt_scale = _payload_diffs(sample)
+        residual = max(d for d, _ in diffs.values())
+        band = tau * rebuilt_scale * rebuilt_scale
+        detail = "max |stored - rebuilt|: " + ", ".join(
+            f"{name} {d:.3e}" + (f" at {where}" if d > 0.0 else "")
+            for name, (d, where) in diffs.items()
+        )
+        return residual, band, residual <= band, detail
+
+    def mode_of(cap: int) -> str:
+        return "full" if dim <= cap else "sampled"
+
     def check_jacobi():
-        mode = "full" if dim <= cfg.jacobi_full_max_dim else "sampled"
+        mode = mode_of(cfg.jacobi_full_max_dim)
         rep = jacobi_residual(
             sample.structure, mode=mode, count=cfg.jacobi_sample_count, seed=cfg.seed
         )
@@ -771,45 +796,24 @@ def verify_all(sample: LieAlgebraSample, config: VerifyConfig | None = None) -> 
         return rep.max_residual, band2, rep.max_residual <= band2, detail
 
     def check_closure():
-        res = closure_residual(
-            sample.adjoint,
-            full_max_dim=cfg.closure_full_max_dim,
-            sample_pairs=cfg.closure_sample_pairs,
-            seed=cfg.seed,
-        )
-        mode = (
-            f"full, {dim * (dim - 1) // 2} pairs"
-            if dim <= cfg.closure_full_max_dim
-            else f"sampled, {cfg.closure_sample_pairs} pairs"
-        )
-        return res, band2, res <= band2, mode
+        cap = cfg.closure_full_max_dim
+        res, count = _closure(sample.adjoint, cap, cfg.closure_sample_pairs, cfg.seed)
+        return res, band2, res <= band2, f"{mode_of(cap)}, {count} pairs"
 
     def check_derived():
-        res = derived_abelian_residual(
-            sample.adjoint,
-            full_max_dim=cfg.derived_full_max_dim,
-            sample_count=cfg.derived_sample_count,
-            seed=cfg.seed,
-        )
-        pairs = dim * (dim - 1) // 2
-        mode = (
-            f"full, {pairs * pairs} pair-pairs"
-            if dim <= cfg.derived_full_max_dim
-            else f"sampled, {cfg.derived_sample_count} pair-pairs"
-        )
-        return res, band2, res <= band2, mode
+        cap = cfg.derived_full_max_dim
+        res, count = _derived(sample.adjoint, cap, cfg.derived_sample_count, cfg.seed)
+        return res, band2, res <= band2, f"{mode_of(cap)}, {count} pair-pairs"
 
     def check_killing():
-        rep = cartan_residual(
-            sample.adjoint,
-            full_max_dim=cfg.cartan_full_max_dim,
-            sample_count=cfg.cartan_sample_count,
-            seed=cfg.seed,
-        )
+        cap = cfg.cartan_full_max_dim
+        rep, count = _cartan(sample.adjoint, cap, cfg.cartan_sample_count, cfg.seed)
         asym = inf_norm(rep.matrix - rep.matrix.T)
         residual = max(rep.max_cartan_residual, asym)
-        mode = "full" if dim <= cfg.cartan_full_max_dim else f"sampled, {cfg.cartan_sample_count} triples"
-        detail = f"{mode}; cartan {rep.max_cartan_residual:.3e}, asymmetry {asym:.3e}"
+        detail = (
+            f"{mode_of(cap)}, {count} triples; "
+            f"cartan {rep.max_cartan_residual:.3e}, asymmetry {asym:.3e}"
+        )
         return residual, band2, residual <= band2, detail
 
     def check_series():
@@ -844,21 +848,12 @@ def verify_all(sample: LieAlgebraSample, config: VerifyConfig | None = None) -> 
         return disc, band, bool(ok), detail
 
     def check_tproduct():
-        res = t_product_residual(
-            sample.p,
-            sample.null,
-            sample.adjoint,
-            full_max_dim=cfg.tproduct_full_max_dim,
-            sample_pairs=cfg.tproduct_sample_pairs,
-            seed=cfg.seed,
-        )
-        mode = (
-            f"full, {dim * dim} pairs"
-            if dim <= cfg.tproduct_full_max_dim
-            else f"sampled, {cfg.tproduct_sample_pairs} pairs"
-        )
-        return res, band2, res <= band2, mode
+        cap = cfg.tproduct_full_max_dim
+        pairs = cfg.tproduct_sample_pairs
+        res, count = _tproduct(sample.null, sample.adjoint, cap, pairs, cfg.seed)
+        return res, band2, res <= band2, f"{mode_of(cap)}, {count} pairs"
 
+    run("payload", check_payload)
     run("jacobi", check_jacobi)
     run("closure", check_closure)
     run("derived", check_derived)

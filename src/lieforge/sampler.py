@@ -43,6 +43,7 @@ __all__ = [
     "sample_parameter_matrix",
     "validate_parameter_matrix",
     "build_adjoint",
+    "adjoint_rows",
     "adjoint_to_structure",
     "transfer_matrix",
     "assemble_sample",
@@ -261,10 +262,18 @@ def build_adjoint(p: np.ndarray, null_vector: np.ndarray) -> np.ndarray:
     step = max(1, _BUILD_CHUNK // (dim * dim))
     for start in range(0, dim, step):
         sl = slice(start, min(start + step, dim))
-        # prod[a, r, c] = n{a} * P{r, c} for rows r in the chunk
-        prod = n[:, None, None] * p[None, sl, :]
-        np.subtract(prod, prod.transpose(2, 1, 0), out=out[:, sl, :])
+        adjoint_rows(p, n, sl, out=out[:, sl, :])
     return out
+
+
+def adjoint_rows(
+    p: np.ndarray, null_vector: np.ndarray, rows: slice, out: np.ndarray | None = None
+) -> np.ndarray:
+    """build_adjoint(p, null_vector)[:, rows, :], bit for bit."""
+    n = np.asarray(null_vector)
+    # prod[a, r, c] = n{a} * P{r, c} for rows r in the chunk
+    prod = n[:, None, None] * np.asarray(p)[None, rows, :]
+    return np.subtract(prod, prod.transpose(2, 1, 0), out=out)
 
 
 def adjoint_to_structure(adjoint: np.ndarray) -> np.ndarray:

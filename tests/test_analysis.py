@@ -1,5 +1,7 @@
 """Identity checks, series behavior, and the aggregate verifier."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lieforge import analysis
 from lieforge.analysis import (
     CHECK_NAMES,
     VerifyConfig,
@@ -85,6 +88,84 @@ def test_jacobi_sampled_agrees_with_full_on_verdict():
     assert jacobi_residual(broken, mode="sampled", count=20_000, seed=1).max_residual > band
 
 
+def _brute_jacobi(f):
+    """Scalar scan of every quadruple; the first maximum in lexicographic order."""
+    dim = f.shape[0]
+    best, where = -1.0, None
+    for quad in itertools.product(range(dim), repeat=4):
+        i, j, k, _ = quad
+        if i < j < k:
+            value = jacobi_residual_at(f, *quad)
+            if value > best:
+                best, where = value, quad
+    return best, where
+
+
+def _jacobi_inputs(kind, dim):
+    rng = np.random.default_rng(dim)
+    if kind == "real":
+        return generate(dim, 40 + dim).structure
+    if kind == "complex":
+        return generate(dim, 40 + dim, field="complex").structure
+    if kind in ("random", "chunked"):
+        return rng.standard_normal((dim, dim, dim))
+    # every other entry of a larger random tensor: a layout BLAS cannot take as is
+    return rng.standard_normal((2 * dim, 2 * dim, 2 * dim))[::2, ::-2, ::2]
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "random", "strided", "chunked"])
+@pytest.mark.parametrize("dim", [5, 6, 7, 8])
+def test_jacobi_matches_scalar_reference(kind, dim, monkeypatch):
+    if kind == "chunked":
+        monkeypatch.setattr(analysis, "_SLAB_CHUNK", dim * dim)  # one row j per chunk
+    f = _jacobi_inputs(kind, dim)
+    best, where = _brute_jacobi(f)
+    rep = jacobi_residual(f)
+    assert rep.checked_count == dim * math.comb(dim, 3)
+    assert rep.max_residual == jacobi_residual_at(f, *rep.worst_indices)
+    # a few ulps of the largest product term that enters a residual
+    ulps = 4 * 3 * dim * np.finfo(float).eps * float(np.abs(f).max()) ** 2
+    assert abs(rep.max_residual - best) <= ulps
+    if kind in ("random", "strided", "chunked"):
+        assert rep.worst_indices == where
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_jacobi_ties_go_to_smallest_quadruple(chunk, monkeypatch):
+    if chunk is not None:  # one row j per chunk, so ties also span chunks
+        monkeypatch.setattr(analysis, "_SLAB_CHUNK", chunk)
+    # small integers: every product and sum is exact, so ties are exact
+    f = np.random.default_rng(3).integers(-1, 2, size=(7, 7, 7)).astype(float)
+    best, where = _brute_jacobi(f)
+    rep = jacobi_residual(f)
+    assert (rep.max_residual, rep.worst_indices) == (best, where)
+    assert jacobi_residual(f, mode="sampled", count=10**9).worst_indices == where
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_jacobi_zero_tensor_reports_first_valid_quadruple(chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(analysis, "_SLAB_CHUNK", chunk)
+    for mode in ("full", "sampled"):
+        rep = jacobi_residual(np.zeros((5, 5, 5)), mode=mode, count=10**6)
+        assert rep.worst_indices == (0, 1, 2, 0)
+
+
+def test_jacobi_sampled_is_a_pure_function_of_seed():
+    f = generate(12, 5).structure
+    total = 12 * math.comb(12, 3)
+    first = jacobi_residual(f, mode="sampled", count=500, seed=9)
+    assert first == jacobi_residual(f, mode="sampled", count=500, seed=9)
+    assert first.sampled and 500 <= first.checked_count < total
+    picks = {jacobi_residual(f, mode="sampled", count=500, seed=s).checked_count for s in range(8)}
+    assert len(picks) > 1  # different seeds pick different slabs
+    for count in (total, total + 1, 10**9):
+        rep = jacobi_residual(f, mode="sampled", count=count, seed=9)
+        assert rep.checked_count == total
+        assert rep == dataclasses.replace(jacobi_residual(f), sampled=True)
+    assert jacobi_residual(f, mode="sampled", count=0).checked_count == 0
+
+
 def test_jacobi_rejects_unknown_mode():
     with pytest.raises(ContractViolation):
         jacobi_residual(np.zeros((3, 3, 3)), mode="exhaustive")
@@ -120,6 +201,53 @@ def test_sampled_paths_match_full_verdicts():
     assert derived_abelian_residual(s.adjoint, full_max_dim=4, sample_count=64, seed=3) <= band
     assert cartan_residual(s.adjoint, full_max_dim=4, sample_count=64, seed=3).max_cartan_residual <= band
     assert t_product_residual(s.p, s.null, s.adjoint, full_max_dim=4, sample_pairs=64, seed=3) <= band
+
+
+def test_sampled_slabs_cover_the_full_scan_when_the_budget_does():
+    s = generate(9, 2)
+    big = 10**6
+    assert closure_residual(s.adjoint, 4, big, 3) == closure_residual(s.adjoint)
+    assert derived_abelian_residual(s.adjoint, 4, big, 3) == derived_abelian_residual(s.adjoint, 9)
+    assert (
+        cartan_residual(s.adjoint, 4, big, 3).max_cartan_residual
+        == cartan_residual(s.adjoint).max_cartan_residual
+    )
+    assert t_product_residual(s.p, s.null, s.adjoint, 4, big, 3) == t_product_residual(
+        s.p, s.null, s.adjoint
+    )
+
+
+def test_verify_all_reports_checked_counts():
+    cfg = VerifyConfig(
+        seed=5,
+        jacobi_full_max_dim=4,
+        jacobi_sample_count=100,
+        closure_full_max_dim=4,
+        closure_sample_pairs=10,
+        derived_full_max_dim=4,
+        derived_sample_count=50,
+        cartan_full_max_dim=4,
+        cartan_sample_count=30,
+        tproduct_full_max_dim=4,
+        tproduct_sample_pairs=20,
+    )
+    sample = generate(9, 2)
+    report = verify_all(sample, cfg)
+    assert report.passed
+    again = verify_all(sample, cfg)
+    assert [(c.residual, c.detail) for c in report.checks] == [
+        (c.residual, c.detail) for c in again.checks
+    ]
+    detail = {c.name: c.detail.split(",") for c in report.checks}
+    assert detail["derived"] == ["sampled", " 50 pair-pairs"]
+    for name, budget, whole in (
+        ("jacobi", 100, 9 * math.comb(9, 3)),
+        ("closure", 10, 36),
+        ("killing", 30, 9 * 36),
+        ("tproduct", 20, 81),
+    ):
+        mode, count = detail[name][0], int(detail[name][1].split()[0])
+        assert mode == "sampled" and budget <= count < whole, name
 
 
 def test_killing_form_of_affine_line():
@@ -290,6 +418,36 @@ def test_verify_all_flags_corrupted_structure():
     report = verify_all(broken)
     failed = {c.name for c in report.checks if not c.passed}
     assert "jacobi" in failed or "closure" in failed
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_payload_check_binds_stored_tensors_to_p_and_n(field):
+    s = generate(6, 14, field=field)
+    other = generate(6, 15, field=field)
+
+    def payload(**stored):
+        sample = assemble_sample(s.p, s.null, seed=s.seed, attempts=s.attempts, **stored)
+        (check,) = verify_all(sample, VerifyConfig(checks=("payload",))).checks
+        return check
+
+    clean = payload(structure=np.array(s.structure), adjoint=np.array(s.adjoint))
+    assert clean.passed and clean.residual == 0.0
+    doubled = payload(structure=2 * s.structure)
+    assert not doubled.passed
+    assert doubled.residual == inf_norm(s.structure)
+    swapped = payload(structure=other.structure)
+    assert not swapped.passed and "structure" in swapped.detail
+    moved_f = np.array(s.structure)
+    moved_f[1, 2, 3] += 1.0
+    assert "structure 1.000e+00 at (1, 2, 3)" in payload(structure=moved_f).detail
+    moved = np.array(s.adjoint)
+    moved[4, 1, 3] += 1.0
+    bad_adjoint = payload(adjoint=moved, structure=s.structure)
+    assert bad_adjoint.residual == 1.0
+    assert "adjoint 1.000e+00 at (4, 1, 3)" in bad_adjoint.detail
+    # the band comes from the rebuild, so a rescaled payload cannot widen it
+    scaled = payload(adjoint=1e12 * s.adjoint)
+    assert not scaled.passed and scaled.tolerance == clean.tolerance
 
 
 def test_verify_report_as_dict_is_json_ready():

@@ -94,7 +94,7 @@ def test_verify_passes_fresh_document(tmp_path, capsys):
     assert main(["verify", str(path)]) == 0
     out = capsys.readouterr().out
     assert "result: PASS" in out
-    for name in ("jacobi", "closure", "derived", "killing", "series", "tproduct"):
+    for name in ("payload", "jacobi", "closure", "derived", "killing", "series", "tproduct"):
         assert name in out
 
 
@@ -125,6 +125,38 @@ def test_verify_flags_corrupted_constants(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "result: FAIL" in out
     assert "FAIL" in [line.split()[3] for line in out.splitlines() if line.startswith("jacobi")][0]
+
+
+def _check_line(out, name):
+    return [line.split() for line in out.splitlines() if line.startswith(name)][0]
+
+
+def test_verify_flags_doubled_structure_payload(tmp_path, capsys):
+    path = _generate_doc(tmp_path)
+    doc = json.loads(path.read_text())
+    for entry in doc["structure_constants"]:
+        entry[3] *= 2
+    path.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+    assert main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "result: FAIL" in out
+    assert _check_line(out, "payload")[3] == "FAIL"
+    # doubling keeps every bilinear identity, so only the payload check sees it
+    assert _check_line(out, "jacobi")[3] == "pass"
+
+
+def test_verify_flags_swapped_structure_payload(tmp_path, capsys):
+    path = _generate_doc(tmp_path)
+    other = tmp_path / "other.json"
+    assert main(["generate", "--dim", "5", "--seed", "12", "--out", str(other)]) == 0
+    doc = json.loads(path.read_text())
+    doc["structure_constants"] = json.loads(other.read_text())["structure_constants"]
+    path.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+    assert main(["verify", str(path), "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    payload = [c for c in report["checks"] if c["name"] == "payload"][0]
+    assert report["passed"] is False and payload["passed"] is False
+    assert "structure" in payload["detail"] and " at (" in payload["detail"]
 
 
 def test_verify_strict_tolerance_fails(tmp_path, capsys):
