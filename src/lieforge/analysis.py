@@ -10,12 +10,13 @@ tau_ver * scale^2 (bilinear identities) or tau_ver * scale^(L+2) (depth-L
 series), with scale = max_k ||A_k||_inf.
 
 Each bilinear identity has one kernel, which evaluates every index tuple that
-shares a leading index (one "slab") with a few BLAS products. Full mode runs
-every slab in ascending order. Above a check's dimension cap, sampled mode
-runs the same kernel on a seeded subset of slabs: leading indices are taken in
-a SplitMix64(seed) order until their tuple counts cover the requested budget,
-so the checked subset is a pure function of (seed, N) and every reported count
-is the number of tuples actually checked. Inside a slab, the second index is
+shares a leading index (one "slab") with a few BLAS products. Which slabs run
+is one policy, the (cap, budget) table _SAMPLING: up to its cap a check runs
+every slab in ascending order ("full"); above it the check runs the same
+kernel on a seeded subset of slabs ("sampled"): leading indices are taken in
+a SplitMix64(seed) order until their tuple counts cover the budget, so the
+checked subset is a pure function of (seed, N) and every reported count is
+the number of tuples actually checked. Inside a slab, the second index is
 split so that temporaries stay under _SLAB_CHUNK entries.
 """
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import commutator, inf_norm
+from .linalg import EPS, commutator, inf_norm
 from .rng import SplitMix64
 from .sampler import LieAlgebraSample, adjoint_rows, transfer_matrix
 
@@ -62,6 +63,19 @@ _RESCALE_LO = 1e-100
 # entries per temporary inside one slab
 _SLAB_CHUNK = 1 << 16
 
+# (cap, budget) per check, in tuples of the commented kind. Up to cap (the
+# dimension N) a check scans every slab; above it, seeded slabs until they
+# hold budget tuples. These values keep verify_all interactive up to N = 100.
+_SAMPLING = {
+    "jacobi": (30, 1_000_000),  # quadruples (i < j < k, m)
+    "closure": (60, 128),  # pairs (i < j)
+    "derived": (14, 256),  # pair-pairs (p < q)
+    "killing": (60, 128),  # triples (i, j < k)
+    "tproduct": (64, 128),  # pairs (j, k)
+}
+# the series check runs min(N, _SERIES_MAX_LEVELS) levels per path
+_SERIES_MAX_LEVELS = 64
+
 
 def _matrix_of(p) -> np.ndarray:
     return np.asarray(getattr(p, "matrix", p))
@@ -76,6 +90,12 @@ def _check_cubic(arr: np.ndarray, name: str) -> np.ndarray:
     if arr.ndim != 3 or len(set(arr.shape)) != 1:
         raise ContractViolation(f"{name} must have shape (N, N, N), got {arr.shape}")
     return arr
+
+
+def _budget(check: str, dim: int) -> int | None:
+    """The check's tuple budget at dimension dim, or None to scan every slab."""
+    cap, budget = _SAMPLING[check]
+    return None if dim <= cap else budget
 
 
 def _pick_slabs(sizes: np.ndarray, budget: int | None, seed: int) -> np.ndarray:
@@ -260,34 +280,22 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Knobs for verify_all. Defaults keep N <= 100 interactive.
+    """What verify_all runs: the band, the sampling seed and the checks.
 
-    tau_ver=None means "use the tolerance stored with the sample". Caps are
-    the largest dimension at which a check still runs every slab (every
-    index tuple). Above a cap, the named count is a budget: slabs are taken
-    in a SplitMix64(seed) order until they hold at least that many tuples,
-    and the check's detail reports how many it checked. Ties for the worst
-    Jacobi quadruple go to the lexicographically smallest one. The series
-    check runs min(dim, series_max_levels) levels on the canonical path and
-    on one seeded random path.
+    tau_ver is the bilinear and series band factor; None means "use the
+    tolerance stored with the sample", and a given value must be finite and
+    positive. seed picks the slabs of every check above its cap in _SAMPLING
+    and the series check's random path. checks is a subset of CHECK_NAMES;
+    they always run in CHECK_NAMES order.
     """
 
     tau_ver: float | None = None
     seed: int = 0
     checks: tuple[str, ...] = CHECK_NAMES
-    jacobi_full_max_dim: int = 30
-    jacobi_sample_count: int = 1_000_000
-    closure_full_max_dim: int = 60
-    closure_sample_pairs: int = 128
-    derived_full_max_dim: int = 14
-    derived_sample_count: int = 256
-    cartan_full_max_dim: int = 60
-    cartan_sample_count: int = 128
-    tproduct_full_max_dim: int = 64
-    tproduct_sample_pairs: int = 128
-    series_max_levels: int = 64
 
     def __post_init__(self):
+        if self.tau_ver is not None and not (math.isfinite(self.tau_ver) and self.tau_ver > 0):
+            raise ContractViolation(f"tau_ver must be finite and positive, got {self.tau_ver!r}")
         unknown = set(self.checks) - set(CHECK_NAMES)
         if unknown:
             raise ContractViolation(
@@ -329,33 +337,31 @@ def _jacobi_slab(f: np.ndarray, i: int) -> tuple[float, tuple[int, int, int, int
     return best
 
 
-def jacobi_residual(
-    f: np.ndarray, mode: str = "full", count: int = 1_000_000, seed: int = 0
-) -> JacobiReport:
+def jacobi_residual(f: np.ndarray, seed: int = 0) -> JacobiReport:
     """Scan |J^A + J^B + J^C| over quadruples (i < j < k, m).
 
-    mode="full" runs every leading index i (O(N^5) work in BLAS products);
-    mode="sampled" runs leading indices in a SplitMix64(seed) order until
-    their quadruples cover `count`, and checked_count says how many that was.
-    The reported maximum is recomputed at the winning quadruple with scalar
-    dot products; ties go to the lexicographically smallest quadruple.
+    Up to the jacobi cap in _SAMPLING every leading index i runs (O(N^5) work
+    in BLAS products); above it, leading indices run in a SplitMix64(seed)
+    order until their quadruples cover the budget, and checked_count says how
+    many that was. The reported maximum is recomputed at the winning
+    quadruple with scalar dot products; ties go to the lexicographically
+    smallest quadruple.
     """
     f = _check_cubic(f, "structure tensor")
-    if mode not in ("full", "sampled"):
-        raise ContractViolation(f"mode must be 'full' or 'sampled', got {mode!r}")
     dim = f.shape[0]
     rest = dim - 1 - np.arange(dim)
     sizes = dim * rest * (rest - 1) // 2  # quadruples with leading index i
-    slabs = np.sort(_pick_slabs(sizes, None if mode == "full" else count, seed))
+    budget = _budget("jacobi", dim)
+    slabs = np.sort(_pick_slabs(sizes, budget, seed))
     if slabs.size == 0:
-        return JacobiReport(0.0, None, 0, mode == "sampled")
+        return JacobiReport(0.0, None, 0, budget is not None)
     # max keeps the first of equal values, and slabs run in ascending order
     _, quad = max((_jacobi_slab(f, int(i)) for i in slabs), key=lambda r: r[0])
     return JacobiReport(
         max_residual=jacobi_residual_at(f, *quad),
         worst_indices=quad,
         checked_count=int(sizes[slabs].sum()),
-        sampled=(mode == "sampled"),
+        sampled=budget is not None,
     )
 
 
@@ -363,7 +369,7 @@ def jacobi_residual(
 # closure, derived subalgebra, Killing form / Cartan criterion
 
 
-def _closure(adj, full_max_dim, sample_pairs, seed) -> tuple[float, int]:
+def _closure(adj, seed) -> tuple[float, int]:
     adj = _check_cubic(adj, "adjoint stack")
     dim = adj.shape[0]
     flat = adj.reshape(dim, dim * dim)
@@ -381,30 +387,25 @@ def _closure(adj, full_max_dim, sample_pairs, seed) -> tuple[float, int]:
         return worst
 
     sizes = dim - 1 - np.arange(dim)  # pairs (i, j > i)
-    return _scan(sizes, None if dim <= full_max_dim else sample_pairs, seed, slab)
+    return _scan(sizes, _budget("closure", dim), seed, slab)
 
 
-def closure_residual(
-    adj: np.ndarray,
-    full_max_dim: int = 60,
-    sample_pairs: int = 128,
-    seed: int = 0,
-) -> float:
+def closure_residual(adj: np.ndarray, seed: int = 0) -> float:
     """max over pairs i < j of ||[A_i, A_j] - sum_k A_i{k,j} A_k||_inf.
 
-    A slab is every pair with leading index i. All slabs up to full_max_dim;
-    beyond that, seeded slabs until they hold sample_pairs pairs.
+    A slab is every pair with leading index i. All slabs up to the closure
+    cap in _SAMPLING; beyond it, seeded slabs until they hold the budget.
     """
-    return _closure(adj, full_max_dim, sample_pairs, seed)[0]
+    return _closure(adj, seed)[0]
 
 
-def _derived(adj, full_max_dim, sample_count, seed) -> tuple[float, int]:
+def _derived(adj, seed) -> tuple[float, int]:
     adj = _check_cubic(adj, "adjoint stack")
     dim = adj.shape[0]
     first, second = np.triu_indices(dim, 1)  # pair p = (first[p], second[p])
     step = max(1, _SLAB_CHUNK // (dim * dim))
     sizes = first.size - 1 - np.arange(first.size)  # pair-pairs (p, q > p)
-    budget = None if dim <= full_max_dim else sample_count
+    budget = _budget("derived", dim)
     worst, checked = 0.0, 0
     for p in _pick_slabs(sizes, budget, seed):
         # one slab holds up to N^2/2 pair-pairs, far above a sampled budget,
@@ -423,23 +424,18 @@ def _derived(adj, full_max_dim, sample_count, seed) -> tuple[float, int]:
     return worst, checked
 
 
-def derived_abelian_residual(
-    adj: np.ndarray,
-    full_max_dim: int = 14,
-    sample_count: int = 256,
-    seed: int = 0,
-) -> float:
+def derived_abelian_residual(adj: np.ndarray, seed: int = 0) -> float:
     """max over pair-pairs p < q of ||[[A_i,A_j],[A_k,A_l]]||_inf.
 
     A slab is every pair-pair whose first pair is p = (i < j). All slabs up to
-    full_max_dim; beyond that, seeded slabs until they hold sample_count
-    pair-pairs, the last one cut at that count. [B_q, B_p] = -[B_p, B_q] and
+    the derived cap in _SAMPLING; beyond it, seeded slabs until they hold the
+    budget, the last one cut at the budget. [B_q, B_p] = -[B_p, B_q] and
     [B_p, B_p] = 0 exactly, so q > p covers every pair-pair.
     """
-    return _derived(adj, full_max_dim, sample_count, seed)[0]
+    return _derived(adj, seed)[0]
 
 
-def _cartan(adj, full_max_dim, sample_count, seed) -> tuple[KillingReport, int]:
+def _cartan(adj, seed) -> tuple[KillingReport, int]:
     adj = _check_cubic(adj, "adjoint stack")
     dim = adj.shape[0]
     flat = adj.reshape(dim, dim * dim)
@@ -459,23 +455,18 @@ def _cartan(adj, full_max_dim, sample_count, seed) -> tuple[KillingReport, int]:
         return worst
 
     sizes = dim * (dim - 1 - np.arange(dim))  # triples (i, j, k > j)
-    worst, count = _scan(sizes, None if dim <= full_max_dim else sample_count, seed, slab)
+    worst, count = _scan(sizes, _budget("killing", dim), seed, slab)
     return KillingReport(matrix=killing, max_cartan_residual=worst), count
 
 
-def cartan_residual(
-    adj: np.ndarray,
-    full_max_dim: int = 60,
-    sample_count: int = 128,
-    seed: int = 0,
-) -> KillingReport:
+def cartan_residual(adj: np.ndarray, seed: int = 0) -> KillingReport:
     """Killing form and max |trace(A_i [A_j, A_k])| (zero for solvable algebras).
 
     A slab is every triple (i, j, k > j) with pair leading index j. All slabs
-    up to full_max_dim; beyond that, seeded slabs until they hold
-    sample_count triples.
+    up to the killing cap in _SAMPLING; beyond it, seeded slabs until they
+    hold the budget.
     """
-    return _cartan(adj, full_max_dim, sample_count, seed)[0]
+    return _cartan(adj, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -655,14 +646,14 @@ def nilpotency_check(p, tau_ver: float = 1e-9) -> bool:
 # transfer-matrix products
 
 
-def _tproduct(null, adj, full_max_dim, sample_pairs, seed) -> tuple[float, int]:
+def _tproduct(null, adj, seed) -> tuple[float, int]:
     adj = _check_cubic(adj, "adjoint stack")
     n = _vector_of(null)
     dim = adj.shape[0]
     if n.shape != (dim,):
         raise ContractViolation("null vector length must match adjoint dimension")
     sizes = np.full(dim, dim)  # pairs (j, k) with leading index j
-    slabs = _pick_slabs(sizes, None if dim <= full_max_dim else sample_pairs, seed)
+    slabs = _pick_slabs(sizes, _budget("tproduct", dim), seed)
     step = max(1, _SLAB_CHUNK // (dim * dim))
     worst = 0.0
     # the k chunks are the outer loop so each T_k stack is built once
@@ -677,20 +668,13 @@ def _tproduct(null, adj, full_max_dim, sample_pairs, seed) -> tuple[float, int]:
     return worst, int(sizes[slabs].sum())
 
 
-def t_product_residual(
-    p,
-    null,
-    adj: np.ndarray,
-    full_max_dim: int = 64,
-    sample_pairs: int = 128,
-    seed: int = 0,
-) -> float:
+def t_product_residual(p, null, adj: np.ndarray, seed: int = 0) -> float:
     """max over (j,k) of ||T_j T_k - n{j} T_k||_inf and ||A_j T_k - n{j} A_k||_inf.
 
-    A slab is every pair with leading index j. All slabs up to full_max_dim;
-    beyond that, seeded slabs until they hold sample_pairs pairs.
+    A slab is every pair with leading index j. All slabs up to the tproduct
+    cap in _SAMPLING; beyond it, seeded slabs until they hold the budget.
     """
-    return _tproduct(null, adj, full_max_dim, sample_pairs, seed)[0]
+    return _tproduct(null, adj, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -711,39 +695,37 @@ def _random_series_path(
     return (j, k), inner
 
 
-def _payload_diffs(sample: LieAlgebraSample) -> tuple[dict, float]:
-    """Max |stored - rebuilt| and its index per payload, and the rebuild's scale.
+def _payload_diffs(sample: LieAlgebraSample) -> dict:
+    """Max |stored - rebuilt| and its index per payload.
 
     The rebuild runs build_adjoint's row-chunk kernel on the stored (P, n), so
-    a payload written from that sample matches it bit for bit. The scale
-    comes from the rebuild, so rescaling a stored payload cannot widen the band.
+    a payload written from that sample matches it bit for bit.
     """
     p, n = sample.p.matrix, sample.null.vector
     dim = sample.dim
     # adjoint[a, r, c] == structure[a, c, r]; both are compared in adjoint layout
     stored = {"structure": sample.structure.transpose(0, 2, 1), "adjoint": sample.adjoint}
     best = {name: (0.0, (0, 0, 0)) for name in stored}
-    scale = 0.0
     step = max(1, _SLAB_CHUNK // (dim * dim))
     for r0 in range(0, dim, step):
         rows = slice(r0, min(r0 + step, dim))
         rebuilt = adjoint_rows(p, n, rows)
-        scale = max(scale, inf_norm(rebuilt))
         for name, arr in stored.items():
             diff = np.abs(arr[:, rows, :] - rebuilt)
             a, r, c = np.unravel_index(int(np.argmax(diff)), diff.shape)
             if diff[a, r, c] > best[name][0]:
                 where = (a, r0 + r, c) if name == "adjoint" else (a, c, r0 + r)
                 best[name] = (float(diff[a, r, c]), tuple(int(x) for x in where))
-    return best, scale
+    return best
 
 
 def verify_all(sample: LieAlgebraSample, config: VerifyConfig | None = None) -> VerificationReport:
     """Run the configured checks and collect residual/tolerance/time per check.
 
     Check failures become report entries; nothing raises. The payload check
-    and the bilinear checks (jacobi, closure, derived, killing, tproduct) pass
-    at tau_ver * scale^2, the payload check with the rebuilt adjoint's scale;
+    passes at the rounding bound 8 * eps * ||P||_inf * ||n||_inf of
+    A_k = n{k} P - p_k (x) n, which no tau_ver moves. The bilinear checks
+    (jacobi, closure, derived, killing, tproduct) pass at tau_ver * scale^2;
     the series check requires per-level closed-form agreement on the
     canonical path and one seeded random path, plus the mode-appropriate
     termination behavior (generic: none within the tested depth; nilpotent:
@@ -773,51 +755,44 @@ def verify_all(sample: LieAlgebraSample, config: VerifyConfig | None = None) -> 
         )
 
     def check_payload():
-        diffs, rebuilt_scale = _payload_diffs(sample)
+        diffs = _payload_diffs(sample)
         residual = max(d for d, _ in diffs.values())
-        band = tau * rebuilt_scale * rebuilt_scale
+        band = 8 * EPS * inf_norm(sample.p.matrix) * inf_norm(sample.null.vector)
         detail = "max |stored - rebuilt|: " + ", ".join(
             f"{name} {d:.3e}" + (f" at {where}" if d > 0.0 else "")
             for name, (d, where) in diffs.items()
         )
         return residual, band, residual <= band, detail
 
-    def mode_of(cap: int) -> str:
-        return "full" if dim <= cap else "sampled"
+    def scanned(name: str, count: int, unit: str) -> str:
+        return f"{'full' if _budget(name, dim) is None else 'sampled'}, {count} {unit}"
+
+    def counted(name: str, unit: str, scan) -> None:
+        def check():
+            res, count = scan()
+            return res, band2, res <= band2, scanned(name, count, unit)
+
+        run(name, check)
 
     def check_jacobi():
-        mode = mode_of(cfg.jacobi_full_max_dim)
-        rep = jacobi_residual(
-            sample.structure, mode=mode, count=cfg.jacobi_sample_count, seed=cfg.seed
-        )
-        detail = f"{mode}, {rep.checked_count} quadruples"
+        rep = jacobi_residual(sample.structure, seed=cfg.seed)
+        detail = scanned("jacobi", rep.checked_count, "quadruples")
         if rep.worst_indices is not None:
             detail += f", worst at {rep.worst_indices}"
         return rep.max_residual, band2, rep.max_residual <= band2, detail
 
-    def check_closure():
-        cap = cfg.closure_full_max_dim
-        res, count = _closure(sample.adjoint, cap, cfg.closure_sample_pairs, cfg.seed)
-        return res, band2, res <= band2, f"{mode_of(cap)}, {count} pairs"
-
-    def check_derived():
-        cap = cfg.derived_full_max_dim
-        res, count = _derived(sample.adjoint, cap, cfg.derived_sample_count, cfg.seed)
-        return res, band2, res <= band2, f"{mode_of(cap)}, {count} pair-pairs"
-
     def check_killing():
-        cap = cfg.cartan_full_max_dim
-        rep, count = _cartan(sample.adjoint, cap, cfg.cartan_sample_count, cfg.seed)
+        rep, count = _cartan(sample.adjoint, cfg.seed)
         asym = inf_norm(rep.matrix - rep.matrix.T)
         residual = max(rep.max_cartan_residual, asym)
         detail = (
-            f"{mode_of(cap)}, {count} triples; "
+            f"{scanned('killing', count, 'triples')}; "
             f"cartan {rep.max_cartan_residual:.3e}, asymmetry {asym:.3e}"
         )
         return residual, band2, residual <= band2, detail
 
     def check_series():
-        depth = min(dim, cfg.series_max_levels)
+        depth = min(dim, _SERIES_MAX_LEVELS)
         canonical = lower_central_series(sample.adjoint, sample.p, sample.null, depth=depth)
         pair, inner = _random_series_path(SplitMix64(cfg.seed), dim, depth)
         random_path = lower_central_series(
@@ -847,19 +822,13 @@ def verify_all(sample: LieAlgebraSample, config: VerifyConfig | None = None) -> 
         detail = f"depth {depth}, binding level {level}; " + "; ".join(notes)
         return disc, band, bool(ok), detail
 
-    def check_tproduct():
-        cap = cfg.tproduct_full_max_dim
-        pairs = cfg.tproduct_sample_pairs
-        res, count = _tproduct(sample.null, sample.adjoint, cap, pairs, cfg.seed)
-        return res, band2, res <= band2, f"{mode_of(cap)}, {count} pairs"
-
     run("payload", check_payload)
     run("jacobi", check_jacobi)
-    run("closure", check_closure)
-    run("derived", check_derived)
+    counted("closure", "pairs", lambda: _closure(sample.adjoint, cfg.seed))
+    counted("derived", "pair-pairs", lambda: _derived(sample.adjoint, cfg.seed))
     run("killing", check_killing)
     run("series", check_series)
-    run("tproduct", check_tproduct)
+    counted("tproduct", "pairs", lambda: _tproduct(sample.null, sample.adjoint, cfg.seed))
 
     return VerificationReport(
         dim=dim,

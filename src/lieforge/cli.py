@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 generation failure,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import platform
 import secrets
@@ -83,6 +84,16 @@ def _uint64(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("tolerance must be a finite positive number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lieforge",
@@ -119,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ver.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=None,
         help="verification tolerance (default: the tau_ver stored in the document)",
     )
@@ -142,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--field", choices=FIELDS, default="real")
     orc.add_argument("--mode", choices=MODES, default="generic")
     orc.add_argument(
-        "--tol", type=float, default=1e-9, help="relative agreement tolerance (default 1e-9)"
+        "--tol", type=_tolerance, default=1e-9, help="relative agreement tolerance (default 1e-9)"
     )
     orc.set_defaults(func=cmd_oracle, _parser=orc)
 

@@ -31,13 +31,11 @@ from .sampler import LieAlgebraSample
 
 __all__ = [
     "MAX_SYSTEM_DIM",
-    "UnknownIndex",
     "AssembledSystem",
     "SolveDiagnostics",
     "ComparisonReport",
     "count_equations",
     "unknown_position",
-    "unknown_at",
     "equation_position",
     "assemble_system",
     "solve_system",
@@ -77,38 +75,11 @@ def unknown_position(i: int, j: int, k: int, dim: int) -> int:
     return _pair_rank(i, j, dim) * dim + k
 
 
-def unknown_at(position: int, dim: int) -> tuple[int, int, int]:
-    """Inverse of unknown_position."""
-    if not 0 <= position < count_equations(dim):
-        raise ContractViolation(f"position {position} out of range for dim {dim}")
-    i, j = _pair_at(position // dim, dim)
-    return i, j, position % dim
-
-
 def equation_position(j: int, k: int, m: int, dim: int) -> int:
     """Row of equation (j,k,m); zero-based, 1 <= j < k <= dim-1, 0 <= m < dim."""
     if not (1 <= j < k <= dim - 1 and 0 <= m < dim):
         raise ContractViolation(f"({j}, {k}, {m}) is not a valid equation for dim {dim}")
     return _pair_rank(j, k, dim) * dim + m
-
-
-@dataclass(frozen=True)
-class UnknownIndex:
-    """One unknown f{i,j,k} and its lexicographic column position."""
-
-    i: int
-    j: int
-    k: int
-    dim: int
-
-    @property
-    def position(self) -> int:
-        return unknown_position(self.i, self.j, self.k, self.dim)
-
-    @classmethod
-    def from_position(cls, position: int, dim: int) -> "UnknownIndex":
-        i, j, k = unknown_at(position, dim)
-        return cls(i=i, j=j, k=k, dim=dim)
 
 
 @dataclass(frozen=True)

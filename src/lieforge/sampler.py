@@ -20,6 +20,7 @@ measure-zero under normal sampling.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,11 +68,26 @@ class Tolerances:
     tau_n1: cutoff on |n{1}| below which the scale factor 1/n{1} is unusable.
     tau_ver: verification tolerance, applied relative to scale^2 for bilinear
         identities and scale^(L+2) for depth-L series checks.
+
+    Every field is finite, tol_rank >= 0, and tau_n1 and tau_ver are > 0.
     """
 
     tol_rank: float = 0.0
     tau_n1: float = 1e-10
     tau_ver: float = 1e-9
+
+    def __post_init__(self):
+        values = (self.tol_rank, self.tau_n1, self.tau_ver)
+        if not (
+            all(math.isfinite(v) for v in values)
+            and self.tol_rank >= 0
+            and self.tau_n1 > 0
+            and self.tau_ver > 0
+        ):
+            raise ContractViolation(
+                "tolerances need finite tol_rank >= 0, tau_n1 > 0 and tau_ver > 0, "
+                f"got {self.as_dict()}"
+            )
 
     def as_dict(self) -> dict:
         return {"tol_rank": self.tol_rank, "tau_n1": self.tau_n1, "tau_ver": self.tau_ver}

@@ -4,9 +4,9 @@ One sample per UTF-8 JSON document, newline-terminated, with a fixed key
 order (format_version, dim, field, mode, seed, rng_id, attempts, tolerances,
 p_matrix, null_vector, c, adjoint, structure_constants). Floats serialize as
 the shortest decimal string that round-trips to the exact double, so writing
-the same sample twice yields byte-identical output; NaN/Infinity are
-rejected in both directions. In complex-field documents every numeric leaf
-is a two-element [re, im] array.
+the same sample twice yields byte-identical output; NaN/Infinity, and any
+number outside the finite double range, are rejected in both directions. In
+complex-field documents every numeric leaf is a two-element [re, im] array.
 
 p_matrix and null_vector are flat row-major sequences. The adjoint, when
 requested, is a list of N flat row-major matrices. Structure constants are
@@ -119,26 +119,36 @@ def _fail(message: str) -> DocumentIntegrityError:
 def _require_number(x, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise _fail(f"{where}: expected a number, got {type(x).__name__}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise _fail(f"{where}: integer too large for a double") from None
+
+
+def _finite(arr: np.ndarray, where: str) -> np.ndarray:
+    # literals such as 1e400 parse to inf without a NaN/Infinity token
+    if not np.isfinite(arr).all():
+        raise _fail(f"{where}: values must be finite")
+    return arr
+
+
+def _parse_leaf(item, complex_field: bool, where: str):
+    if not complex_field:
+        return _require_number(item, where)
+    if not isinstance(item, list) or len(item) != 2:
+        raise _fail(f"{where}: complex leaves must be [re, im] pairs")
+    return complex(
+        _require_number(item[0], f"{where}[0]"), _require_number(item[1], f"{where}[1]")
+    )
 
 
 def _parse_values(seq, count: int, complex_field: bool, where: str) -> np.ndarray:
     if not isinstance(seq, list) or len(seq) != count:
         raise _fail(f"{where}: expected a list of {count} values")
-    if complex_field:
-        out = np.empty(count, dtype=np.complex128)
-        for pos, item in enumerate(seq):
-            if not isinstance(item, list) or len(item) != 2:
-                raise _fail(f"{where}[{pos}]: complex leaves must be [re, im] pairs")
-            out[pos] = complex(
-                _require_number(item[0], f"{where}[{pos}][0]"),
-                _require_number(item[1], f"{where}[{pos}][1]"),
-            )
-        return out
-    out = np.empty(count, dtype=np.float64)
+    out = np.empty(count, dtype=np.complex128 if complex_field else np.float64)
     for pos, item in enumerate(seq):
-        out[pos] = _require_number(item, f"{where}[{pos}]")
-    return out
+        out[pos] = _parse_leaf(item, complex_field, f"{where}[{pos}]")
+    return _finite(out, where)
 
 
 def _parse_structure(entries, dim: int, complex_field: bool) -> np.ndarray:
@@ -160,12 +170,12 @@ def _parse_structure(entries, dim: int, complex_field: bool) -> np.ndarray:
         if (i, j, k) in seen:
             raise _fail(f"{where}: duplicate entry for ({i}, {j}, {k})")
         seen.add((i, j, k))
-        value = _parse_values([entry[3]], 1, complex_field, where)[0]
+        value = _parse_leaf(entry[3], complex_field, f"{where}[3]")
         if value == 0:
             raise _fail(f"{where}: explicit zero entries are not permitted")
         dense[i, j, k] = value
         dense[j, i, k] = -value
-    return dense
+    return _finite(dense, "structure_constants")
 
 
 def read_sample(source: str | bytes) -> LieAlgebraSample:
@@ -224,11 +234,14 @@ def read_sample(source: str | bytes) -> LieAlgebraSample:
     tol_rec = data["tolerances"]
     if not isinstance(tol_rec, dict) or set(tol_rec) != {"tol_rank", "tau_n1", "tau_ver"}:
         raise _fail("tolerances must hold exactly tol_rank, tau_n1, tau_ver")
-    tolerances = Tolerances(
-        tol_rank=_require_number(tol_rec["tol_rank"], "tolerances.tol_rank"),
-        tau_n1=_require_number(tol_rec["tau_n1"], "tolerances.tau_n1"),
-        tau_ver=_require_number(tol_rec["tau_ver"], "tolerances.tau_ver"),
-    )
+    try:
+        tolerances = Tolerances(
+            tol_rank=_require_number(tol_rec["tol_rank"], "tolerances.tol_rank"),
+            tau_n1=_require_number(tol_rec["tau_n1"], "tolerances.tau_n1"),
+            tau_ver=_require_number(tol_rec["tau_ver"], "tolerances.tau_ver"),
+        )
+    except ContractViolation as err:
+        raise _fail(str(err)) from err
 
     cx = field == "complex"
     p_flat = _parse_values(data["p_matrix"], dim * dim, cx, "p_matrix")

@@ -74,18 +74,26 @@ def test_jacobi_max_is_reproducible_at_worst_indices():
     assert rep.max_residual == jacobi_residual_at(s.structure, *rep.worst_indices)
 
 
-def test_jacobi_sampled_agrees_with_full_on_verdict():
-    s = generate(6, 4)
-    full = jacobi_residual(s.structure, mode="full")
-    sampled = jacobi_residual(s.structure, mode="sampled", count=20_000, seed=1)
-    band = _band(s)
-    assert (full.max_residual <= band) and (sampled.max_residual <= band)
+def _set_sampling(monkeypatch, cap, budget, names=("jacobi",)):
+    """Set the named checks' sampling policy to (cap, budget)."""
+    for name in names:
+        monkeypatch.setitem(analysis._SAMPLING, name, (cap, budget))
 
+
+def test_jacobi_sampled_agrees_with_full_on_verdict(monkeypatch):
+    s = generate(6, 4)
+    band = _band(s)
     broken = s.structure.copy()
     broken[1, 2, 3] += 0.5
     broken[2, 1, 3] -= 0.5
+    full = jacobi_residual(s.structure)
+    assert not full.sampled and full.max_residual <= band
     assert jacobi_residual(broken).max_residual > band
-    assert jacobi_residual(broken, mode="sampled", count=20_000, seed=1).max_residual > band
+
+    _set_sampling(monkeypatch, 0, 20_000)
+    sampled = jacobi_residual(s.structure, seed=1)
+    assert sampled.sampled and sampled.max_residual <= band
+    assert jacobi_residual(broken, seed=1).max_residual > band
 
 
 def _brute_jacobi(f):
@@ -139,36 +147,39 @@ def test_jacobi_ties_go_to_smallest_quadruple(chunk, monkeypatch):
     best, where = _brute_jacobi(f)
     rep = jacobi_residual(f)
     assert (rep.max_residual, rep.worst_indices) == (best, where)
-    assert jacobi_residual(f, mode="sampled", count=10**9).worst_indices == where
+    _set_sampling(monkeypatch, 0, 10**9)
+    assert jacobi_residual(f).worst_indices == where
 
 
 @pytest.mark.parametrize("chunk", [None, 1])
 def test_jacobi_zero_tensor_reports_first_valid_quadruple(chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(analysis, "_SLAB_CHUNK", chunk)
-    for mode in ("full", "sampled"):
-        rep = jacobi_residual(np.zeros((5, 5, 5)), mode=mode, count=10**6)
-        assert rep.worst_indices == (0, 1, 2, 0)
+    for cap in (5, 4):  # full, then sampled
+        _set_sampling(monkeypatch, cap, 10**6)
+        rep = jacobi_residual(np.zeros((5, 5, 5)))
+        assert rep.worst_indices == (0, 1, 2, 0) and rep.sampled == (cap == 4)
 
 
-def test_jacobi_sampled_is_a_pure_function_of_seed():
+def test_jacobi_sampled_is_a_pure_function_of_seed(monkeypatch):
     f = generate(12, 5).structure
     total = 12 * math.comb(12, 3)
-    first = jacobi_residual(f, mode="sampled", count=500, seed=9)
-    assert first == jacobi_residual(f, mode="sampled", count=500, seed=9)
+    full = jacobi_residual(f)
+
+    def sampled(budget, seed):
+        _set_sampling(monkeypatch, 0, budget)
+        return jacobi_residual(f, seed=seed)
+
+    first = sampled(500, 9)
+    assert first == sampled(500, 9)
     assert first.sampled and 500 <= first.checked_count < total
-    picks = {jacobi_residual(f, mode="sampled", count=500, seed=s).checked_count for s in range(8)}
+    picks = {sampled(500, s).checked_count for s in range(8)}
     assert len(picks) > 1  # different seeds pick different slabs
-    for count in (total, total + 1, 10**9):
-        rep = jacobi_residual(f, mode="sampled", count=count, seed=9)
+    for budget in (total, total + 1, 10**9):
+        rep = sampled(budget, 9)
         assert rep.checked_count == total
-        assert rep == dataclasses.replace(jacobi_residual(f), sampled=True)
-    assert jacobi_residual(f, mode="sampled", count=0).checked_count == 0
-
-
-def test_jacobi_rejects_unknown_mode():
-    with pytest.raises(ContractViolation):
-        jacobi_residual(np.zeros((3, 3, 3)), mode="exhaustive")
+        assert rep == dataclasses.replace(full, sampled=True)
+    assert sampled(0, 0).checked_count == 0
 
 
 # --- bilinear identity residuals -----------------------------------------
@@ -194,43 +205,42 @@ def test_closure_detects_broken_adjoint():
     assert closure_residual(adj) > _band(s)
 
 
-def test_sampled_paths_match_full_verdicts():
+BILINEAR = ("closure", "derived", "killing", "tproduct")
+
+
+def _bilinear_residuals(s, seed=3):
+    return (
+        closure_residual(s.adjoint, seed=seed),
+        derived_abelian_residual(s.adjoint, seed=seed),
+        cartan_residual(s.adjoint, seed=seed).max_cartan_residual,
+        t_product_residual(s.p, s.null, s.adjoint, seed=seed),
+    )
+
+
+def test_sampled_paths_match_full_verdicts(monkeypatch):
     s = generate(9, 2)
     band = _band(s)
-    assert closure_residual(s.adjoint, full_max_dim=4, sample_pairs=64, seed=3) <= band
-    assert derived_abelian_residual(s.adjoint, full_max_dim=4, sample_count=64, seed=3) <= band
-    assert cartan_residual(s.adjoint, full_max_dim=4, sample_count=64, seed=3).max_cartan_residual <= band
-    assert t_product_residual(s.p, s.null, s.adjoint, full_max_dim=4, sample_pairs=64, seed=3) <= band
+    _set_sampling(monkeypatch, 4, 64, BILINEAR)
+    assert all(res <= band for res in _bilinear_residuals(s))
 
 
-def test_sampled_slabs_cover_the_full_scan_when_the_budget_does():
+def test_sampled_slabs_cover_the_full_scan_when_the_budget_does(monkeypatch):
     s = generate(9, 2)
-    big = 10**6
-    assert closure_residual(s.adjoint, 4, big, 3) == closure_residual(s.adjoint)
-    assert derived_abelian_residual(s.adjoint, 4, big, 3) == derived_abelian_residual(s.adjoint, 9)
-    assert (
-        cartan_residual(s.adjoint, 4, big, 3).max_cartan_residual
-        == cartan_residual(s.adjoint).max_cartan_residual
-    )
-    assert t_product_residual(s.p, s.null, s.adjoint, 4, big, 3) == t_product_residual(
-        s.p, s.null, s.adjoint
-    )
+    full = _bilinear_residuals(s)
+    _set_sampling(monkeypatch, 4, 10**6, BILINEAR)
+    assert _bilinear_residuals(s) == full
 
 
-def test_verify_all_reports_checked_counts():
-    cfg = VerifyConfig(
-        seed=5,
-        jacobi_full_max_dim=4,
-        jacobi_sample_count=100,
-        closure_full_max_dim=4,
-        closure_sample_pairs=10,
-        derived_full_max_dim=4,
-        derived_sample_count=50,
-        cartan_full_max_dim=4,
-        cartan_sample_count=30,
-        tproduct_full_max_dim=4,
-        tproduct_sample_pairs=20,
-    )
+def test_verify_all_reports_checked_counts(monkeypatch):
+    for name, budget in (
+        ("jacobi", 100),
+        ("closure", 10),
+        ("derived", 50),
+        ("killing", 30),
+        ("tproduct", 20),
+    ):
+        _set_sampling(monkeypatch, 4, budget, (name,))
+    cfg = VerifyConfig(seed=5)
     sample = generate(9, 2)
     report = verify_all(sample, cfg)
     assert report.passed
@@ -248,6 +258,22 @@ def test_verify_all_reports_checked_counts():
     ):
         mode, count = detail[name][0], int(detail[name][1].split()[0])
         assert mode == "sampled" and budget <= count < whole, name
+
+
+def test_default_policy_samples_above_each_cap():
+    for name, (cap, budget) in analysis._SAMPLING.items():
+        assert analysis._budget(name, cap) is None and analysis._budget(name, cap + 1) == budget
+    dim = 65
+    report = verify_all(generate(dim, 3), VerifyConfig(checks=tuple(analysis._SAMPLING)))
+    for check in report.checks:
+        cap, budget = analysis._SAMPLING[check.name]
+        mode, count = check.detail.split(",")[:2]
+        count = int(count.split()[0])
+        assert check.passed, check
+        if cap < dim:
+            assert mode == "sampled" and count >= budget, check
+        else:
+            assert mode == "full", check
 
 
 def test_killing_form_of_affine_line():
@@ -400,6 +426,12 @@ def test_verify_all_rejects_unknown_check():
         VerifyConfig(checks=("jacobi", "unitarity"))
 
 
+@pytest.mark.parametrize("tau_ver", [0.0, -1.0, math.inf, math.nan])
+def test_verify_config_rejects_bad_tolerance(tau_ver):
+    with pytest.raises(ContractViolation):
+        VerifyConfig(tau_ver=tau_ver)
+
+
 def test_verify_all_tolerance_override():
     sample = generate(5, 3)
     strict = verify_all(sample, VerifyConfig(tau_ver=1e-20))
@@ -425,9 +457,9 @@ def test_payload_check_binds_stored_tensors_to_p_and_n(field):
     s = generate(6, 14, field=field)
     other = generate(6, 15, field=field)
 
-    def payload(**stored):
+    def payload(tau_ver=None, **stored):
         sample = assemble_sample(s.p, s.null, seed=s.seed, attempts=s.attempts, **stored)
-        (check,) = verify_all(sample, VerifyConfig(checks=("payload",))).checks
+        (check,) = verify_all(sample, VerifyConfig(tau_ver, checks=("payload",))).checks
         return check
 
     clean = payload(structure=np.array(s.structure), adjoint=np.array(s.adjoint))
@@ -435,6 +467,9 @@ def test_payload_check_binds_stored_tensors_to_p_and_n(field):
     doubled = payload(structure=2 * s.structure)
     assert not doubled.passed
     assert doubled.residual == inf_norm(s.structure)
+    # the band is the rebuild's rounding bound, which no tau_ver widens
+    loose = payload(1e300, structure=2 * s.structure)
+    assert not loose.passed and loose.tolerance == doubled.tolerance
     swapped = payload(structure=other.structure)
     assert not swapped.passed and "structure" in swapped.detail
     moved_f = np.array(s.structure)
@@ -445,7 +480,6 @@ def test_payload_check_binds_stored_tensors_to_p_and_n(field):
     bad_adjoint = payload(adjoint=moved, structure=s.structure)
     assert bad_adjoint.residual == 1.0
     assert "adjoint 1.000e+00 at (4, 1, 3)" in bad_adjoint.detail
-    # the band comes from the rebuild, so a rescaled payload cannot widen it
     scaled = payload(adjoint=1e12 * s.adjoint)
     assert not scaled.passed and scaled.tolerance == clean.tolerance
 

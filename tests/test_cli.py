@@ -131,18 +131,32 @@ def _check_line(out, name):
     return [line.split() for line in out.splitlines() if line.startswith(name)][0]
 
 
-def test_verify_flags_doubled_structure_payload(tmp_path, capsys):
-    path = _generate_doc(tmp_path)
+def _double_structure(path, tau_ver=None):
     doc = json.loads(path.read_text())
     for entry in doc["structure_constants"]:
         entry[3] *= 2
+    if tau_ver is not None:
+        doc["tolerances"]["tau_ver"] = tau_ver
     path.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+
+
+def test_verify_flags_doubled_structure_payload(tmp_path, capsys):
+    path = _generate_doc(tmp_path)
+    _double_structure(path)
     assert main(["verify", str(path)]) == 1
     out = capsys.readouterr().out
     assert "result: FAIL" in out
     assert _check_line(out, "payload")[3] == "FAIL"
     # doubling keeps every bilinear identity, so only the payload check sees it
     assert _check_line(out, "jacobi")[3] == "pass"
+
+
+@pytest.mark.parametrize("tau_ver", [1.0, 1e300])
+def test_document_tolerance_does_not_loosen_the_payload_check(tau_ver, tmp_path, capsys):
+    path = _generate_doc(tmp_path)
+    _double_structure(path, tau_ver)
+    assert main(["verify", str(path)]) == 1
+    assert _check_line(capsys.readouterr().out, "payload")[3] == "FAIL"
 
 
 def test_verify_flags_swapped_structure_payload(tmp_path, capsys):
@@ -163,6 +177,17 @@ def test_verify_strict_tolerance_fails(tmp_path, capsys):
     path = _generate_doc(tmp_path)
     assert main(["verify", str(path), "--tol", "1e-20"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+@pytest.mark.parametrize("tol", ["0", "-1", "inf", "nan", "1e400", "abc"])
+def test_bad_tolerance_is_a_usage_error(command, tol, tmp_path, capsys):
+    if command == "verify":
+        target = [str(_generate_doc(tmp_path))]
+    else:
+        target = ["--dim", "4", "--seed", "1"]
+    assert main([command, *target, "--tol", tol]) == 64
+    assert "tol" in capsys.readouterr().err
 
 
 def test_verify_missing_file(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 from lieforge.errors import ContractViolation, SingularSystemError, SystemSizeError
 from lieforge.oracle import (
     MAX_SYSTEM_DIM,
-    UnknownIndex,
     assemble_system,
     compare_tensors,
     count_equations,
@@ -14,7 +13,6 @@ from lieforge.oracle import (
     extract_unknowns,
     oracle_structure_constants,
     solve_system,
-    unknown_at,
     unknown_position,
 )
 from lieforge.sampler import (
@@ -63,9 +61,7 @@ def test_unknown_position_is_a_bijection():
         for i in range(1, dim):
             for j in range(i + 1, dim):
                 for k in range(dim):
-                    pos = unknown_position(i, j, k, dim)
-                    assert unknown_at(pos, dim) == (i, j, k)
-                    seen.add(pos)
+                    seen.add(unknown_position(i, j, k, dim))
         assert seen == set(range(count_equations(dim)))
 
 
@@ -73,8 +69,6 @@ def test_unknown_position_rejects_bad_indices():
     for bad in ((0, 1, 0), (2, 2, 0), (2, 1, 0), (1, 2, 3), (1, 3, 0)):
         with pytest.raises(ContractViolation):
             unknown_position(*bad, 3)
-    with pytest.raises(ContractViolation):
-        unknown_at(3, 3)
 
 
 def test_equation_and_unknown_layouts_coincide():
@@ -83,11 +77,6 @@ def test_equation_and_unknown_layouts_coincide():
         for k in range(j + 1, dim):
             for m in range(dim):
                 assert equation_position(j, k, m, dim) == unknown_position(j, k, m, dim)
-
-
-def test_unknown_index_round_trip():
-    u = UnknownIndex(i=2, j=4, k=1, dim=6)
-    assert UnknownIndex.from_position(u.position, 6) == u
 
 
 # --- assembly: pinned three-dimensional system ------------------------------

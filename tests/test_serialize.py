@@ -31,10 +31,19 @@ def _affine_sample():
     return assemble_sample(pm, validate_parameter_matrix(pm, Tolerances()), seed=0)
 
 
+# a string value that _edited writes as the bare literal 1e400, which json
+# reads as inf although it is not a NaN/Infinity token
+OVERFLOW = "1e400"
+
+
 def _edited(text, **changes):
     doc = json.loads(text)
     doc.update(changes)
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    return json.dumps(doc, separators=(",", ":")).replace(f'"{OVERFLOW}"', OVERFLOW) + "\n"
+
+
+def _tolerances(**changes):
+    return {"tolerances": {"tol_rank": 0.0, "tau_n1": 1e-10, "tau_ver": 1e-9, **changes}}
 
 
 # --- writing ----------------------------------------------------------------
@@ -204,10 +213,17 @@ def test_missing_and_unknown_fields_are_rejected():
         {"attempts": True},
         {"rng_id": ""},
         {"tolerances": {"tol_rank": 0.0}},
-        {"tolerances": {"tol_rank": 0.0, "tau_n1": 1e-10, "tau_ver": 1e-9, "x": 1}},
+        _tolerances(x=1),
         {"p_matrix": [0.0, 0.0, 0.0]},
         {"p_matrix": [0.0, 0.0, True, 1.0]},
         {"null_vector": [1.0, "0"]},
+        _tolerances(tau_ver=0),
+        _tolerances(tau_ver=-1),
+        _tolerances(tau_ver=10**400),
+        _tolerances(tau_ver=OVERFLOW),
+        _tolerances(tol_rank=-1),
+        _tolerances(tau_n1=0.0),
+        {"p_matrix": [0.0, 0.0, 0.0, 10**400]},
     ],
 )
 def test_invalid_metadata_is_rejected(changes):
@@ -252,6 +268,8 @@ def test_scale_factor_consistency_is_enforced():
         [[0.0, 1, 1, 1.0]],  # float index
         [[False, 1, 1, 1.0]],  # bool index
         "not a list",
+        [[0, 1, 1, 10**400]],  # integer beyond double range
+        [[0, 1, 1, OVERFLOW]],  # reads as inf
     ],
 )
 def test_bad_sparse_entries_are_rejected(entries):
@@ -264,3 +282,7 @@ def test_bad_adjoint_payload_is_rejected():
     doc["adjoint"] = doc["adjoint"][:2]
     with pytest.raises(DocumentIntegrityError, match="adjoint"):
         read_sample(json.dumps(doc, separators=(",", ":")) + "\n")
+    doc = json.loads(write_sample(generate(3, 8), include_adjoint=True))
+    doc["adjoint"][1][4] = OVERFLOW
+    with pytest.raises(DocumentIntegrityError, match="finite"):
+        read_sample(_edited(json.dumps(doc)))
