@@ -668,7 +668,7 @@ def _tproduct(null, adj, seed) -> tuple[float, int]:
     return worst, int(sizes[slabs].sum())
 
 
-def t_product_residual(p, null, adj: np.ndarray, seed: int = 0) -> float:
+def t_product_residual(null, adj: np.ndarray, seed: int = 0) -> float:
     """max over (j,k) of ||T_j T_k - n{j} T_k||_inf and ||A_j T_k - n{j} A_k||_inf.
 
     A slab is every pair with leading index j. All slabs up to the tproduct

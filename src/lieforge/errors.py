@@ -47,11 +47,11 @@ class GenerationFailedError(LieForgeError):
 
 
 class SingularSystemError(LieForgeError):
-    """LU elimination hit a pivot below the breakdown threshold."""
+    """The oracle's Sylvester equation has no well-separated unique solution."""
 
 
 class SystemSizeError(LieForgeError):
-    """Linear system would exceed the dense-solver size guard."""
+    """Linear system would exceed the oracle's size guard."""
 
 
 class FormatVersionError(LieForgeError):

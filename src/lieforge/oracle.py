@@ -7,19 +7,28 @@ first adjoint matrix data), the remaining constants f{i, j, k} with
 
     sum_l  a[j,l] f{k,l,m}  -  a[k,l] f{j,l,m}  +  a[l,m] f{j,k,l}  =  0
 
-Each product routes to the coefficient matrix when its second factor is an
-unknown (canonicalized to ascending first index pair with a sign flip, since
-f{q,p,r} = -f{p,q,r}) or to the right-hand side when it is known (second
-index 0 rewrites through antisymmetry to a-priori data; equal indices vanish).
-The unknown count N(N-1)(N-2)/2 equals the equation count, the system is
-square, and for non-degenerate a-priori data its unique solution must match
-the closed-form generator. This module exists purely as that end-to-end
-oracle; it is deliberately dense, loop-based, and desk-scale only.
+Collect the unknowns as X[(p, q), m] = f{p, q, m}, one row per pair
+1 <= p < q <= N-1 in lexicographic order. The l = 0 terms are known
+(f{k,0,m} = -a[k,m]) and form the right-hand side R. The third term is
+(X a)[(j, k), m]. The first two touch rows (k, l) and (j, l) of X, with a sign
+flip where the pair is descending (f{q,p,r} = -f{p,q,r}); they form a
+P x P matrix K, P = (N-1)(N-2)/2. So the N(N-1)(N-2)/2 equations are the
+Sylvester equation
+
+    K X + X a = R,
+
+whose dense matrix K (x) I + I (x) a^T on X flattened row-major is never
+formed. K and R are built from a alone, so the oracle stays independent of
+the generator. Bartels-Stewart solves it: a complex Schur form of K and of a,
+then one triangular Sylvester solve (LAPACK ?trsyl), in O(P^3 + N^3). The
+equation is singular exactly when an eigenvalue of K and one of a sum to
+zero, as for nilpotent samples (a = 0). For non-degenerate a-priori data the
+unique solution must match the closed-form generator; this module exists
+purely as that end-to-end oracle.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,14 +69,6 @@ def _pair_rank(p: int, q: int, dim: int) -> int:
     return before + (q - p - 1)
 
 
-def _pair_at(rank: int, dim: int) -> tuple[int, int]:
-    p = 1
-    while rank >= dim - 1 - p:
-        rank -= dim - 1 - p
-        p += 1
-    return p, p + 1 + rank
-
-
 def unknown_position(i: int, j: int, k: int, dim: int) -> int:
     """Column of unknown f{i,j,k}; zero-based, 1 <= i < j <= dim-1, 0 <= k < dim."""
     if not (1 <= i < j <= dim - 1 and 0 <= k < dim):
@@ -84,9 +85,12 @@ def equation_position(j: int, k: int, m: int, dim: int) -> int:
 
 @dataclass(frozen=True)
 class AssembledSystem:
+    """K X + X a = R, with R flattened in equation_position order as rhs."""
+
     dim: int
     dim_sys: int
-    matrix: np.ndarray
+    k: np.ndarray
+    a: np.ndarray
     rhs: np.ndarray
 
 
@@ -105,11 +109,13 @@ class ComparisonReport:
 
 
 def assemble_system(a_priori: np.ndarray) -> AssembledSystem:
-    """Build the dense square system from the a-priori slice a[j,l] = f{1,j,l}.
+    """Build K and R of K X + X a = R from the a-priori slice a[j,l] = f{1,j,l}.
 
     Requires a[0, :] == 0 exactly (it stands for f at equal first indices).
-    Assembly is plain nested loops on purpose: the bookkeeping is the entire
-    point of this module and stays auditable this way.
+    Row (j, k) of K holds sign(l - k) a[j,l] at pair {k, l} for l != k and
+    -sign(l - j) a[k,l] at pair {j, l} for l != j; the two meet only on the
+    diagonal, -a[j,j] - a[k,k]. So K (x) I + I (x) a^T equals the dense
+    element-by-element assembly entry for entry.
     """
     a = np.asarray(a_priori)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -120,74 +126,124 @@ def assemble_system(a_priori: np.ndarray) -> AssembledSystem:
     if np.any(a[0, :] != 0):
         raise ContractViolation("a-priori slice row 0 must be zero (f at equal indices)")
     dim_sys = count_equations(dim)
-    dtype = np.complex128 if a.dtype.kind == "c" else np.float64
-    matrix = np.zeros((dim_sys, dim_sys), dtype=dtype)
-    rhs = np.zeros(dim_sys, dtype=dtype)
+    a = np.array(a, dtype=np.complex128 if a.dtype.kind == "c" else np.float64)
 
-    for j in range(1, dim):
-        for k in range(j + 1, dim):
-            for m in range(dim):
-                row = equation_position(j, k, m, dim)
-                rhs[row] = a[j, 0] * a[k, m] - a[k, 0] * a[j, m]
-                # term 1: + a[j,l] f{k,l,m}, known parts handled above/dropped
-                for l in range(1, dim):
-                    if l == k:
-                        continue
-                    coeff = a[j, l]
-                    if k < l:
-                        matrix[row, unknown_position(k, l, m, dim)] += coeff
-                    else:
-                        matrix[row, unknown_position(l, k, m, dim)] -= coeff
-                # term 2: - a[k,l] f{j,l,m}
-                for l in range(1, dim):
-                    if l == j:
-                        continue
-                    coeff = a[k, l]
-                    if j < l:
-                        matrix[row, unknown_position(j, l, m, dim)] -= coeff
-                    else:
-                        matrix[row, unknown_position(l, j, m, dim)] += coeff
-                # term 3: + a[l,m] f{j,k,l}, always an unknown
-                for l in range(dim):
-                    matrix[row, unknown_position(j, k, l, dim)] += a[l, m]
-    return AssembledSystem(dim=dim, dim_sys=dim_sys, matrix=matrix, rhs=rhs)
+    # pairs (j, k) of indices 1..N-1, shifted down by one, in row order
+    n = dim - 1
+    js, ks = np.triu_indices(n, 1)
+    npairs = js.size
+    rank = np.zeros((n, n), dtype=np.intp)
+    rank[js, ks] = rank[ks, js] = np.arange(npairs)
+    ls = np.arange(n)
+    sign = np.sign(ls[None, :] - ls[:, None]).astype(a.dtype)  # +1 where p < q
+    b = a[1:, 1:]
+    rows = np.broadcast_to(np.arange(npairs)[:, None], (npairs, n))
+    k = np.zeros((npairs, npairs), dtype=a.dtype)
+    # term 1: + a[j,l] f{k,l,m} for l != k; term 2: - a[k,l] f{j,l,m} for l != j
+    for lead, other, flip in ((ks, js, 1.0), (js, ks, -1.0)):
+        keep = ls[None, :] != lead[:, None]
+        cols = rank[lead[:, None], ls[None, :]]
+        vals = flip * sign[lead[:, None], ls[None, :]] * b[other[:, None], ls[None, :]]
+        np.add.at(k, (rows[keep], cols[keep]), vals[keep])
+    j0, k0 = js + 1, ks + 1
+    rhs = a[j0, 0, None] * a[k0, :] - a[k0, 0, None] * a[j0, :]
+    return AssembledSystem(dim=dim, dim_sys=dim_sys, k=k, a=a, rhs=rhs.reshape(-1))
+
+
+def _kron_sum_norm1(k: np.ndarray, a: np.ndarray) -> float:
+    """||K (x) I + I (x) a^T||_1 without forming it: column (r, l) is K[:, r] and a[l, :]."""
+    dk, da = np.diag(k), np.diag(a)
+    off_k = np.abs(k).sum(axis=0) - np.abs(dk)
+    off_a = np.abs(a).sum(axis=1) - np.abs(da)
+    return float((off_k[:, None] + off_a[None, :] + np.abs(dk[:, None] + da[None, :])).max())
+
+
+def _schur_solver(k: np.ndarray, a: np.ndarray):
+    """Solves of K X + X a = C (adjoint=False) and K^H X + X a^H = C from one Schur pair."""
+    tk, qk = scipy.linalg.schur(k, output="complex")
+    ta, qa = scipy.linalg.schur(a, output="complex")
+    real = k.dtype.kind != "c"
+
+    def solve(c: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        trans = "C" if adjoint else "N"
+        y, scale, info = scipy.linalg.lapack.ztrsyl(
+            tk, ta, qk.conj().T @ c @ qa, trana=trans, tranb=trans
+        )
+        if info != 0:
+            raise SingularSystemError(f"triangular Sylvester solve reported info={info}")
+        x = qk @ (y / scale) @ qa.conj().T
+        return x.real if real else x
+
+    return solve, np.diag(tk), np.diag(ta)
+
+
+def _sign(v: np.ndarray) -> np.ndarray:
+    """v / |v| entrywise, 1 where v = 0."""
+    mag = np.abs(v)
+    return np.where(mag > 0, v / np.where(mag > 0, mag, 1.0), 1.0)
+
+
+def _inverse_norm1_estimate(solve, shape: tuple[int, int], dtype) -> float:
+    """Lower bound on ||M^-1||_1 that is rarely off by more than 3x (LAPACK ?lacon).
+
+    Hager's power iteration on the unit 1-norm ball with Higham's safeguards:
+    stop after five steps, or when the estimate stops growing or the
+    maximizing index repeats, then take the larger of it and
+    2/(3n) ||M^-1 b||_1 for the alternating vector b_i = (-1)^i (1 + i/(n-1)).
+    The solves with M^-1 and M^-H reuse the Schur factors; n = P * N >= 3.
+    """
+    size = shape[0] * shape[1]
+    v = solve(np.full(shape, 1.0 / size, dtype))
+    est = float(np.abs(v).sum())
+    j = int(np.argmax(np.abs(solve(_sign(v), adjoint=True))))
+    for _ in range(4):
+        x = np.zeros(shape, dtype)
+        x.flat[j] = 1.0
+        v = solve(x)
+        new = float(np.abs(v).sum())
+        if new <= est:
+            break
+        est = new
+        z = np.abs(solve(_sign(v), adjoint=True))
+        j_last, j = j, int(np.argmax(z))
+        if z.flat[j_last] == z.flat[j]:
+            break
+    steps = np.arange(size)
+    alt = np.where(steps % 2 == 0, 1.0, -1.0) * (1.0 + steps / (size - 1))
+    return max(est, 2.0 * float(np.abs(solve(alt.reshape(shape).astype(dtype))).sum()) / (3.0 * size))
 
 
 def solve_system(system: AssembledSystem) -> tuple[np.ndarray, SolveDiagnostics]:
-    """LU solve with partial pivoting, pivot breakdown guard, condition estimate."""
-    m, rhs = system.matrix, system.rhs
+    """Bartels-Stewart solve with a separation guard and a 1-norm condition estimate.
+
+    Raises SingularSystemError when min |lambda_i(K) + mu_j(a)| is at or below
+    dim_sys * eps * ||M||_inf, M = K (x) I + I (x) a^T. The residual is
+    ||K X + X a - R||_inf over entries (= ||M u - rhs||_inf), and the condition
+    estimate is ||M||_1 times the estimate of ||M^-1||_1.
+    """
+    k, a = system.k, system.a
     if system.dim_sys == 0:
-        return np.zeros(0, dtype=m.dtype), SolveDiagnostics(0.0, 1.0)
-    tau_pivot = system.dim_sys * EPS * inf_norm(m)
-    with warnings.catch_warnings():
-        # a singular matrix triggers a LinAlgWarning; the pivot check below owns it
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(m)
-    min_pivot = float(np.abs(np.diag(lu)).min())
-    if min_pivot <= tau_pivot:
+        return np.zeros(0, dtype=a.dtype), SolveDiagnostics(0.0, 1.0)
+    r = system.rhs.reshape(k.shape[0], system.dim)
+    solve, eig_k, eig_a = _schur_solver(k, a)
+    separation = float(np.abs(eig_k[:, None] + eig_a[None, :]).min())
+    tau_sep = system.dim_sys * EPS * _kron_sum_norm1(k.T, a.T)
+    if separation <= tau_sep:
         raise SingularSystemError(
-            f"pivot {min_pivot:.3e} at or below breakdown threshold {tau_pivot:.3e};"
-            " a-priori data violates the non-degeneracy assumption"
+            f"eigenvalue separation {separation:.3e} at or below breakdown threshold"
+            f" {tau_sep:.3e}; a-priori data violates the non-degeneracy assumption"
         )
-    u = scipy.linalg.lu_solve((lu, piv), rhs)
-    anorm = float(np.linalg.norm(m, 1))
-    gecon = scipy.linalg.lapack.zgecon if m.dtype.kind == "c" else scipy.linalg.lapack.dgecon
-    rcond, _ = gecon(lu, anorm, norm="1")
-    condition = float(1.0 / rcond) if rcond > 0 else float("inf")
-    residual = inf_norm(m @ u - rhs)
-    return u, SolveDiagnostics(residual=residual, condition_estimate=condition)
+    x = solve(r)
+    residual = inf_norm(k @ x + x @ a - r)
+    condition = _kron_sum_norm1(k, a) * _inverse_norm1_estimate(solve, r.shape, a.dtype)
+    return x.reshape(-1), SolveDiagnostics(residual=residual, condition_estimate=condition)
 
 
 def extract_unknowns(f: np.ndarray) -> np.ndarray:
     """Flatten a structure tensor's unknown entries in column order."""
     f = np.asarray(f)
-    dim = f.shape[0]
-    out = np.empty(count_equations(dim), dtype=f.dtype)
-    for i in range(1, dim):
-        for j in range(i + 1, dim):
-            base = _pair_rank(i, j, dim) * dim
-            out[base : base + dim] = f[i, j, :]
-    return out
+    p, q = np.triu_indices(f.shape[0] - 1, 1)
+    return f[1:, 1:][p, q].reshape(-1)
 
 
 def oracle_structure_constants(
@@ -195,29 +251,27 @@ def oracle_structure_constants(
 ):
     """Full structure tensor recovered from the sample's a-priori slice alone.
 
-    Assembles and solves the linear system, then scatters the solution back
-    with antisymmetry (f{j,i,k} = -f{i,j,k}, zero diagonal). Raises
-    SystemSizeError when the dense system would exceed MAX_SYSTEM_DIM rows
-    and SingularSystemError when elimination breaks down (as it must for an
-    all-zero a-priori slice, e.g. nilpotent samples with A_1 = 0).
+    Assembles and solves the Sylvester equation, then scatters the solution
+    back with antisymmetry (f{j,i,k} = -f{i,j,k}, zero diagonal). Raises
+    SystemSizeError when the system would exceed MAX_SYSTEM_DIM unknowns and
+    SingularSystemError when K and -a share an eigenvalue (as they must for
+    an all-zero a-priori slice, e.g. nilpotent samples with A_1 = 0).
     """
     dim = sample.dim
     dim_sys = count_equations(dim)
     if dim_sys > MAX_SYSTEM_DIM:
         raise SystemSizeError(
-            f"system dimension {dim_sys} exceeds the dense-solver guard {MAX_SYSTEM_DIM}"
+            f"system dimension {dim_sys} exceeds the solver guard {MAX_SYSTEM_DIM}"
         )
     a = np.array(sample.structure[0])
-    system = assemble_system(a)
-    u, diagnostics = solve_system(system)
+    u, diagnostics = solve_system(assemble_system(a))
     out = np.zeros((dim, dim, dim), dtype=a.dtype)
     out[0, :, :] = a
     out[1:, 0, :] = -a[1:, :]
-    for pair in range(dim_sys // dim if dim >= 3 else 0):
-        i, j = _pair_at(pair, dim)
-        vals = u[pair * dim : (pair + 1) * dim]
-        out[i, j, :] = vals
-        out[j, i, :] = -vals
+    p, q = np.triu_indices(dim - 1, 1)
+    vals = u.reshape(-1, dim)
+    out[1:, 1:][p, q] = vals
+    out[1:, 1:][q, p] = -vals
     if return_diagnostics:
         return out, diagnostics
     return out

@@ -92,14 +92,6 @@ class Tolerances:
     def as_dict(self) -> dict:
         return {"tol_rank": self.tol_rank, "tau_n1": self.tau_n1, "tau_ver": self.tau_ver}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Tolerances":
-        return cls(
-            tol_rank=float(d["tol_rank"]),
-            tau_n1=float(d["tau_n1"]),
-            tau_ver=float(d["tau_ver"]),
-        )
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)

@@ -94,7 +94,7 @@ def test_acceptance_2_identity_residuals(announce):
                             killing.max_cartan_residual,
                             inf_norm(killing.matrix - killing.matrix.T),
                         ),
-                        "tproduct": t_product_residual(s.p, s.null, s.adjoint),
+                        "tproduct": t_product_residual(s.null, s.adjoint),
                     }
                     for name, value in residuals.items():
                         # N = 2 nilpotent samples are abelian: scale and every

@@ -195,7 +195,7 @@ def test_identity_residuals_small_on_fresh_samples(field):
     rep = cartan_residual(s.adjoint)
     assert rep.max_cartan_residual <= band
     assert inf_norm(rep.matrix - rep.matrix.T) <= band
-    assert t_product_residual(s.p, s.null, s.adjoint) <= band
+    assert t_product_residual(s.null, s.adjoint) <= band
 
 
 def test_closure_detects_broken_adjoint():
@@ -213,7 +213,7 @@ def _bilinear_residuals(s, seed=3):
         closure_residual(s.adjoint, seed=seed),
         derived_abelian_residual(s.adjoint, seed=seed),
         cartan_residual(s.adjoint, seed=seed).max_cartan_residual,
-        t_product_residual(s.p, s.null, s.adjoint, seed=seed),
+        t_product_residual(s.null, s.adjoint, seed=seed),
     )
 
 

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lieforge.errors import ContractViolation, SingularSystemError, SystemSizeError
+from lieforge.linalg import EPS
 from lieforge.oracle import (
     MAX_SYSTEM_DIM,
+    _kron_sum_norm1,
     assemble_system,
     compare_tensors,
     count_equations,
@@ -27,6 +30,47 @@ from lieforge.sampler import (
 def _sample_from(matrix, mode="generic"):
     pm = ParameterMatrix(np.asarray(matrix, dtype=np.float64), mode)
     return assemble_sample(pm, validate_parameter_matrix(pm, Tolerances()), seed=0)
+
+
+def _dense(system):
+    """The system matrix K (x) I + I (x) a^T that the solver never forms."""
+    return np.kron(system.k, np.eye(system.dim)) + np.kron(np.eye(system.k.shape[0]), system.a.T)
+
+
+def _dense_reference(a):
+    """Element-by-element assembly of the dense system (matrix, rhs), one equation per row."""
+    dim = a.shape[0]
+    dim_sys = count_equations(dim)
+    dtype = np.complex128 if a.dtype.kind == "c" else np.float64
+    matrix = np.zeros((dim_sys, dim_sys), dtype=dtype)
+    rhs = np.zeros(dim_sys, dtype=dtype)
+    for j in range(1, dim):
+        for k in range(j + 1, dim):
+            for m in range(dim):
+                row = equation_position(j, k, m, dim)
+                rhs[row] = a[j, 0] * a[k, m] - a[k, 0] * a[j, m]
+                # term 1: + a[j,l] f{k,l,m}, known parts handled above/dropped
+                for l in range(1, dim):
+                    if l == k:
+                        continue
+                    coeff = a[j, l]
+                    if k < l:
+                        matrix[row, unknown_position(k, l, m, dim)] += coeff
+                    else:
+                        matrix[row, unknown_position(l, k, m, dim)] -= coeff
+                # term 2: - a[k,l] f{j,l,m}
+                for l in range(1, dim):
+                    if l == j:
+                        continue
+                    coeff = a[k, l]
+                    if j < l:
+                        matrix[row, unknown_position(j, l, m, dim)] -= coeff
+                    else:
+                        matrix[row, unknown_position(l, j, m, dim)] += coeff
+                # term 3: + a[l,m] f{j,k,l}, always an unknown
+                for l in range(dim):
+                    matrix[row, unknown_position(j, k, l, dim)] += a[l, m]
+    return matrix, rhs
 
 
 # --- counting and index bookkeeping ----------------------------------------
@@ -85,9 +129,11 @@ def test_equation_and_unknown_layouts_coincide():
 def test_diagonal_example_system_is_diagonal():
     """P = diag(0,1,1): the one unknown triple satisfies diag(-2,-1,-1) u = 0."""
     s = _sample_from(np.diag([0.0, 1.0, 1.0]))
-    system = assemble_system(np.array(s.structure[0]))
+    a = np.array(s.structure[0])
+    system = assemble_system(a)
     assert system.dim_sys == 3
-    np.testing.assert_array_equal(system.matrix, np.diag([-2.0, -1.0, -1.0]))
+    np.testing.assert_array_equal(_dense(system), np.diag([-2.0, -1.0, -1.0]))
+    np.testing.assert_array_equal(_dense(system), _dense_reference(a)[0])
     np.testing.assert_array_equal(system.rhs, np.zeros(3))
     u, diag = solve_system(system)
     np.testing.assert_array_equal(u, np.zeros(3))
@@ -108,7 +154,7 @@ def test_assemble_rejects_nonsquare_input():
 def test_two_dim_system_is_empty():
     system = assemble_system(np.zeros((2, 2)))
     assert system.dim_sys == 0
-    assert system.matrix.shape == (0, 0)
+    assert _dense(system).shape == (0, 0)
     u, diag = solve_system(system)
     assert u.shape == (0,)
     assert diag.residual == 0.0
@@ -118,6 +164,62 @@ def test_two_dim_system_is_empty():
 def test_zero_a_priori_slice_is_singular():
     with pytest.raises(SingularSystemError):
         solve_system(assemble_system(np.zeros((3, 3))))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
+def test_kron_form_reproduces_dense_reference(dim, field):
+    a = np.array(generate(dim, dim, field=field).structure[0])
+    system = assemble_system(a)
+    matrix, rhs = _dense_reference(a)
+    assert system.k.shape == (count_equations(dim) // dim,) * 2
+    band = 4 * EPS * (1.0 + np.abs(a).max()) ** 2
+    assert np.abs(_dense(system) - matrix).max() <= band
+    assert np.abs(system.rhs - rhs).max() <= band
+    # the solver's norms of the unformed matrix
+    k, a = system.k, system.a
+    np.testing.assert_allclose(_kron_sum_norm1(k, a), np.linalg.norm(matrix, 1), rtol=1e-13)
+    np.testing.assert_allclose(_kron_sum_norm1(k.T, a.T), np.linalg.norm(matrix, np.inf), rtol=1e-13)
+
+
+@pytest.mark.parametrize("offset", [0.0, 2 * EPS])
+def test_singular_despite_nonzero_a_priori_slice(offset):
+    """spec(K) = {-offset} for a = diag(0, 1, -1 + offset): K X + X a = R is singular,
+    or within dim_sys * eps * ||M|| of it, though ?trsyl alone would solve the second."""
+    a = np.diag([0.0, 1.0, -1.0 + offset])
+    system = assemble_system(a)
+    assert np.any(system.a != 0)
+    with pytest.raises(SingularSystemError):
+        solve_system(system)
+
+
+@pytest.mark.parametrize("dim,field", [(12, "real"), (16, "real"), (14, "complex")])
+def test_nilpotent_samples_are_singular_in_the_solve(dim, field):
+    s = generate(dim, 5, field=field, mode="nilpotent")
+    system = assemble_system(np.array(s.structure[0]))
+    with pytest.raises(SingularSystemError):
+        solve_system(system)
+
+
+def test_ill_conditioned_sample_is_still_recovered():
+    """N=18 real, condition about 5e8: the seed the benchmark's crosscheck draws for it at seed 4."""
+    s = generate(18, 748955522739689173, max_attempts=16)
+    u, diag = solve_system(assemble_system(np.array(s.structure[0])))
+    assert diag.condition_estimate >= 1e8
+    assert compare_tensors(extract_unknowns(s.structure), u, 1e-9).passed
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [4, 5, 6, 7, 8, 9, 10])
+def test_condition_estimate_tracks_gecon(dim, field):
+    a = np.array(generate(dim, 3, field=field).structure[0])
+    matrix, _ = _dense_reference(a)
+    lu, _ = scipy.linalg.lu_factor(matrix)
+    gecon = scipy.linalg.lapack.zgecon if field == "complex" else scipy.linalg.lapack.dgecon
+    rcond, _ = gecon(lu, np.linalg.norm(matrix, 1), norm="1")
+    _, diag = solve_system(assemble_system(a))
+    ratio = diag.condition_estimate * rcond
+    assert 1 / 3 <= ratio <= 3, ratio
 
 
 def test_extract_unknowns_column_order():
@@ -136,7 +238,7 @@ def test_assembled_system_annihilates_true_unknowns():
     s = generate(5, 7)
     system = assemble_system(np.array(s.structure[0]))
     u_true = extract_unknowns(s.structure)
-    gap = np.abs(system.matrix @ u_true - system.rhs).max()
+    gap = np.abs(_dense(system) @ u_true - system.rhs).max()
     assert gap <= 1e-12 * (1.0 + s.scale**2)
 
 
