@@ -1,7 +1,8 @@
 """Batch command line: generate, verify, oracle, bench.
 
 Exit codes: 0 success, 1 verification failure, 2 generation failure,
-3 oracle singular system, 64 usage, 65 input integrity.
+3 oracle singular system, 64 usage (an unwritable output path included),
+65 input integrity.
 """
 
 from __future__ import annotations
@@ -183,6 +184,20 @@ def _resolve_seed(args) -> int:
     return seed
 
 
+def _write_output(command: str, path: str | None, text: str) -> int:
+    """Write text to path (stdout when None); an unwritable path is a usage error."""
+    if not path:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as err:
+        print(f"lieforge {command}: cannot write output: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
+
+
 def cmd_generate(args) -> int:
     if args.dim < 2:
         args._parser.error("--dim must be at least 2")
@@ -201,12 +216,7 @@ def cmd_generate(args) -> int:
         include_adjoint=args.emit in ("adjoint", "both"),
         include_structure=args.emit in ("structure", "both"),
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(doc)
-    else:
-        sys.stdout.write(doc)
-    return EXIT_OK
+    return _write_output("generate", args.out, doc)
 
 
 def _format_text_report(report: VerificationReport) -> str:
@@ -228,13 +238,13 @@ def _format_text_report(report: VerificationReport) -> str:
 
 def cmd_verify(args) -> int:
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.file, "rb") as fh:
+            raw = fh.read()
     except OSError as err:
         print(f"lieforge verify: cannot read input: {err}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        sample = read_sample(text)
+        sample = read_sample(raw)
     except (FormatVersionError, DocumentIntegrityError) as err:
         print(f"lieforge verify: {err}", file=sys.stderr)
         return EXIT_INPUT
@@ -347,11 +357,9 @@ def cmd_bench(args) -> int:
         )
 
     csv_text = CSV_HEADER + "\n" + "".join(rec.csv_row() + "\n" for rec in records)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    code = _write_output("bench", args.csv, csv_text)
+    if code != EXIT_OK:
+        return code
 
     print(f"hardware: {hardware}", file=sys.stderr)
     for rec in records:

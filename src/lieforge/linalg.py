@@ -90,9 +90,7 @@ def _fix_phase(n: np.ndarray) -> np.ndarray:
     return -n if a < 0 else n
 
 
-def rank_and_left_null(
-    p, tol_rank: float = 0.0, return_singular_values: bool = False
-):
+def rank_and_left_null(p, tol_rank: float = 0.0):
     """Numerical rank of `p` and, when the rank is N-1, a unit left null vector.
 
     The effective threshold is max(tol_rank, N * eps * sigma_max); singular
@@ -101,8 +99,8 @@ def rank_and_left_null(
     threshold), has unit 2-norm, and its first component above 1e-12 in
     magnitude is made real and positive so the result is reproducible.
 
-    Returns (rank, n) where n is None unless rank == N-1. With
-    ``return_singular_values=True``, returns (rank, n, singular_values).
+    Returns (rank, n, singular_values), where n is None unless rank == N-1
+    and the singular values are in descending order.
     """
     p = as_field_matrix(p, "p")
     if tol_rank < 0:
@@ -113,6 +111,4 @@ def rank_and_left_null(
     n = None
     if rank == p.shape[0] - 1:
         n = _fix_phase(np.conjugate(u[:, -1]).copy())
-    if return_singular_values:
-        return rank, n, s
-    return rank, n
+    return rank, n, s

@@ -222,9 +222,7 @@ def validate_parameter_matrix(
     """
     tol = tolerances or Tolerances()
     n_dim = pm.dim
-    rank, nvec, svals = rank_and_left_null(
-        pm.matrix, tol.tol_rank, return_singular_values=True
-    )
+    rank, nvec, svals = rank_and_left_null(pm.matrix, tol.tol_rank)
     if rank != n_dim - 1:
         smallest = float(svals[rank - 1]) if rank > 0 else 0.0
         raise DegenerateParametersError(

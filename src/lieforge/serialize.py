@@ -1,22 +1,25 @@
-"""Canonical lieforge/1 document encoding.
+"""Canonical lieforge/1 document codec.
 
-One sample per UTF-8 JSON document, newline-terminated, with a fixed key
-order (format_version, dim, field, mode, seed, rng_id, attempts, tolerances,
-p_matrix, null_vector, c, adjoint, structure_constants). Floats serialize as
-the shortest decimal string that round-trips to the exact double, so writing
-the same sample twice yields byte-identical output; NaN/Infinity, and any
-number outside the finite double range, are rejected in both directions. In
-complex-field documents every numeric leaf is a two-element [re, im] array.
+A document is one newline-terminated UTF-8 JSON object whose keys follow
+_KEY_ORDER. Every payload is an array: p_matrix and each adjoint matrix flat
+row-major, null_vector, the scalar c, and the structure constants stored
+sparsely as [i, j, k, value] for each nonzero entry with i < j, in index
+order (f[j, i, k] = -value is implied). A complex document gives every
+number as an [re, im] pair, the array's trailing axis of two doubles.
+Floats are written as the shortest decimal that round-trips, so a sample
+always encodes to the same bytes.
 
-p_matrix and null_vector are flat row-major sequences. The adjoint, when
-requested, is a list of N flat row-major matrices. Structure constants are
-stored sparsely as [i, j, k, value] with zero-based indices, only the i < j
-canonical half, and no explicit zeros; the antisymmetric partner is implied.
+_leaves writes any array and _numbers reads any array; each decides real
+versus complex once and checks a payload as a whole. Anything that is not a
+well-formed document, the numeric rules in README's "Document format"
+included, raises DocumentIntegrityError.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 
 import numpy as np
 
@@ -57,32 +60,20 @@ _KEY_ORDER = (
 _UNIT_NORM_SLOP = 1e-12
 
 
-def _flat_values(arr: np.ndarray, complex_field: bool) -> list:
+def _leaves(arr) -> list:
+    """JSON leaves of an array, flattened row-major; complex values as [re, im]."""
     flat = np.ascontiguousarray(arr).reshape(-1)
-    if complex_field:
-        return np.stack([flat.real, flat.imag], axis=-1).tolist()
+    if flat.dtype.kind == "c":
+        return flat.view(np.float64).reshape(-1, 2).tolist()
     return flat.tolist()
 
 
-def _scalar_value(value, complex_field: bool):
-    if value is None:
-        return None
-    if complex_field:
-        c = complex(value)
-        return [c.real, c.imag]
-    return float(value)
-
-
-def _sparse_structure(structure: np.ndarray, complex_field: bool) -> list:
-    dim = structure.shape[0]
-    rows, cols = np.triu_indices(dim, k=1)
-    entries = []
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        for k in range(dim):
-            v = structure[i, j, k]
-            if v != 0:
-                entries.append([i, j, k, _scalar_value(v, complex_field)])
-    return entries
+def _sparse_structure(structure: np.ndarray) -> list:
+    rows, cols = np.triu_indices(structure.shape[0], k=1)
+    half = structure[rows, cols]
+    pair, k = np.nonzero(half)
+    columns = (rows[pair].tolist(), cols[pair].tolist(), k.tolist(), _leaves(half[pair, k]))
+    return [list(entry) for entry in zip(*columns)]
 
 
 def write_sample(
@@ -91,7 +82,7 @@ def write_sample(
     include_structure: bool = True,
 ) -> str:
     """Encode a sample as a canonical lieforge/1 document string."""
-    cx = sample.field == "complex"
+    c = sample.null.scale_factor
     doc: dict = {
         "format_version": FORMAT_VERSION,
         "dim": sample.dim,
@@ -101,14 +92,14 @@ def write_sample(
         "rng_id": sample.rng_id,
         "attempts": int(sample.attempts),
         "tolerances": sample.tolerances.as_dict(),
-        "p_matrix": _flat_values(sample.p.matrix, cx),
-        "null_vector": _flat_values(sample.null.vector, cx),
-        "c": _scalar_value(sample.null.scale_factor, cx),
+        "p_matrix": _leaves(sample.p.matrix),
+        "null_vector": _leaves(sample.null.vector),
+        "c": None if c is None else _leaves(c)[0],
     }
     if include_adjoint:
-        doc["adjoint"] = [_flat_values(sample.adjoint[k], cx) for k in range(sample.dim)]
+        doc["adjoint"] = [_leaves(a) for a in sample.adjoint]
     if include_structure:
-        doc["structure_constants"] = _sparse_structure(sample.structure, cx)
+        doc["structure_constants"] = _sparse_structure(sample.structure)
     return json.dumps(doc, allow_nan=False, separators=(",", ":")) + "\n"
 
 
@@ -116,66 +107,64 @@ def _fail(message: str) -> DocumentIntegrityError:
     return DocumentIntegrityError(message)
 
 
-def _require_number(x, where: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise _fail(f"{where}: expected a number, got {type(x).__name__}")
+def _numbers(seq, shape: tuple, complex_field: bool, where: str) -> np.ndarray:
+    """Decode a flat list of JSON leaves into a float64 or complex128 array.
+
+    Leaves must be int or float literals (not bools), or [re, im] pairs of
+    them in a complex document, and must fit a finite double.
+    """
+    count = math.prod(shape)
+    if not isinstance(seq, list) or len(seq) != count:
+        raise _fail(f"{where}: expected a list of {count} values")
+    if complex_field:
+        if not (set(map(type, seq)) <= {list} and set(map(len, seq)) <= {2}):
+            raise _fail(f"{where}: complex leaves must be [re, im] pairs")
+        leaves, dtype = list(chain.from_iterable(seq)), np.complex128
+    else:
+        leaves, dtype = seq, np.float64
+    kinds = set(map(type, leaves))
+    if not kinds <= {int, float}:
+        name = min(k.__name__ for k in kinds - {int, float})
+        raise _fail(f"{where}: expected numbers, got {name}")
     try:
-        return float(x)
+        # integer literals convert as float() does, whatever the numpy version
+        arr = np.array([float(x) for x in leaves] if int in kinds else leaves, dtype=np.float64)
     except OverflowError:
         raise _fail(f"{where}: integer too large for a double") from None
-
-
-def _finite(arr: np.ndarray, where: str) -> np.ndarray:
     # literals such as 1e400 parse to inf without a NaN/Infinity token
     if not np.isfinite(arr).all():
         raise _fail(f"{where}: values must be finite")
-    return arr
-
-
-def _parse_leaf(item, complex_field: bool, where: str):
-    if not complex_field:
-        return _require_number(item, where)
-    if not isinstance(item, list) or len(item) != 2:
-        raise _fail(f"{where}: complex leaves must be [re, im] pairs")
-    return complex(
-        _require_number(item[0], f"{where}[0]"), _require_number(item[1], f"{where}[1]")
-    )
-
-
-def _parse_values(seq, count: int, complex_field: bool, where: str) -> np.ndarray:
-    if not isinstance(seq, list) or len(seq) != count:
-        raise _fail(f"{where}: expected a list of {count} values")
-    out = np.empty(count, dtype=np.complex128 if complex_field else np.float64)
-    for pos, item in enumerate(seq):
-        out[pos] = _parse_leaf(item, complex_field, f"{where}[{pos}]")
-    return _finite(out, where)
+    return arr.view(dtype).reshape(shape)
 
 
 def _parse_structure(entries, dim: int, complex_field: bool) -> np.ndarray:
+    where = "structure_constants"
     if not isinstance(entries, list):
-        raise _fail("structure_constants must be a list")
-    dtype = np.complex128 if complex_field else np.float64
-    dense = np.zeros((dim, dim, dim), dtype=dtype)
-    seen = set()
-    for pos, entry in enumerate(entries):
-        where = f"structure_constants[{pos}]"
-        if not isinstance(entry, list) or len(entry) != 4:
-            raise _fail(f"{where}: expected [i, j, k, value]")
-        i, j, k = entry[:3]
-        for name, idx in (("i", i), ("j", j), ("k", k)):
-            if isinstance(idx, bool) or not isinstance(idx, int):
-                raise _fail(f"{where}: index {name} must be an integer")
-        if not (0 <= i < j < dim and 0 <= k < dim):
-            raise _fail(f"{where}: indices ({i}, {j}, {k}) violate 0 <= i < j < dim")
-        if (i, j, k) in seen:
-            raise _fail(f"{where}: duplicate entry for ({i}, {j}, {k})")
-        seen.add((i, j, k))
-        value = _parse_leaf(entry[3], complex_field, f"{where}[3]")
-        if value == 0:
-            raise _fail(f"{where}: explicit zero entries are not permitted")
-        dense[i, j, k] = value
-        dense[j, i, k] = -value
-    return _finite(dense, "structure_constants")
+        raise _fail(f"{where} must be a list")
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {4}):
+        raise _fail(f"{where}: every entry must be [i, j, k, value]")
+    columns = list(zip(*entries)) or [()] * 4
+    index = columns[0] + columns[1] + columns[2]
+    if not set(map(type, index)) <= {int}:
+        raise _fail(f"{where}: indices must be integers")
+    # bounds are checked on python ints, so no literal can overflow int64
+    if index and not (min(index) >= 0 and max(index) < dim):
+        raise _fail(f"{where}: an index lies outside 0 <= index < dim = {dim}")
+    i, j, k = np.array(columns[:3], dtype=np.int64).reshape(3, -1)
+    values = _numbers(list(columns[3]), (len(entries),), complex_field, where)
+    repeat = np.ones(len(entries), dtype=bool)
+    repeat[np.unique((i * dim + j) * dim + k, return_index=True)[1]] = False
+    for bad, message in (
+        (i >= j, "indices violate i < j"),
+        (repeat, "duplicate entry"),
+        (values == 0, "explicit zero entries are not permitted"),
+    ):
+        if bad.any():
+            raise _fail(f"{where}[{int(np.argmax(bad))}]: {message}")
+    dense = np.zeros((dim, dim, dim), dtype=values.dtype)
+    dense[i, j, k] = values
+    dense[j, i, k] = -values
+    return dense
 
 
 def read_sample(source: str | bytes) -> LieAlgebraSample:
@@ -232,46 +221,38 @@ def read_sample(source: str | bytes) -> LieAlgebraSample:
     if isinstance(attempts, bool) or not isinstance(attempts, int) or attempts < 1:
         raise _fail(f"attempts must be a positive integer, got {attempts!r}")
     tol_rec = data["tolerances"]
-    if not isinstance(tol_rec, dict) or set(tol_rec) != {"tol_rank", "tau_n1", "tau_ver"}:
+    names = ("tol_rank", "tau_n1", "tau_ver")
+    if not isinstance(tol_rec, dict) or set(tol_rec) != set(names):
         raise _fail("tolerances must hold exactly tol_rank, tau_n1, tau_ver")
+    tol_values = _numbers([tol_rec[name] for name in names], (3,), False, "tolerances")
     try:
-        tolerances = Tolerances(
-            tol_rank=_require_number(tol_rec["tol_rank"], "tolerances.tol_rank"),
-            tau_n1=_require_number(tol_rec["tau_n1"], "tolerances.tau_n1"),
-            tau_ver=_require_number(tol_rec["tau_ver"], "tolerances.tau_ver"),
-        )
+        tolerances = Tolerances(*tol_values.tolist())
     except ContractViolation as err:
         raise _fail(str(err)) from err
 
     cx = field == "complex"
-    p_flat = _parse_values(data["p_matrix"], dim * dim, cx, "p_matrix")
+    p = _numbers(data["p_matrix"], (dim, dim), cx, "p_matrix")
     try:
-        pm = ParameterMatrix(matrix=p_flat.reshape(dim, dim), mode=mode)
+        pm = ParameterMatrix(matrix=p, mode=mode)
     except ContractViolation as err:
         raise _fail(f"stored parameter matrix is invalid: {err}") from err
 
-    nvec = _parse_values(data["null_vector"], dim, cx, "null_vector")
+    nvec = _numbers(data["null_vector"], (dim,), cx, "null_vector")
     norm = float(np.linalg.norm(nvec))
     if abs(norm - 1.0) > _UNIT_NORM_SLOP:
         raise _fail(f"null_vector 2-norm {norm!r} is not 1 within {_UNIT_NORM_SLOP}")
     residual = inf_norm(nvec @ pm.matrix)
     bound = null_residual_tol(pm.matrix)
     if residual > bound:
-        raise _fail(
-            f"null_vector residual {residual:.3e} exceeds the residual band {bound:.3e}"
-        )
+        raise _fail(f"null_vector residual {residual:.3e} exceeds the residual band {bound:.3e}")
 
-    rank, _, svals = rank_and_left_null(
-        pm.matrix, tolerances.tol_rank, return_singular_values=True
-    )
+    rank, _, svals = rank_and_left_null(pm.matrix, tolerances.tol_rank)
     if rank != dim - 1:
         raise _fail(f"stored parameter matrix has rank {rank}, expected {dim - 1}")
 
-    c_raw = data["c"]
-    c = None
-    if c_raw is not None:
-        c_val = _parse_values([c_raw], 1, cx, "c")[0]
-        c = complex(c_val) if cx else float(c_val.real)
+    c = data["c"]
+    if c is not None:
+        c = _numbers([c], (), cx, "c").item()
     usable = abs(nvec[0]) >= tolerances.tau_n1
     if usable and c is None:
         raise _fail("c is null although |n{1}| is above tau_n1")
@@ -280,22 +261,15 @@ def read_sample(source: str | bytes) -> LieAlgebraSample:
     if c is not None and abs(c * nvec[0] - 1.0) > 1e-8:
         raise _fail("stored c is inconsistent with 1/n{1}")
 
-    null = NullData(
-        vector=nvec,
-        scale_factor=c,
-        smallest_retained_sv=float(svals[rank - 1]),
-    )
+    null = NullData(vector=nvec, scale_factor=c, smallest_retained_sv=float(svals[rank - 1]))
 
     adjoint = None
     if "adjoint" in data:
         raw = data["adjoint"]
         if not isinstance(raw, list) or len(raw) != dim:
             raise _fail(f"adjoint must be a list of {dim} matrices")
-        adjoint = np.empty((dim, dim, dim), dtype=np.complex128 if cx else np.float64)
-        for k in range(dim):
-            adjoint[k] = _parse_values(raw[k], dim * dim, cx, f"adjoint[{k}]").reshape(
-                dim, dim
-            )
+        slices = [_numbers(a, (dim, dim), cx, f"adjoint[{k}]") for k, a in enumerate(raw)]
+        adjoint = np.stack(slices)
     structure = None
     if "structure_constants" in data:
         structure = _parse_structure(data["structure_constants"], dim, cx)

@@ -86,6 +86,14 @@ def test_generate_usage_errors(argv, capsys):
     capsys.readouterr()
 
 
+def test_generate_unwritable_out_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["generate", "--dim", "3", "--seed", "1", "--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("lieforge generate: cannot write output:")
+    assert err.count("\n") == 1
+
+
 # --- verify -----------------------------------------------------------------
 
 
@@ -209,6 +217,13 @@ def test_verify_malformed_document(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_non_utf8_file_is_malformed_input(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert main(["verify", str(path)]) == 65
+    assert "UTF-8" in capsys.readouterr().err
+
+
 # --- oracle -----------------------------------------------------------------
 
 
@@ -291,6 +306,14 @@ def test_bench_deduplicates_dims(capsys):
 def test_bench_usage_errors(argv, capsys):
     assert main(argv) == 64
     capsys.readouterr()
+
+
+def test_bench_unwritable_csv_is_usage_error(tmp_path, capsys):
+    csv_path = tmp_path / "missing" / "bench.csv"
+    assert main(["bench", "--dims", "3", "--repeat", "3", "--csv", str(csv_path)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("lieforge bench: cannot write output:")
+    assert err.count("\n") == 1
 
 
 # --- top level --------------------------------------------------------------

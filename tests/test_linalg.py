@@ -45,19 +45,19 @@ def test_trace_matches_numpy():
 
 
 def test_rank_of_diagonal_example():
-    rank, n = rank_and_left_null(np.diag([0.0, 1.0]))
+    rank, n, _ = rank_and_left_null(np.diag([0.0, 1.0]))
     assert rank == 1
     np.testing.assert_array_equal(n, [1.0, 0.0])
 
 
 def test_rank_full_matrix_has_no_null_vector():
-    rank, n = rank_and_left_null(np.eye(3))
+    rank, n, _ = rank_and_left_null(np.eye(3))
     assert rank == 3
     assert n is None
 
 
 def test_singular_values_returned_sorted():
-    rank, n, svals = rank_and_left_null(np.diag([0.0, 2.0, 5.0]), return_singular_values=True)
+    rank, n, svals = rank_and_left_null(np.diag([0.0, 2.0, 5.0]))
     assert rank == 2
     np.testing.assert_allclose(svals, [5.0, 2.0, 0.0], atol=1e-15)
 
@@ -67,7 +67,7 @@ def test_null_vector_is_unit_and_annihilates():
     for _ in range(20):
         m = rng.standard_normal((6, 6))
         m[:, 0] = 0.0
-        rank, n = rank_and_left_null(m)
+        rank, n, _ = rank_and_left_null(m)
         assert rank == 5
         assert abs(np.linalg.norm(n) - 1.0) <= 4 * EPS
         assert inf_norm(n @ m) <= null_residual_tol(m)
@@ -76,7 +76,7 @@ def test_null_vector_is_unit_and_annihilates():
 def test_phase_convention_real_first_entry_positive():
     m = np.zeros((3, 3))
     m[1, 1] = m[2, 2] = 1.0
-    _, n = rank_and_left_null(m)
+    _, n, _ = rank_and_left_null(m)
     assert n[0] > 0
 
 
@@ -84,7 +84,7 @@ def test_phase_convention_complex_anchor_real():
     rng = np.random.default_rng(11)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     m[:, 0] = 0.0
-    _, n = rank_and_left_null(m)
+    _, n, _ = rank_and_left_null(m)
     anchor = next(v for v in n if abs(v) > 1e-12)
     assert abs(anchor.imag) <= 1e-12 * abs(anchor)
     assert anchor.real > 0

@@ -1,5 +1,6 @@
 """Canonical document encoding: byte determinism and strict decoding."""
 
+import itertools
 import json
 
 import numpy as np
@@ -270,11 +271,48 @@ def test_scale_factor_consistency_is_enforced():
         "not a list",
         [[0, 1, 1, 10**400]],  # integer beyond double range
         [[0, 1, 1, OVERFLOW]],  # reads as inf
+        [[0, 2**70, 1, 1.0]],  # index beyond int64
+        [[0, 1, 2**63, 1.0]],  # index just beyond int64
+        [[0, 1, -1, 1.0]],  # negative k
+        [[0, 1, 1, True]],  # bool value
+        [[0, 1, 1, "1.0"]],  # string value
+        [[0, 1, 1, None]],  # null value
+        [[0, 1, 1, [1.0, 0.0]]],  # [re, im] value in a real document
+        [[0, 1, 1, 1.0], [0, 1, 0, 2.0], [0, 1, 1, 1.0]],  # non-adjacent duplicate
     ],
 )
 def test_bad_sparse_entries_are_rejected(entries):
     with pytest.raises(DocumentIntegrityError):
         read_sample(_edited(AFFINE_DOC, structure_constants=entries))
+
+
+def _complex_doc_with_value(value):
+    doc = json.loads(write_sample(generate(3, 1, field="complex")))
+    doc["structure_constants"][0][3] = value
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        1.0,  # bare number
+        [1.0],
+        [1.0, 0.0, 0.0],
+        [True, 0.0],
+        [0.0, -0.0],  # explicit zero
+    ],
+)
+def test_bad_complex_sparse_values_are_rejected(value):
+    read_sample(_complex_doc_with_value([1.0, -0.0]))
+    with pytest.raises(DocumentIntegrityError):
+        read_sample(_complex_doc_with_value(value))
+
+
+@pytest.mark.parametrize("value", [10**20, 2**64 + 1, 10**308])
+def test_large_integer_literals_read_as_doubles(value):
+    back = read_sample(_edited(AFFINE_DOC, structure_constants=[[0, 1, 1, value]]))
+    assert back.structure[0, 1, 1] == float(value)
+    assert back.structure[1, 0, 1] == -float(value)
 
 
 def test_bad_adjoint_payload_is_rejected():
@@ -286,3 +324,136 @@ def test_bad_adjoint_payload_is_rejected():
     doc["adjoint"][1][4] = OVERFLOW
     with pytest.raises(DocumentIntegrityError, match="finite"):
         read_sample(_edited(json.dumps(doc)))
+
+
+# --- per-entry reference codec -----------------------------------------------
+# The element-at-a-time encoder and decoder that the array codec replaced. The
+# array codec must give the same bytes and the same bits; round trips alone
+# would not notice a self-consistent change of encoding.
+
+
+def _ref_leaf(value, complex_field):
+    if complex_field:
+        c = complex(value)
+        return [c.real, c.imag]
+    return float(value)
+
+
+def _ref_write(sample, include_adjoint, include_structure):
+    cx = sample.field == "complex"
+
+    def leaves(arr):
+        return [_ref_leaf(v, cx) for v in np.ascontiguousarray(arr).reshape(-1)]
+
+    dim, f, c = sample.dim, sample.structure, sample.null.scale_factor
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "dim": dim,
+        "field": sample.field,
+        "mode": sample.mode,
+        "seed": sample.seed,
+        "rng_id": sample.rng_id,
+        "attempts": sample.attempts,
+        "tolerances": sample.tolerances.as_dict(),
+        "p_matrix": leaves(sample.p.matrix),
+        "null_vector": leaves(sample.null.vector),
+        "c": None if c is None else _ref_leaf(c, cx),
+    }
+    if include_adjoint:
+        doc["adjoint"] = [leaves(sample.adjoint[k]) for k in range(dim)]
+    if include_structure:
+        doc["structure_constants"] = [
+            [i, j, k, _ref_leaf(f[i, j, k], cx)]
+            for i in range(dim)
+            for j in range(i + 1, dim)
+            for k in range(dim)
+            if f[i, j, k] != 0
+        ]
+    return json.dumps(doc, allow_nan=False, separators=(",", ":")) + "\n"
+
+
+def _ref_read(text):
+    """Payload arrays and c of a document, decoded one entry at a time."""
+    doc = json.loads(text)
+    dim, cx = doc["dim"], doc["field"] == "complex"
+    dtype = np.complex128 if cx else np.float64
+
+    def number(x):
+        assert not isinstance(x, bool) and isinstance(x, (int, float))
+        return float(x)
+
+    def leaf(item):
+        if cx:
+            assert isinstance(item, list) and len(item) == 2
+            return complex(number(item[0]), number(item[1]))
+        return number(item)
+
+    def values(seq, shape):
+        out = np.empty(len(seq), dtype=dtype)
+        for pos, item in enumerate(seq):
+            out[pos] = leaf(item)
+        return out.reshape(shape)
+
+    arrays = {"p": values(doc["p_matrix"], (dim, dim)), "null": values(doc["null_vector"], (dim,))}
+    if "adjoint" in doc:
+        arrays["adjoint"] = np.stack([values(m, (dim, dim)) for m in doc["adjoint"]])
+    if "structure_constants" in doc:
+        dense = np.zeros((dim, dim, dim), dtype=dtype)
+        for i, j, k, item in doc["structure_constants"]:
+            dense[i, j, k] = leaf(item)
+            dense[j, i, k] = -leaf(item)
+        arrays["structure"] = dense
+    return arrays, None if doc["c"] is None else leaf(doc["c"])
+
+
+def _bits(arr):
+    arr = np.ascontiguousarray(arr)
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+def _assert_codec_matches_reference(sample):
+    for include_adjoint, include_structure in itertools.product((False, True), repeat=2):
+        text = write_sample(sample, include_adjoint, include_structure)
+        assert text == _ref_write(sample, include_adjoint, include_structure)
+        back = read_sample(text)
+        ref, c = _ref_read(text)
+        assert _bits(back.p.matrix) == _bits(ref["p"])
+        assert _bits(back.null.vector) == _bits(ref["null"])
+        for name in ("adjoint", "structure"):
+            if name in ref:
+                assert _bits(getattr(back, name)) == _bits(ref[name])
+        assert type(back.null.scale_factor) is type(c)
+        assert back.null.scale_factor == c
+
+
+def _perturbed(s):
+    """s with payloads that no longer match (P, n): signed zeros, a subnormal, 1e20."""
+    adjoint = s.adjoint.copy()
+    structure = np.array(s.structure)
+    adjoint[1, 0, 2] = 1e20
+    adjoint[2, 3, 1] = -0.0
+    structure[0, 1, 2] *= 1 + 2**-52
+    structure[0, 2, 0] = 5e-324
+    structure[1, 2, 3] = -structure[1, 2, 3]
+    if s.field == "complex":
+        structure[0, 3, 1] = complex(1.0, -0.0)
+        structure[1, 3, 0] = complex(-0.0, 2.0)
+    return assemble_sample(
+        s.p,
+        s.null,
+        seed=s.seed,
+        attempts=s.attempts,
+        tolerances=s.tolerances,
+        adjoint=adjoint,
+        structure=structure,
+    )
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("mode", ["generic", "nilpotent"])
+def test_codec_matches_per_entry_reference(field, mode):
+    for dim in range(2, 13):
+        s = generate(dim, 1000 + dim, field=field, mode=mode)
+        _assert_codec_matches_reference(s)
+        if dim == 7:
+            _assert_codec_matches_reference(_perturbed(s))
