@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import EPS, commutator, inf_norm
+from .linalg import _SLAB_CHUNK, EPS, commutator, inf_norm
 from .rng import SplitMix64
 from .sampler import LieAlgebraSample, adjoint_rows, transfer_matrix
 
@@ -59,9 +59,6 @@ CHECK_NAMES = ("payload", "jacobi", "closure", "derived", "killing", "series", "
 # rescale running series/power iterates outside this window to dodge overflow
 _RESCALE_HI = 1e100
 _RESCALE_LO = 1e-100
-
-# entries per temporary inside one slab
-_SLAB_CHUNK = 1 << 16
 
 # (cap, budget) per check, in tuples of the commented kind. Up to cap (the
 # dimension N) a check scans every slab; above it, seeded slabs until they

@@ -23,6 +23,10 @@ __all__ = [
 
 EPS = float(np.finfo(np.float64).eps)
 
+# entries per temporary in every chunked N^3 kernel (build_adjoint, the
+# identity slabs, inf_norm): 1 MB of complex128, so a chunk works in cache
+_SLAB_CHUNK = 1 << 16
+
 # components smaller than this are never used as the sign/phase anchor;
 # a unit vector always has a component >= 1/sqrt(N), far above it
 _ANCHOR_CUTOFF = 1e-12
@@ -66,8 +70,25 @@ def trace(a) -> float | complex:
 
 
 def inf_norm(a: np.ndarray) -> float:
-    """Max absolute entry; 0.0 for empty input."""
-    return float(np.abs(a).max()) if a.size else 0.0
+    """Max absolute entry; 0.0 for empty input.
+
+    Equals float(np.abs(a).max()) bit for bit, NaN included. |.| is taken
+    over slabs along axis 0, so no temporary holds more than
+    max(_SLAB_CHUNK, a.size // a.shape[0]) entries; an input of one chunk or
+    less is a single slab. Non-contiguous views are read in place.
+    """
+    a = np.asarray(a)
+    if not a.size:
+        return 0.0
+    if not a.ndim:
+        a = a.reshape(1)
+    rows = a.shape[0]
+    step = max(1, _SLAB_CHUNK * rows // a.size)
+    peak = np.abs(a[:step]).max()
+    for i in range(step, rows, step):
+        # np.maximum, unlike builtin max, propagates NaN
+        peak = np.maximum(peak, np.abs(a[i : i + step]).max())
+    return float(peak)
 
 
 def null_residual_tol(p: np.ndarray) -> float:

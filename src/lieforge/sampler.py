@@ -31,7 +31,7 @@ from .errors import (
     GenerationFailedError,
     NullFirstComponentError,
 )
-from .linalg import as_field_matrix, inf_norm, rank_and_left_null
+from .linalg import _SLAB_CHUNK, as_field_matrix, inf_norm, rank_and_left_null
 from .rng import RNG_ID, NormalStream
 
 __all__ = [
@@ -55,9 +55,6 @@ log = logging.getLogger(__name__)
 
 FIELDS = ("real", "complex")
 MODES = ("generic", "nilpotent")
-
-# chunk size (entries) for building the adjoint without large temporaries
-_BUILD_CHUNK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -255,8 +252,9 @@ def build_adjoint(p: np.ndarray, null_vector: np.ndarray) -> np.ndarray:
     n{a} * P{r,c} is computed exactly once and the second term reuses those
     floats through a transpose, so the structure tensor's antisymmetry (and
     its zero i = j slice) is bitwise exact; different multiply kernels would
-    otherwise disagree in the last ulp on complex input. Chunked along the
-    row axis, which the transpose leaves in place, so chunk size cannot
+    otherwise disagree in the last ulp on complex input. The rows r are built
+    by adjoint_rows in chunks of at most _SLAB_CHUNK products (at least one
+    row), so each chunk's transpose runs in cache; the chunk size cannot
     change the result.
     """
     p = np.asarray(p)
@@ -265,7 +263,7 @@ def build_adjoint(p: np.ndarray, null_vector: np.ndarray) -> np.ndarray:
     if n.shape != (dim,):
         raise ContractViolation("null vector length must match matrix dimension")
     out = np.empty((dim, dim, dim), dtype=np.promote_types(p.dtype, n.dtype))
-    step = max(1, _BUILD_CHUNK // (dim * dim))
+    step = max(1, _SLAB_CHUNK // (dim * dim))
     for start in range(0, dim, step):
         sl = slice(start, min(start + step, dim))
         adjoint_rows(p, n, sl, out=out[:, sl, :])
@@ -275,11 +273,20 @@ def build_adjoint(p: np.ndarray, null_vector: np.ndarray) -> np.ndarray:
 def adjoint_rows(
     p: np.ndarray, null_vector: np.ndarray, rows: slice, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """build_adjoint(p, null_vector)[:, rows, :], bit for bit."""
+    """build_adjoint(p, null_vector)[:, rows, :], bit for bit.
+
+    The products are laid out as prod[r, a, c] = n{a} * P{r, c}, so row r's
+    N x N block is contiguous and adj[a, r, c] = prod[r, a, c] - prod[r, c, a]
+    transposes within that block. The difference is written through a
+    (1, 0, 2) view of `out` (a fresh array when `out` is None), whose shape is
+    that of adj[:, rows, :].
+    """
     n = np.asarray(null_vector)
-    # prod[a, r, c] = n{a} * P{r, c} for rows r in the chunk
-    prod = n[:, None, None] * np.asarray(p)[None, rows, :]
-    return np.subtract(prod, prod.transpose(2, 1, 0), out=out)
+    prod = n[None, :, None] * np.asarray(p)[rows, None, :]
+    if out is None:
+        out = np.empty_like(prod.transpose(1, 0, 2), order="C")
+    np.subtract(prod, prod.transpose(0, 2, 1), out=out.transpose(1, 0, 2))
+    return out
 
 
 def adjoint_to_structure(adjoint: np.ndarray) -> np.ndarray:

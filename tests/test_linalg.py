@@ -39,6 +39,51 @@ def test_inf_norm_is_entrywise_max():
     assert inf_norm(np.empty((0, 0))) == 0.0
 
 
+def _inf_norm_cases():
+    rng = np.random.default_rng(5)
+    real = {
+        "1d": rng.standard_normal(7),
+        "1d-many-slabs": rng.standard_normal(200_000),
+        "2d": rng.standard_normal((9, 4)),
+        "3d": rng.standard_normal((6, 6, 6)),
+        "3d-row-above-chunk": rng.standard_normal((3, 300, 300)),
+        "all-negative-zero": np.full((3, 4), -0.0),
+        "all-negative-zero-large": np.full((300, 300), -0.0),
+        "mixed-signed-zeros": np.array([[0.0, -0.0], [-0.0, 0.0]]),
+        "mixed-signed-zeros-large": np.where(rng.random((300, 300)) < 0.5, 0.0, -0.0),
+        "single": np.array([-2.5]),
+        "scalar": np.array(-3.0),
+        "empty": np.empty((0, 0)),
+        "empty-rows": np.empty((3, 0)),
+    }
+    cases = dict(real)
+    for name, a in real.items():
+        cases[f"{name}-complex"] = a + 1j * np.roll(a, 1) if a.size else a.astype(complex)
+    cases["all-negative-zero-complex"] = np.full((300, 300), complex(-0.0, -0.0))
+    cases["uint8-large"] = np.full((70, 1000), 5, dtype=np.uint8)
+    cases["int-large"] = rng.integers(-9, 9, (3, 300, 300))
+    cases["bool-large"] = rng.random((300, 300)) < 0.5
+    for name in ("3d", "3d-complex", "3d-row-above-chunk-complex"):
+        cases[f"{name}-transposed"] = cases[name].transpose(0, 2, 1)
+    return cases
+
+
+@pytest.mark.parametrize("name, a", _inf_norm_cases().items())
+def test_inf_norm_matches_abs_max_bitwise(name, a):
+    expect = float(np.abs(a).max()) if a.size else 0.0
+    got = inf_norm(a)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(expect).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (400, 300)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_inf_norm_propagates_nan(dtype, shape):
+    a = np.ones(shape, dtype=dtype)
+    a[-1, -1] = np.nan  # in the last slab, after a finite peak
+    assert np.isnan(inf_norm(a)) and np.isnan(inf_norm(a.T))
+
+
 def test_trace_matches_numpy():
     m = np.arange(9.0).reshape(3, 3)
     assert trace(m) == np.trace(m)

@@ -1,5 +1,7 @@
 """Generator contracts: draw order, validation, retry policy, closed form."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from lieforge.sampler import (
     NullData,
     ParameterMatrix,
     Tolerances,
+    adjoint_rows,
+    adjoint_to_structure,
     assemble_sample,
     build_adjoint,
     generate,
@@ -234,8 +238,94 @@ def test_build_adjoint_chunking_is_invisible(monkeypatch):
     # reference without chunking: one product array, subtract its transpose
     prod = n[:, None, None] * p[None, :, :]
     np.testing.assert_array_equal(whole, prod - prod.transpose(2, 1, 0))
-    monkeypatch.setattr(sampler_module, "_BUILD_CHUNK", 200)  # 2 rows per chunk
+    monkeypatch.setattr(sampler_module, "_SLAB_CHUNK", 200)  # 2 rows per chunk
     np.testing.assert_array_equal(build_adjoint(p, n), whole)
+
+
+def _earlier_adjoint_rows(p, n, rows, out=None):
+    """The earlier row kernel, kept as the reference: prod[a, r, c] = n{a} * P{r, c}."""
+    prod = n[:, None, None] * p[None, rows, :]
+    return np.subtract(prod, prod.transpose(2, 1, 0), out=out)
+
+
+def _earlier_build_adjoint(p, n):
+    """The earlier build: chunks of 1 << 22 products around _earlier_adjoint_rows."""
+    dim = p.shape[0]
+    out = np.empty((dim, dim, dim), dtype=np.promote_types(p.dtype, n.dtype))
+    step = max(1, (1 << 22) // (dim * dim))
+    for start in range(0, dim, step):
+        sl = slice(start, min(start + step, dim))
+        _earlier_adjoint_rows(p, n, sl, out=out[:, sl, :])
+    return out
+
+
+def _bits(a):
+    """Raw float64 bit patterns, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _random_pn(dim, field, seed=0):
+    rng = np.random.default_rng(seed)
+    p, n = rng.standard_normal((dim, dim)), rng.standard_normal(dim)
+    if field == "complex":
+        p, n = p + 1j * rng.standard_normal((dim, dim)), n + 1j * rng.standard_normal(dim)
+    p[:, 0] = 0.0
+    return p, n
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+# 181 puts two rows in a chunk, 182 one
+@pytest.mark.parametrize("dim", [*range(2, 13), 33, 64, 65, 181, 182])
+def test_build_adjoint_matches_earlier_kernel_bitwise(dim, field):
+    p, n = _random_pn(dim, field, seed=dim)
+    for pm in (p, np.triu(p, 1)):  # generic and nilpotent shape
+        adj = build_adjoint(pm, n)
+        assert np.array_equal(_bits(adj), _bits(_earlier_build_adjoint(pm, n)))
+        f = adjoint_to_structure(adj)
+        for k in range(dim):
+            m = f[:, :, k]
+            # f[i, j, k] = -f[j, i, k] exactly; bitwise wherever it is nonzero,
+            # since x - x is +0.0 whichever side it is taken from
+            assert np.array_equal(m, -m.T)
+            nonzero = m != 0
+            assert np.array_equal(_bits(m[nonzero]), _bits(-m.T[nonzero]))
+            assert not _bits(np.diagonal(m)).any()  # the i = j slice is +0.0
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_adjoint_rows_matches_earlier_kernel_on_any_slice(field):
+    dim = 11
+    p, n = _random_pn(dim, field)
+    slices = [
+        slice(0, 1), slice(3, 4), slice(2, 9), slice(0, dim), slice(5, None),
+        slice(1, 10, 3), slice(None, None, -2), slice(4, 4),
+    ]
+    for rows in slices:
+        expect = _bits(_earlier_adjoint_rows(p, n, rows))
+        assert np.array_equal(_bits(adjoint_rows(p, n, rows)), expect)
+        fresh = np.empty((dim, len(range(dim)[rows]), dim), dtype=p.dtype)
+        assert adjoint_rows(p, n, rows, out=fresh) is fresh
+        assert np.array_equal(_bits(fresh), expect)
+        whole = np.zeros((dim, dim, dim), dtype=p.dtype)
+        adjoint_rows(p, n, rows, out=whole[:, rows, :])
+        assert np.array_equal(_bits(whole[:, rows, :]), expect)
+
+
+def test_adjoint_build_and_scale_stay_within_one_chunk_of_memory():
+    p, n = _random_pn(96, "complex")
+    budget = 2 * 1024 * 1024
+    tracemalloc.start()
+    try:
+        adj = build_adjoint(p, n)
+        _, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        inf_norm(adj)
+        _, norm_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= adj.nbytes + budget
+    assert norm_peak - base < budget
 
 
 def test_null_data_smallest_sv_positive():

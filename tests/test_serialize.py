@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,21 @@ def test_stored_matrix_invariants_are_revalidated():
     # rank defect
     with pytest.raises(DocumentIntegrityError, match="rank"):
         read_sample(_edited(AFFINE_DOC, p_matrix=[0.0, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_huge_null_vector_is_rejected_without_a_warning(field):
+    # squaring entries near 1e308 overflows; the unit-norm test must not
+    if field == "real":
+        doc = _edited(AFFINE_DOC, null_vector=[1e308, -1.5e308])
+    else:
+        # |1.3e308 + 1.3e308j| itself is above the largest float
+        doc = _edited(write_sample(generate(3, 1, field="complex")),
+                      null_vector=[[1.3e308, 1.3e308], [0.0, -1e308], [1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DocumentIntegrityError, match="2-norm"):
+            read_sample(doc)
 
 
 def test_scale_factor_consistency_is_enforced():
