@@ -298,6 +298,14 @@ def cmd_oracle(args) -> int:
     if dim_sys == 0:
         print("empty system: no unknowns beyond the a-priori slice")
     print(f"condition estimate: {diagnostics.condition_estimate:.6e}")
+    print(
+        f"separation: {diagnostics.separation:.6e}"
+        f"  separation threshold: {diagnostics.separation_threshold:.6e}"
+    )
+    print(
+        f"attempts: {sample.attempts}"
+        f"  smallest retained singular value: {sample.null.smallest_retained_sv:.6e}"
+    )
     print(f"solve residual: {diagnostics.residual:.6e}")
     print(
         f"max |closed-form - oracle|: {comparison.max_abs_diff:.6e}"

@@ -19,16 +19,22 @@ Sylvester equation
 
 whose dense matrix K (x) I + I (x) a^T on X flattened row-major is never
 formed. K and R are built from a alone, so the oracle stays independent of
-the generator. Bartels-Stewart solves it: a complex Schur form of K and of a,
-then one triangular Sylvester solve (LAPACK ?trsyl), in O(P^3 + N^3). The
-equation is singular exactly when an eigenvalue of K and one of a sum to
-zero, as for nilpotent samples (a = 0). For non-degenerate a-priori data the
-unique solution must match the closed-form generator; this module exists
-purely as that end-to-end oracle.
+the generator. K itself has structure: column m of X is the upper triangle of
+an antisymmetric (N-1) x (N-1) matrix G_m, and K G = -(b G + G b^T) with
+b = a[1:, 1:]. So the solve never factors anything P x P. Bartels-Stewart in
+three modes takes complex Schur forms b = U T U^H and a = V S V^H, rotates
+every G_m by U and mixes the m index by V, then makes one triangular Sylvester
+solve (LAPACK ?trsyl) of order N-1 per eigenvalue of a: O(N^4) in all,
+against O(P^3) = O(N^6) for a Schur form of K. The eigenvalues of the system
+are mu_r - lambda_p - lambda_q (p < q), lambda of b and mu of a, so it is
+singular exactly when one of them vanishes, as for nilpotent samples (a = 0).
+For non-degenerate a-priori data the unique solution must match the
+closed-form generator; this module exists purely as that end-to-end oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +102,12 @@ class AssembledSystem:
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
+    """Residual, condition estimate, and the separation min |eig(M)| with its singularity threshold."""
+
     residual: float
     condition_estimate: float
+    separation: float
+    separation_threshold: float
 
 
 @dataclass(frozen=True)
@@ -158,23 +168,58 @@ def _kron_sum_norm1(k: np.ndarray, a: np.ndarray) -> float:
     return float((off_k[:, None] + off_a[None, :] + np.abs(dk[:, None] + da[None, :])).max())
 
 
-def _schur_solver(k: np.ndarray, a: np.ndarray):
-    """Solves of K X + X a = C (adjoint=False) and K^H X + X a^H = C from one Schur pair."""
-    tk, qk = scipy.linalg.schur(k, output="complex")
-    ta, qa = scipy.linalg.schur(a, output="complex")
-    real = k.dtype.kind != "c"
+def _schur_solver(a: np.ndarray):
+    """Solves of K X + X a = C (adjoint=False) and K^H X + X a^H = C in three-mode form.
+
+    Column m of X is the upper triangle of an antisymmetric G_m, and K acts as
+    G -> -(b G + G b^T) with b = a[1:, 1:]. From b = U T U^H and a = V S V^H,
+    Y_r = sum_m U^H G_m conj(U) V[m, r] turns the forward equation into
+        (T - S_rr I) Y_r + Y_r T^T = -(C_r - sum_{r' < r} S[r', r] Y_r'),
+    one ?trsyl per r in S's order; the adjoint runs r backward with conj(S[r, r' > r])
+    and (T - S_rr I)^H Y_r + Y_r conj(T). Each solve is N triangular solves of
+    order N-1: O(N^4), against O(P^3) = O(N^6) for a Schur form of K.
+
+    ?trsyl solves on all of C^{(N-1) x (N-1)}, so it also meets the symmetric
+    modes 2 lambda_p - mu_r that K lacks, and reports info = 1 when it has to
+    perturb one. The operator keeps symmetric and antisymmetric parts apart and
+    the antisymmetric part (G - G^T) / 2 is what is returned, so only info < 0
+    is an error. Also returns the separation min |mu_r - lambda_p - lambda_q| over
+    p < q, with lambda and mu read off the diagonals of T and S.
+    """
+    t, u = scipy.linalg.schur(a[1:, 1:], output="complex")
+    s, v = scipy.linalg.schur(a, output="complex")
+    n, dim = t.shape[0], s.shape[0]
+    p, q = np.triu_indices(n, 1)
+    shifted = [t - s[r, r] * np.eye(n) for r in range(dim)]
+    t_conj, uh, u_conj = t.conj(), u.conj().T, u.conj()
+    real = a.dtype.kind != "c"
 
     def solve(c: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        trans = "C" if adjoint else "N"
-        y, scale, info = scipy.linalg.lapack.ztrsyl(
-            tk, ta, qk.conj().T @ c @ qa, trana=trans, tranb=trans
-        )
-        if info != 0:
-            raise SingularSystemError(f"triangular Sylvester solve reported info={info}")
-        x = qk @ (y / scale) @ qa.conj().T
+        g = np.zeros((dim, n, n), dtype=np.complex128)
+        g[:, p, q] = c.T
+        g[:, q, p] = -c.T
+        rhs = np.tensordot(v.T, uh @ g @ u_conj, axes=1)
+        y = np.empty_like(rhs)
+        for r in range(dim - 1, -1, -1) if adjoint else range(dim):
+            if adjoint:
+                known = np.tensordot(s[r, r + 1 :].conj(), y[r + 1 :], axes=1)
+                trans = {"trana": "C"}
+            else:
+                known = np.tensordot(s[:r, r], y[:r], axes=1)
+                trans = {"tranb": "C"}
+            y[r], scale, info = scipy.linalg.lapack.ztrsyl(
+                shifted[r], t_conj, known - rhs[r], **trans
+            )
+            if info < 0:
+                raise ContractViolation(f"triangular Sylvester solve rejected argument {-info}")
+            y[r] /= scale
+        g = u @ np.tensordot(v.conj(), y, axes=1) @ u.T
+        x = 0.5 * (g[:, p, q] - g[:, q, p]).T
         return x.real if real else x
 
-    return solve, np.diag(tk), np.diag(ta)
+    lam = np.diag(t)
+    separation = float(np.abs(np.diag(s)[None, :] - (lam[p] + lam[q])[:, None]).min())
+    return solve, separation
 
 
 def _sign(v: np.ndarray) -> np.ndarray:
@@ -214,19 +259,20 @@ def _inverse_norm1_estimate(solve, shape: tuple[int, int], dtype) -> float:
 
 
 def solve_system(system: AssembledSystem) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Bartels-Stewart solve with a separation guard and a 1-norm condition estimate.
+    """Three-mode Bartels-Stewart solve with a separation guard and a 1-norm condition estimate.
 
-    Raises SingularSystemError when min |lambda_i(K) + mu_j(a)| is at or below
-    dim_sys * eps * ||M||_inf, M = K (x) I + I (x) a^T. The residual is
-    ||K X + X a - R||_inf over entries (= ||M u - rhs||_inf), and the condition
-    estimate is ||M||_1 times the estimate of ||M^-1||_1.
+    The eigenvalues of M = K (x) I + I (x) a^T are mu_r - lambda_p - lambda_q over
+    p < q, with lambda from b = a[1:, 1:] and mu from a, so the separation
+    min |eig(M)| comes in closed form from the two Schur diagonals. At or below
+    dim_sys * eps * ||M||_inf it raises SingularSystemError before any solve.
+    The residual is ||K X + X a - R||_inf over entries (= ||M u - rhs||_inf), and
+    the condition estimate is ||M||_1 times the estimate of ||M^-1||_1.
     """
     k, a = system.k, system.a
     if system.dim_sys == 0:
-        return np.zeros(0, dtype=a.dtype), SolveDiagnostics(0.0, 1.0)
+        return np.zeros(0, dtype=a.dtype), SolveDiagnostics(0.0, 1.0, math.inf, 0.0)
     r = system.rhs.reshape(k.shape[0], system.dim)
-    solve, eig_k, eig_a = _schur_solver(k, a)
-    separation = float(np.abs(eig_k[:, None] + eig_a[None, :]).min())
+    solve, separation = _schur_solver(a)
     tau_sep = system.dim_sys * EPS * _kron_sum_norm1(k.T, a.T)
     if separation <= tau_sep:
         raise SingularSystemError(
@@ -236,7 +282,12 @@ def solve_system(system: AssembledSystem) -> tuple[np.ndarray, SolveDiagnostics]
     x = solve(r)
     residual = inf_norm(k @ x + x @ a - r)
     condition = _kron_sum_norm1(k, a) * _inverse_norm1_estimate(solve, r.shape, a.dtype)
-    return x.reshape(-1), SolveDiagnostics(residual=residual, condition_estimate=condition)
+    return x.reshape(-1), SolveDiagnostics(
+        residual=residual,
+        condition_estimate=condition,
+        separation=separation,
+        separation_threshold=tau_sep,
+    )
 
 
 def extract_unknowns(f: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """End-to-end command line behavior, driven through main(argv)."""
 
 import json
+import re
 
 import pytest
 
@@ -232,6 +233,16 @@ def test_oracle_agrees_at_small_dim(capsys):
     out = capsys.readouterr().out
     assert "result: PASS" in out
     assert "unknowns: 3" in out
+
+
+def test_oracle_reports_separation_and_sample_conditioning(capsys):
+    assert main(["oracle", "--dim", "6", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("condition estimate: "))
+    sep = re.fullmatch(r"separation: (\S+)  separation threshold: (\S+)", lines[at + 1])
+    assert sep and float(sep[1]) > float(sep[2]) > 0
+    draw = re.fullmatch(r"attempts: (\d+)  smallest retained singular value: (\S+)", lines[at + 2])
+    assert draw and int(draw[1]) >= 1 and float(draw[2]) > 0
 
 
 def test_oracle_two_dim_empty_system(capsys):
