@@ -23,8 +23,9 @@ __all__ = [
 
 EPS = float(np.finfo(np.float64).eps)
 
-# entries per temporary in every chunked N^3 kernel (build_adjoint, the
-# identity slabs, inf_norm): 1 MB of complex128, so a chunk works in cache
+# entries per temporary in every chunked kernel (build_adjoint, the identity
+# slabs, inf_norm, a pass of normal draws): 1 MB of complex128, so a chunk
+# works in cache
 _SLAB_CHUNK = 1 << 16
 
 # components smaller than this are never used as the sign/phase anchor;

@@ -30,6 +30,10 @@ are mu_r - lambda_p - lambda_q (p < q), lambda of b and mu of a, so it is
 singular exactly when one of them vanishes, as for nilpotent samples (a = 0).
 For non-degenerate a-priori data the unique solution must match the
 closed-form generator; this module exists purely as that end-to-end oracle.
+
+scipy (schur, ztrsyl) serves this solve alone, so it is imported on the first
+solve in a process, not with the package: that first solve pays about 0.3 s
+for the import, and every other command runs on numpy only.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContractViolation, SingularSystemError, SystemSizeError
 from .linalg import EPS, inf_norm
@@ -186,6 +189,8 @@ def _schur_solver(a: np.ndarray):
     is an error. Also returns the separation min |mu_r - lambda_p - lambda_q| over
     p < q, with lambda and mu read off the diagonals of T and S.
     """
+    import scipy.linalg  # the package's only scipy use: loaded on the first solve
+
     t, u = scipy.linalg.schur(a[1:, 1:], output="complex")
     s, v = scipy.linalg.schur(a, output="complex")
     n, dim = t.shape[0], s.shape[0]

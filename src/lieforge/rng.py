@@ -15,11 +15,15 @@ library's private RNG internals, so the generator is pinned here explicitly:
       z0 = sqrt(-2 ln u1) * cos(2 pi u2)   returned first
       z1 = sqrt(-2 ln u1) * sin(2 pi u2)   returned second
 
-Normals are always evaluated in fixed blocks of 128 pairs, whatever mix of
-single and bulk requests arrives, so the value of draw ``i`` depends only on
-``(seed, i)`` and never on call granularity or SIMD lane boundaries. The stream
-is a single sequence: consumers that retry (resampling loops) keep drawing from
-where they left off.
+Normals come in fixed blocks of 128 pairs (256 draws). A request evaluates
+every block it needs in passes of whole blocks, up to ``_SLAB_CHUNK`` draws a
+pass, and keeps the unused end of its last block for the next request. 128
+is a multiple of every SIMD width numpy's vector kernels use, so in any pass
+each pair sits in the same vector lane as when its block is evaluated alone,
+and no block ends inside a partial vector. The value of draw ``i`` therefore
+depends only on ``(seed, i)``, never on call granularity or pass length. The
+stream is a single sequence: consumers that retry (resampling loops) keep
+drawing from where they left off.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import math
 import numpy as np
 
 from .errors import ContractViolation
+from .linalg import _SLAB_CHUNK
 
 __all__ = ["RNG_ID", "SplitMix64", "NormalStream"]
 
@@ -111,9 +116,11 @@ class NormalStream:
         self._next_block = 0
         self._buffer = np.empty(0)
 
-    def _compute_block(self, block: int) -> np.ndarray:
-        start = block * _BLOCK_DRAWS
-        idx = np.arange(start + 1, start + _BLOCK_DRAWS + 1, dtype=np.uint64)
+    def _compute_block(self, first: int, count: int) -> np.ndarray:
+        """Draws of blocks first .. first+count-1 in one vectorized pass."""
+        start = first * _BLOCK_DRAWS
+        size = count * _BLOCK_DRAWS
+        idx = np.arange(start + 1, start + size + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):
             state = np.uint64(self._seed) + idx * np.uint64(_GAMMA)
         hi = _mix64_array(state) >> np.uint64(11)
@@ -121,7 +128,7 @@ class NormalStream:
         u2 = hi[1::2] * 2.0**-53
         radius = np.sqrt(-2.0 * np.log(u1))
         theta = (2.0 * math.pi) * u2
-        out = np.empty(_BLOCK_DRAWS)
+        out = np.empty(size)
         out[0::2] = radius * np.cos(theta)
         out[1::2] = radius * np.sin(theta)
         return out
@@ -130,24 +137,20 @@ class NormalStream:
         """Next `count` normal deviates as a float64 array."""
         if count < 0:
             raise ContractViolation("count must be nonnegative")
-        parts = []
-        have = self._buffer.size
-        if have:
-            take = min(have, count)
-            parts.append(self._buffer[:take])
-            self._buffer = self._buffer[take:]
-        got = sum(p.size for p in parts)
+        out = np.empty(count)
+        got = min(self._buffer.size, count)
+        out[:got] = self._buffer[:got]
+        self._buffer = self._buffer[got:]
         while got < count:
-            block = self._compute_block(self._next_block)
-            self._next_block += 1
-            take = min(block.size, count - got)
-            parts.append(block[:take])
+            blocks = min(-(-(count - got) // _BLOCK_DRAWS), _SLAB_CHUNK // _BLOCK_DRAWS)
+            drawn = self._compute_block(self._next_block, blocks)
+            self._next_block += blocks
+            take = min(drawn.size, count - got)
+            out[got : got + take] = drawn[:take]
             got += take
-            if take < block.size:
-                self._buffer = block[take:]
-        if not parts:
-            return np.empty(0)
-        return np.concatenate(parts) if len(parts) > 1 else parts[0].copy()
+            # copy the tail, so that it does not keep the whole pass alive
+            self._buffer = drawn[take:].copy()
+        return out
 
     def next_normal(self) -> float:
         return float(self.normals(1)[0])

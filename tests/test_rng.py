@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieforge.errors import ContractViolation
-from lieforge.rng import RNG_ID, NormalStream, SplitMix64
+from lieforge.rng import _GAMMA, RNG_ID, NormalStream, SplitMix64, _mix64_array
 
 # published reference outputs for splitmix64 seeded with 0
 SEED0_REFERENCE = [
@@ -110,3 +110,66 @@ def test_normals_moments():
 
 def test_different_seeds_differ():
     assert not np.array_equal(NormalStream(1).normals(16), NormalStream(2).normals(16))
+
+
+class _PerBlockStream:
+    """Reference: the stream evaluated one 256-draw block per loop iteration."""
+
+    def __init__(self, seed: int):
+        self._seed = seed
+        self._next_block = 0
+        self._buffer = np.empty(0)
+
+    def _compute_block(self, block: int) -> np.ndarray:
+        idx = np.arange(block * 256 + 1, block * 256 + 257, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            state = np.uint64(self._seed) + idx * np.uint64(_GAMMA)
+        hi = _mix64_array(state) >> np.uint64(11)
+        u1 = (hi[0::2] + np.uint64(1)) * 2.0**-53
+        u2 = hi[1::2] * 2.0**-53
+        radius = np.sqrt(-2.0 * np.log(u1))
+        theta = (2.0 * math.pi) * u2
+        out = np.empty(256)
+        out[0::2] = radius * np.cos(theta)
+        out[1::2] = radius * np.sin(theta)
+        return out
+
+    def normals(self, count: int) -> np.ndarray:
+        parts = []
+        have = self._buffer.size
+        if have:
+            take = min(have, count)
+            parts.append(self._buffer[:take])
+            self._buffer = self._buffer[take:]
+        got = sum(p.size for p in parts)
+        while got < count:
+            block = self._compute_block(self._next_block)
+            self._next_block += 1
+            take = min(block.size, count - got)
+            parts.append(block[:take])
+            got += take
+            if take < block.size:
+                self._buffer = block[take:]
+        if not parts:
+            return np.empty(0)
+        return np.concatenate(parts) if len(parts) > 1 else parts[0].copy()
+
+
+@pytest.mark.parametrize("count", [36_672, 102_080, 130_560, 499_000])
+def test_multi_block_passes_equal_per_block_evaluation(count):
+    for seed in range(20):
+        got = NormalStream(seed).normals(count)
+        want = _PerBlockStream(seed).normals(count)
+        assert got.tobytes() == want.tobytes(), f"seed {seed}"
+
+
+@pytest.mark.parametrize(
+    "calls", [(1, 255, 65_537, 300_000), (300_000, 1, 255), (65_536, 65_536, 257), (0, 513, 0, 70_000)]
+)
+def test_split_calls_equal_per_block_evaluation(calls):
+    """A buffer carried across calls joins the next pass without a seam."""
+    for seed in (0, 9, 2**64 - 1):
+        stream, reference = NormalStream(seed), _PerBlockStream(seed)
+        for count in calls:
+            assert stream.normals(count).tobytes() == reference.normals(count).tobytes()
+        assert stream.next_normal() == reference.normals(1)[0]
