@@ -26,13 +26,9 @@ class ContractViolation(LieForgeError, ValueError):
 class DegenerateParametersError(LieForgeError):
     """Parameter matrix rank is not N-1; the draw can be retried."""
 
-    retryable = True
-
 
 class NullFirstComponentError(LieForgeError):
     """Left null vector has |n_1| below the cutoff in generic mode; retryable."""
-
-    retryable = True
 
 
 class GenerationFailedError(LieForgeError):

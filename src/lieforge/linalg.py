@@ -15,7 +15,6 @@ __all__ = [
     "EPS",
     "as_field_matrix",
     "commutator",
-    "trace",
     "inf_norm",
     "null_residual_tol",
     "rank_and_left_null",
@@ -62,12 +61,6 @@ def commutator(a, b) -> np.ndarray:
     b = as_field_matrix(b, "b")
     _check_same_space(a, b)
     return a @ b - b @ a
-
-
-def trace(a) -> float | complex:
-    a = as_field_matrix(a, "a")
-    t = np.trace(a)
-    return complex(t) if a.dtype.kind == "c" else float(t)
 
 
 def inf_norm(a: np.ndarray) -> float:

@@ -11,25 +11,26 @@ Collect the unknowns as X[(p, q), m] = f{p, q, m}, one row per pair
 1 <= p < q <= N-1 in lexicographic order. The l = 0 terms are known
 (f{k,0,m} = -a[k,m]) and form the right-hand side R. The third term is
 (X a)[(j, k), m]. The first two touch rows (k, l) and (j, l) of X, with a sign
-flip where the pair is descending (f{q,p,r} = -f{p,q,r}); they form a
-P x P matrix K, P = (N-1)(N-2)/2. So the N(N-1)(N-2)/2 equations are the
+flip where the pair is descending (f{q,p,r} = -f{p,q,r}); they form a linear
+map K on the P = (N-1)(N-2)/2 rows. So the N(N-1)(N-2)/2 equations are the
 Sylvester equation
 
     K X + X a = R,
 
-whose dense matrix K (x) I + I (x) a^T on X flattened row-major is never
-formed. K and R are built from a alone, so the oracle stays independent of
-the generator. K itself has structure: column m of X is the upper triangle of
-an antisymmetric (N-1) x (N-1) matrix G_m, and K G = -(b G + G b^T) with
-b = a[1:, 1:]. So the solve never factors anything P x P. Bartels-Stewart in
-three modes takes complex Schur forms b = U T U^H and a = V S V^H, rotates
-every G_m by U and mixes the m index by V, then makes one triangular Sylvester
-solve (LAPACK ?trsyl) of order N-1 per eigenvalue of a: O(N^4) in all,
-against O(P^3) = O(N^6) for a Schur form of K. The eigenvalues of the system
-are mu_r - lambda_p - lambda_q (p < q), lambda of b and mu of a, so it is
-singular exactly when one of them vanishes, as for nilpotent samples (a = 0).
-For non-degenerate a-priori data the unique solution must match the
-closed-form generator; this module exists purely as that end-to-end oracle.
+whose dense matrix M = K (x) I + I (x) a^T on X flattened row-major is never
+formed, and neither is K. K and R come from a alone, so the oracle stays
+independent of the generator. Column m of X is the upper triangle of an
+antisymmetric (N-1) x (N-1) matrix G_m, and K G = -(b G + G b^T) with
+b = a[1:, 1:]; the solve and the residual apply K in that form, and the norms
+of M follow from the row and column sums of |b| and |a|. Bartels-Stewart in three modes takes complex Schur forms
+b = U T U^H and a = V S V^H, rotates every G_m by U and mixes the m index by
+V, then makes one triangular Sylvester solve (LAPACK ?trsyl) of order N-1 per
+eigenvalue of a: O(N^4) in all, against O(P^3) = O(N^6) for a Schur form of K.
+The eigenvalues of the system are mu_r - lambda_p - lambda_q (p < q), lambda
+of b and mu of a, so it is singular exactly when one of them vanishes, as for
+nilpotent samples (a = 0). For non-degenerate a-priori data the unique
+solution must match the closed-form generator; this module exists purely as
+that end-to-end oracle.
 
 scipy (schur, ztrsyl) serves this solve alone, so it is imported on the first
 solve in a process, not with the package: that first solve pays about 0.3 s
@@ -94,11 +95,10 @@ def equation_position(j: int, k: int, m: int, dim: int) -> int:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """K X + X a = R, with R flattened in equation_position order as rhs."""
+    """K X + X a = R: K comes from a, and R is flattened in equation_position order as rhs."""
 
     dim: int
     dim_sys: int
-    k: np.ndarray
     a: np.ndarray
     rhs: np.ndarray
 
@@ -122,13 +122,11 @@ class ComparisonReport:
 
 
 def assemble_system(a_priori: np.ndarray) -> AssembledSystem:
-    """Build K and R of K X + X a = R from the a-priori slice a[j,l] = f{1,j,l}.
+    """Build R of K X + X a = R from the a-priori slice a[j,l] = f{1,j,l}.
 
     Requires a[0, :] == 0 exactly (it stands for f at equal first indices).
-    Row (j, k) of K holds sign(l - k) a[j,l] at pair {k, l} for l != k and
-    -sign(l - j) a[k,l] at pair {j, l} for l != j; the two meet only on the
-    diagonal, -a[j,j] - a[k,k]. So K (x) I + I (x) a^T equals the dense
-    element-by-element assembly entry for entry.
+    K needs no assembly: it is the action G -> -(b G + G b^T), b = a[1:, 1:],
+    on the antisymmetric G_m whose upper triangles are the columns of X.
     """
     a = np.asarray(a_priori)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -138,37 +136,46 @@ def assemble_system(a_priori: np.ndarray) -> AssembledSystem:
         raise ContractViolation("dimension must be at least 2")
     if np.any(a[0, :] != 0):
         raise ContractViolation("a-priori slice row 0 must be zero (f at equal indices)")
-    dim_sys = count_equations(dim)
     a = np.array(a, dtype=np.complex128 if a.dtype.kind == "c" else np.float64)
-
-    # pairs (j, k) of indices 1..N-1, shifted down by one, in row order
-    n = dim - 1
-    js, ks = np.triu_indices(n, 1)
-    npairs = js.size
-    rank = np.zeros((n, n), dtype=np.intp)
-    rank[js, ks] = rank[ks, js] = np.arange(npairs)
-    ls = np.arange(n)
-    sign = np.sign(ls[None, :] - ls[:, None]).astype(a.dtype)  # +1 where p < q
-    b = a[1:, 1:]
-    rows = np.broadcast_to(np.arange(npairs)[:, None], (npairs, n))
-    k = np.zeros((npairs, npairs), dtype=a.dtype)
-    # term 1: + a[j,l] f{k,l,m} for l != k; term 2: - a[k,l] f{j,l,m} for l != j
-    for lead, other, flip in ((ks, js, 1.0), (js, ks, -1.0)):
-        keep = ls[None, :] != lead[:, None]
-        cols = rank[lead[:, None], ls[None, :]]
-        vals = flip * sign[lead[:, None], ls[None, :]] * b[other[:, None], ls[None, :]]
-        np.add.at(k, (rows[keep], cols[keep]), vals[keep])
-    j0, k0 = js + 1, ks + 1
+    # pairs (j, k) of indices 1..N-1 in row order
+    j0, k0 = (idx + 1 for idx in np.triu_indices(dim - 1, 1))
     rhs = a[j0, 0, None] * a[k0, :] - a[k0, 0, None] * a[j0, :]
-    return AssembledSystem(dim=dim, dim_sys=dim_sys, k=k, a=a, rhs=rhs.reshape(-1))
+    return AssembledSystem(dim=dim, dim_sys=count_equations(dim), a=a, rhs=rhs.reshape(-1))
 
 
-def _kron_sum_norm1(k: np.ndarray, a: np.ndarray) -> float:
-    """||K (x) I + I (x) a^T||_1 without forming it: column (r, l) is K[:, r] and a[l, :]."""
-    dk, da = np.diag(k), np.diag(a)
-    off_k = np.abs(k).sum(axis=0) - np.abs(dk)
-    off_a = np.abs(a).sum(axis=1) - np.abs(da)
-    return float((off_k[:, None] + off_a[None, :] + np.abs(dk[:, None] + da[None, :])).max())
+def _antisymmetric_stack(x: np.ndarray, n: int) -> np.ndarray:
+    """The n x n antisymmetric G_m whose upper triangles, in row order, are the columns x[:, m]."""
+    p, q = np.triu_indices(n, 1)
+    g = np.zeros((x.shape[1], n, n), dtype=x.dtype)
+    g[:, p, q] = x.T
+    g[:, q, p] = -x.T
+    return g
+
+
+def _kron_sum_norms(a: np.ndarray) -> tuple[float, float]:
+    """||M||_1 and ||M||_inf of M = K (x) I + I (x) a^T, from |b| and |a| alone.
+
+    Row (j, k) of K holds +-b[j, l] at pair {k, l} and +-b[k, l] at pair {j, l}
+    for l outside {j, k}, and -b[j, j] - b[k, k] on the diagonal, so its
+    off-diagonal mass is s[j] + s[k] - |b_jj| - |b_kk| - |b_jk| - |b_kj| with s
+    the row sums of |b|; columns are the same with the column sums. A column
+    (row) of M adds one of K to a row (column) of a on the diagonal K_rr + a_ll.
+    """
+    b = a[1:, 1:]
+    p, q = np.triu_indices(b.shape[0], 1)
+    mag_b, mag_a = np.abs(b), np.abs(a)
+    diag_b = np.diag(b)
+    own = np.abs(diag_b[p]) + np.abs(diag_b[q]) + mag_b[p, q] + mag_b[q, p]
+    shared = np.abs(np.diag(a) - (diag_b[p] + diag_b[q])[:, None])  # |K_rr + a_ll|
+
+    def norm(axis: int) -> float:
+        """axis 0: column sums of K and row sums of a (the 1-norm); axis 1: the reverse."""
+        sums = mag_b.sum(axis=axis)
+        off_k = sums[p] + sums[q] - own
+        off_a = mag_a.sum(axis=1 - axis) - np.abs(np.diag(a))
+        return float((off_k[:, None] + off_a[None, :] + shared).max())
+
+    return norm(0), norm(1)
 
 
 def _schur_solver(a: np.ndarray):
@@ -200,9 +207,7 @@ def _schur_solver(a: np.ndarray):
     real = a.dtype.kind != "c"
 
     def solve(c: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        g = np.zeros((dim, n, n), dtype=np.complex128)
-        g[:, p, q] = c.T
-        g[:, q, p] = -c.T
+        g = _antisymmetric_stack(c, n)
         rhs = np.tensordot(v.T, uh @ g @ u_conj, axes=1)
         y = np.empty_like(rhs)
         for r in range(dim - 1, -1, -1) if adjoint else range(dim):
@@ -270,23 +275,29 @@ def solve_system(system: AssembledSystem) -> tuple[np.ndarray, SolveDiagnostics]
     p < q, with lambda from b = a[1:, 1:] and mu from a, so the separation
     min |eig(M)| comes in closed form from the two Schur diagonals. At or below
     dim_sys * eps * ||M||_inf it raises SingularSystemError before any solve.
-    The residual is ||K X + X a - R||_inf over entries (= ||M u - rhs||_inf), and
-    the condition estimate is ||M||_1 times the estimate of ||M^-1||_1.
+    The residual is ||K X + X a - R||_inf over entries (= ||M u - rhs||_inf), with
+    K applied to the G stack of X, and the condition estimate is ||M||_1 times
+    the estimate of ||M^-1||_1. Both norms of M are read off |b| and |a|.
     """
-    k, a = system.k, system.a
+    a = system.a
     if system.dim_sys == 0:
         return np.zeros(0, dtype=a.dtype), SolveDiagnostics(0.0, 1.0, math.inf, 0.0)
-    r = system.rhs.reshape(k.shape[0], system.dim)
+    r = system.rhs.reshape(-1, system.dim)
     solve, separation = _schur_solver(a)
-    tau_sep = system.dim_sys * EPS * _kron_sum_norm1(k.T, a.T)
+    norm1, norm_inf = _kron_sum_norms(a)
+    tau_sep = system.dim_sys * EPS * norm_inf
     if separation <= tau_sep:
         raise SingularSystemError(
             f"eigenvalue separation {separation:.3e} at or below breakdown threshold"
             f" {tau_sep:.3e}; a-priori data violates the non-degeneracy assumption"
         )
     x = solve(r)
-    residual = inf_norm(k @ x + x @ a - r)
-    condition = _kron_sum_norm1(k, a) * _inverse_norm1_estimate(solve, r.shape, a.dtype)
+    b = a[1:, 1:]
+    g = _antisymmetric_stack(x, b.shape[0])
+    lhs = np.tensordot(a.T, g, axes=1) - (b @ g + g @ b.T)  # K X + X a, as G stacks
+    p, q = np.triu_indices(b.shape[0], 1)
+    residual = inf_norm(lhs[:, p, q].T - r)
+    condition = norm1 * _inverse_norm1_estimate(solve, r.shape, a.dtype)
     return x.reshape(-1), SolveDiagnostics(
         residual=residual,
         condition_estimate=condition,

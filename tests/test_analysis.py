@@ -32,6 +32,7 @@ from lieforge.sampler import (
     Tolerances,
     assemble_sample,
     generate,
+    transfer_matrix,
     validate_parameter_matrix,
 )
 
@@ -75,8 +76,9 @@ def test_jacobi_max_is_reproducible_at_worst_indices():
 
 
 def _set_sampling(monkeypatch, cap, budget, names=("jacobi",)):
-    """Set the named checks' sampling policy to (cap, budget)."""
+    """Set the named checks' sampling policy to (cap, budget); each must have an entry."""
     for name in names:
+        assert name in analysis._SAMPLING, name
         monkeypatch.setitem(analysis._SAMPLING, name, (cap, budget))
 
 
@@ -205,7 +207,72 @@ def test_closure_detects_broken_adjoint():
     assert closure_residual(adj) > _band(s)
 
 
-BILINEAR = ("closure", "derived", "killing", "tproduct")
+def _closure_reference(adj):
+    """The pair-slab closure kernel closure_residual replaced, over every pair i < j."""
+    dim = adj.shape[0]
+    flat = adj.reshape(dim, dim * dim)
+    worst = 0.0
+    for i in range(dim):
+        rest = adj[i + 1 :]
+        residual = adj[i] @ rest - rest @ adj[i]
+        # sum_k A_i{k,j} A_k for every j > i
+        residual -= (adj[i][:, i + 1 :].T @ flat).reshape(rest.shape)
+        worst = max(worst, inf_norm(residual))
+    return worst
+
+
+def _tproduct_reference(n, adj):
+    """The transfer-matrix GEMM form t_product_residual replaced, over every pair (j, k)."""
+    dim = adj.shape[0]
+    t = np.stack([transfer_matrix(n, k) for k in range(dim)])
+    worst = 0.0
+    for j in range(dim):
+        for left, expect in ((t[j], t), (adj[j], adj)):
+            worst = max(worst, inf_norm(left @ t - n[j] * expect))
+    return worst
+
+
+def _random_bilinear_inputs(dim, field, seed):
+    """An antisymmetric tensor that satisfies no identity, as an adjoint stack, and a random n."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if field == "complex" else x
+
+    f = draw(dim, dim, dim)
+    f -= f.transpose(1, 0, 2)
+    return np.ascontiguousarray(f.transpose(0, 2, 1)), draw(dim)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", range(3, 13))
+def test_rewritten_kernels_match_their_references(dim, field):
+    eps = np.finfo(float).eps
+    for seed in range(3):
+        adj, n = _random_bilinear_inputs(dim, field, seed)
+        want = _closure_reference(adj)
+        assert abs(closure_residual(adj) - want) <= 8 * eps * want, (seed, want)
+        want = _tproduct_reference(n, adj)
+        assert abs(t_product_residual(n, adj) - want) <= 8 * eps * want, (seed, want)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_one_moved_adjoint_entry_fails_closure_and_tproduct(field):
+    s = generate(6, 14, field=field)
+    band = _band(s)
+    n = s.null.vector
+    assert max(closure_residual(s.adjoint), t_product_residual(n, s.adjoint)) <= band
+    adj = s.adjoint.copy()
+    adj[3, 1, 4] += 1.0
+    for residual in (closure_residual(adj), _closure_reference(adj)):
+        assert residual > band
+    for residual in (t_product_residual(n, adj), _tproduct_reference(n, adj)):
+        assert residual > band
+
+
+# closure has no _SAMPLING entry of its own: it runs under jacobi's
+BILINEAR = ("jacobi", "derived", "killing", "tproduct")
 
 
 def _bilinear_residuals(s, seed=3):
@@ -234,7 +301,6 @@ def test_sampled_slabs_cover_the_full_scan_when_the_budget_does(monkeypatch):
 def test_verify_all_reports_checked_counts(monkeypatch):
     for name, budget in (
         ("jacobi", 100),
-        ("closure", 10),
         ("derived", 50),
         ("killing", 30),
         ("tproduct", 20),
@@ -250,9 +316,11 @@ def test_verify_all_reports_checked_counts(monkeypatch):
     ]
     detail = {c.name: c.detail.split(",") for c in report.checks}
     assert detail["derived"] == ["sampled", " 50 pair-pairs"]
+    # closure runs the jacobi kernel under jacobi's policy, so it picks the same slabs
+    assert detail["closure"][:2] == detail["jacobi"][:2]
     for name, budget, whole in (
         ("jacobi", 100, 9 * math.comb(9, 3)),
-        ("closure", 10, 36),
+        ("closure", 100, 9 * math.comb(9, 3)),
         ("killing", 30, 9 * 36),
         ("tproduct", 20, 81),
     ):
@@ -264,9 +332,11 @@ def test_default_policy_samples_above_each_cap():
     for name, (cap, budget) in analysis._SAMPLING.items():
         assert analysis._budget(name, cap) is None and analysis._budget(name, cap + 1) == budget
     dim = 65
-    report = verify_all(generate(dim, 3), VerifyConfig(checks=tuple(analysis._SAMPLING)))
+    policy = {**analysis._SAMPLING, "closure": analysis._SAMPLING["jacobi"]}
+    report = verify_all(generate(dim, 3), VerifyConfig(checks=tuple(policy)))
+    assert {c.name for c in report.checks} == set(policy)
     for check in report.checks:
-        cap, budget = analysis._SAMPLING[check.name]
+        cap, budget = policy[check.name]
         mode, count = check.detail.split(",")[:2]
         count = int(count.split()[0])
         assert check.passed, check

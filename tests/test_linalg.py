@@ -12,7 +12,6 @@ from lieforge.linalg import (
     inf_norm,
     null_residual_tol,
     rank_and_left_null,
-    trace,
 )
 
 
@@ -82,11 +81,6 @@ def test_inf_norm_propagates_nan(dtype, shape):
     a = np.ones(shape, dtype=dtype)
     a[-1, -1] = np.nan  # in the last slab, after a finite peak
     assert np.isnan(inf_norm(a)) and np.isnan(inf_norm(a.T))
-
-
-def test_trace_matches_numpy():
-    m = np.arange(9.0).reshape(3, 3)
-    assert trace(m) == np.trace(m)
 
 
 def test_rank_of_diagonal_example():

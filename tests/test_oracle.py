@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from lieforge import oracle
 from lieforge.errors import ContractViolation, SingularSystemError, SystemSizeError
 from lieforge.linalg import EPS
 from lieforge.oracle import (
     MAX_SYSTEM_DIM,
-    _kron_sum_norm1,
+    _kron_sum_norms,
     _schur_solver,
     assemble_system,
     compare_tensors,
@@ -31,11 +32,6 @@ from lieforge.sampler import (
 def _sample_from(matrix, mode="generic"):
     pm = ParameterMatrix(np.asarray(matrix, dtype=np.float64), mode)
     return assemble_sample(pm, validate_parameter_matrix(pm, Tolerances()), seed=0)
-
-
-def _dense(system):
-    """The system matrix K (x) I + I (x) a^T that the solver never forms."""
-    return np.kron(system.k, np.eye(system.dim)) + np.kron(np.eye(system.k.shape[0]), system.a.T)
 
 
 def _dense_reference(a):
@@ -133,8 +129,7 @@ def test_diagonal_example_system_is_diagonal():
     a = np.array(s.structure[0])
     system = assemble_system(a)
     assert system.dim_sys == 3
-    np.testing.assert_array_equal(_dense(system), np.diag([-2.0, -1.0, -1.0]))
-    np.testing.assert_array_equal(_dense(system), _dense_reference(a)[0])
+    np.testing.assert_array_equal(_dense_reference(a)[0], np.diag([-2.0, -1.0, -1.0]))
     np.testing.assert_array_equal(system.rhs, np.zeros(3))
     u, diag = solve_system(system)
     np.testing.assert_array_equal(u, np.zeros(3))
@@ -155,7 +150,7 @@ def test_assemble_rejects_nonsquare_input():
 def test_two_dim_system_is_empty():
     system = assemble_system(np.zeros((2, 2)))
     assert system.dim_sys == 0
-    assert _dense(system).shape == (0, 0)
+    assert _dense_reference(system.a)[0].shape == (0, 0)
     u, diag = solve_system(system)
     assert u.shape == (0,)
     assert diag.residual == 0.0
@@ -173,14 +168,48 @@ def test_kron_form_reproduces_dense_reference(dim, field):
     a = np.array(generate(dim, dim, field=field).structure[0])
     system = assemble_system(a)
     matrix, rhs = _dense_reference(a)
-    assert system.k.shape == (count_equations(dim) // dim,) * 2
     band = 4 * EPS * (1.0 + np.abs(a).max()) ** 2
-    assert np.abs(_dense(system) - matrix).max() <= band
     assert np.abs(system.rhs - rhs).max() <= band
-    # the solver's norms of the unformed matrix
-    k, a = system.k, system.a
-    np.testing.assert_allclose(_kron_sum_norm1(k, a), np.linalg.norm(matrix, 1), rtol=1e-13)
-    np.testing.assert_allclose(_kron_sum_norm1(k.T, a.T), np.linalg.norm(matrix, np.inf), rtol=1e-13)
+    # the solver's closed-form norms of the unformed matrix
+    norm1, norm_inf = _kron_sum_norms(system.a)
+    np.testing.assert_allclose(norm1, np.linalg.norm(matrix, 1), rtol=1e-13)
+    np.testing.assert_allclose(norm_inf, np.linalg.norm(matrix, np.inf), rtol=1e-13)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8, 9])
+def test_residual_is_that_of_the_dense_system(dim, field, monkeypatch):
+    """K is applied to the G stack, never formed: the residual still equals max |M u - rhs|,
+    at rounding level for the solution and to 1e-12 relative for a solution moved off it."""
+    system = assemble_system(np.array(generate(dim, dim + 1, field=field).structure[0]))
+    matrix, _ = _dense_reference(system.a)
+
+    def dense_residual(u):
+        return float(np.abs(matrix @ u - system.rhs).max())
+
+    u, diag = solve_system(system)
+    scale = np.abs(matrix).sum(axis=1).max() * np.abs(u).max() + np.abs(system.rhs).max()
+    assert abs(diag.residual - dense_residual(u)) <= 4 * dim * EPS * scale
+
+    exact_solver = oracle._schur_solver
+    rng = np.random.default_rng(dim)
+
+    def moved_solver(a):
+        solve, separation = exact_solver(a)
+        return (lambda c, adjoint=False: solve(c, adjoint) + rng.standard_normal(c.shape)), separation
+
+    monkeypatch.setattr(oracle, "_schur_solver", moved_solver)
+    u, diag = solve_system(system)
+    np.testing.assert_allclose(diag.residual, dense_residual(u), rtol=1e-12)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8, 9])
+def test_separation_threshold_is_scaled_dense_inf_norm(dim, field):
+    system = assemble_system(np.array(generate(dim, dim + 2, field=field).structure[0]))
+    _, diag = solve_system(system)
+    want = system.dim_sys * EPS * np.linalg.norm(_dense_reference(system.a)[0], np.inf)
+    np.testing.assert_allclose(diag.separation_threshold, want, rtol=1e-13)
 
 
 @pytest.mark.parametrize("offset", [0.0, 2 * EPS])
@@ -228,13 +257,13 @@ def test_condition_estimate_tracks_gecon(dim, field):
 def test_solves_match_the_dense_system(dim, field):
     """Forward and adjoint three-mode solves against M and M^H; separation against eig(M)."""
     system = assemble_system(np.array(generate(dim, dim, field=field).structure[0]))
-    matrix = _dense(system)
+    matrix = _dense_reference(system.a)[0]
     rng = np.random.default_rng(dim)
     c = rng.standard_normal(system.dim_sys)
     if field == "complex":
         c = c + 1j * rng.standard_normal(system.dim_sys)
     solve, _ = _schur_solver(system.a)
-    shape = (system.k.shape[0], dim)
+    shape = (system.dim_sys // dim, dim)
     for adjoint, op in ((False, matrix), (True, matrix.conj().T)):
         want = np.linalg.solve(op, c)
         got = solve(c.reshape(shape), adjoint=adjoint).reshape(-1)
@@ -265,7 +294,7 @@ def test_symmetric_mode_resonance_is_not_singular(eigs, seed):
     hence several seeds."""
     system = assemble_system(_with_spectrum(eigs, seed))
     u, _ = solve_system(system)
-    want = np.linalg.solve(_dense(system), system.rhs)
+    want = np.linalg.solve(_dense_reference(system.a)[0], system.rhs)
     assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -285,7 +314,7 @@ def test_assembled_system_annihilates_true_unknowns():
     s = generate(5, 7)
     system = assemble_system(np.array(s.structure[0]))
     u_true = extract_unknowns(s.structure)
-    gap = np.abs(_dense(system) @ u_true - system.rhs).max()
+    gap = np.abs(_dense_reference(system.a)[0] @ u_true - system.rhs).max()
     assert gap <= 1e-12 * (1.0 + s.scale**2)
 
 
