@@ -64,7 +64,8 @@ class Tolerances:
     tol_rank: absolute floor for the rank threshold (0 = machine policy only).
     tau_n1: cutoff on |n{1}| below which the scale factor 1/n{1} is unusable.
     tau_ver: verification tolerance, applied relative to scale^2 for bilinear
-        identities and scale^(L+2) for depth-L series checks.
+        identities (scale the largest adjoint entry) and (2S)^(L+2) for the
+        depth-L series check (S the largest row sum of an adjoint matrix).
 
     Every field is finite, tol_rank >= 0, and tau_n1 and tau_ver are > 0.
     """

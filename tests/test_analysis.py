@@ -35,6 +35,7 @@ from lieforge.sampler import (
     transfer_matrix,
     validate_parameter_matrix,
 )
+from lieforge.serialize import read_sample, write_sample
 
 HEISENBERG_P = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
 
@@ -46,6 +47,12 @@ def _sample_from(matrix, mode="generic"):
 
 def _band(sample, tau=1e-9):
     return tau * sample.scale**2
+
+
+def _rescaled(s, factor):
+    """s with P multiplied by factor and revalidated, in the same mode."""
+    pm = ParameterMatrix(s.p.matrix * factor, s.mode)
+    return assemble_sample(pm, validate_parameter_matrix(pm, Tolerances()), seed=s.seed)
 
 
 # --- jacobi ---------------------------------------------------------------
@@ -271,6 +278,54 @@ def test_one_moved_adjoint_entry_fails_closure_and_tproduct(field):
         assert residual > band
 
 
+def test_jacobi_reports_a_nan_entry():
+    f = np.array(generate(6, 1).structure)
+    f[1, 2, 3] = np.nan
+    rep = jacobi_residual(f)
+    assert math.isnan(rep.max_residual)
+    assert math.isnan(jacobi_residual_at(f, *rep.worst_indices))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_a_nan_adjoint_entry_becomes_the_residual(field):
+    s = generate(6, 14, field=field)
+    adj = np.array(s.adjoint)
+    adj[3, 1, 4] = np.nan
+    residuals = (
+        closure_residual(adj),
+        derived_abelian_residual(adj),
+        cartan_residual(adj).max_cartan_residual,
+        t_product_residual(s.null, adj),
+    )
+    assert all(math.isnan(r) for r in residuals), residuals
+
+
+def _overflowing_sample():
+    """A valid seed-3, N=6 sample with P scaled by 1e150: derived's products overflow."""
+    return _rescaled(generate(6, 3), 1e150)
+
+
+def test_derived_reports_overflowed_products():
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(derived_abelian_residual(_overflowing_sample().adjoint))
+
+
+def test_verify_all_reports_an_overflowing_document():
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = verify_all(read_sample(write_sample(_overflowing_sample())))
+    checks = {c.name: c for c in report.checks}
+    assert tuple(checks) == CHECK_NAMES
+    assert not checks["derived"].passed and math.isnan(checks["derived"].residual)
+    assert checks["series"].passed and checks["payload"].passed
+
+
+def test_killing_check_is_the_cartan_traces():
+    s = generate(9, 4, field="complex")
+    (check,) = verify_all(s, VerifyConfig(checks=("killing",))).checks
+    assert check.residual == cartan_residual(s.adjoint).max_cartan_residual
+    assert check.detail == "full, 324 triples"
+
+
 # closure has no _SAMPLING entry of its own: it runs under jacobi's
 BILINEAR = ("jacobi", "derived", "killing", "tproduct")
 
@@ -401,8 +456,10 @@ def test_series_two_dim_never_terminates():
     rep = lower_central_series(s.adjoint, s.p, s.null, depth=6)
     assert not rep.terminated
     assert rep.termination_level is None
-    np.testing.assert_array_equal(rep.max_norm_per_level, np.ones(7))
-    assert rep.max_discrepancy <= 1e-9
+    # levels are in units of sigma^(L+2), a power of two, so the raw norms are exact
+    units = rep.sigma ** (np.arange(7) + 2)
+    np.testing.assert_array_equal(np.array(rep.norm_per_level) * units, np.ones(7))
+    assert max(np.array(rep.discrepancy_per_level) * units) <= 1e-9
 
 
 def test_series_heisenberg_terminates_immediately():
@@ -410,7 +467,7 @@ def test_series_heisenberg_terminates_immediately():
     rep = lower_central_series(s.adjoint, s.p, s.null)
     assert rep.terminated
     assert rep.termination_level <= 1
-    assert rep.max_norm_per_level[rep.termination_level] == 0.0
+    assert rep.norm_per_level[rep.termination_level] == 0.0
 
 
 def test_series_zero_algebra_terminates_at_base():
@@ -427,8 +484,13 @@ def test_series_mode_dichotomy(mode, expect_terminated):
         s = generate(6, seed, mode=mode)
         rep = lower_central_series(s.adjoint, s.p, s.null, depth=6)
         assert rep.terminated is expect_terminated, (mode, seed)
-        for level, disc in enumerate(rep.discrepancy_per_level):
-            assert disc <= 1e-9 * s.scale ** (level + 2), (mode, seed, level)
+        # discrepancies are in units of sigma^(L+2), so the band is taken in them too
+        for scale in (s.scale, 2 * rep.S):
+            bands = [1e-9 * (scale / rep.sigma) ** (lv + 2) for lv in range(7)]
+            ratios = [d / b for d, b in zip(rep.discrepancy_per_level, bands)]
+            assert max(ratios) <= 1.0, (mode, seed, scale)
+            assert rep.discrepancies_within(1e-9, scale)
+            assert rep.binding_level(1e-9, scale) == max(enumerate(ratios), key=lambda t: t[1])
 
 
 def test_series_custom_path_validated():
@@ -441,22 +503,73 @@ def test_series_custom_path_validated():
         )
 
 
-def test_series_deep_levels_survive_overflow():
-    """Levels overflow float64 for spectral radius > 1 at large depth; the
-    report must still carry finite logs and a clean verdict. (No band check
-    here: rounding compounds per bracket faster than the band grows, so only
-    the verification depth <= N is covered by the tolerance.)"""
-    s = generate(4, 6)
-    # scale the parameter matrix so level norms blow past 1e308 quickly
-    pm = ParameterMatrix(s.p.matrix * 40.0, "generic")
-    big = assemble_sample(pm, validate_parameter_matrix(pm, Tolerances()), seed=6)
+def test_series_deep_levels_stay_finite():
+    """At depth 200 with P scaled by 40 the raw level norms would overflow
+    float64. In units of sigma^(L+2) a bracket cannot grow a level, so every
+    level is finite and at most 1/2, and the generic closed form is lifted
+    before it can underflow into a termination."""
+    big = _rescaled(generate(4, 6), 40.0)
     rep = lower_central_series(big.adjoint, big.p, big.null, depth=200)
     assert not rep.terminated
-    assert math.inf in rep.max_norm_per_level
-    assert all(math.isfinite(x) for x in rep.norm_logs)
-    assert not any(math.isnan(x) for x in rep.discrepancy_logs)
-    level, disc, band = rep.binding_level(1e-9, big.scale)
-    assert 0 <= level <= 200 and disc >= 0.0 and band > 0.0
+    assert rep.sigma >= 2 * rep.S > 0.0
+    for values in (rep.norm_per_level, rep.discrepancy_per_level):
+        assert len(values) == 201
+        assert all(math.isfinite(x) and 0.0 <= x <= 0.5 for x in values)
+    assert rep.norm_per_level[-1] > 0.0
+    level, ratio = rep.binding_level(1e-9, 2 * rep.S)
+    assert 0 <= level <= 200 and 0.0 <= ratio <= 1.0
+    # by depth 400 the closed form would underflow to zero without the lift;
+    # only the reported levels, divided by it, reach zero
+    deeper = lower_central_series(big.adjoint, big.p, big.null, depth=400)
+    assert not deeper.terminated and deeper.norm_per_level[-1] == 0.0
+
+
+def _series_check(sample):
+    (check,) = verify_all(sample, VerifyConfig(checks=("series",))).checks
+    return check
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [5, 12, 30])
+def test_series_ratio_is_bitwise_invariant_under_powers_of_two(dim, field):
+    s = generate(dim, 3, field=field)
+    reports, checks = [], []
+    for k in (-40, 0, 40):
+        scaled = _rescaled(s, 2.0**k)
+        # the SVD of P * 2^k gives the same n, so the adjoint scales exactly
+        np.testing.assert_array_equal(scaled.null.vector, s.null.vector)
+        reports.append(lower_central_series(scaled.adjoint, scaled.p, scaled.null))
+        checks.append(_series_check(scaled))
+    assert all(c.passed for c in checks)
+    assert len({c.residual for c in checks}) == 1
+    assert len({(r.norm_per_level, r.discrepancy_per_level) for r in reports}) == 1
+    assert [r.sigma for r in reports] == [reports[1].sigma * 2.0**k for k in (-40, 0, 40)]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_series_passes_clean_samples(field):
+    """The max-entry band of level L failed some of these; the row-sum band passes all."""
+    failures = []
+    for dim in range(14, 65):
+        for seed in range(1, 11):
+            check = _series_check(generate(dim, seed, field=field))
+            if not check.passed:
+                failures.append((dim, seed, check.residual, check.detail))
+    assert not failures, failures[:5]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [6, 12, 24])
+def test_series_fails_a_moved_adjoint_entry_on_the_path(dim, field):
+    s = generate(dim, 7, field=field)
+    assert _series_check(s).passed
+    # the canonical path brackets A_1 with A_2, then with A_0 at every level
+    for k in (0, 1, 2):
+        adj = np.array(s.adjoint)
+        adj[k, 1, 2] += 1.0
+        moved = assemble_sample(s.p, s.null, seed=s.seed, adjoint=adj, structure=s.structure)
+        check = _series_check(moved)
+        assert not check.passed and check.residual > check.tolerance, (k, check)
 
 
 # --- nilpotency -----------------------------------------------------------
