@@ -18,14 +18,16 @@ entries are the Jacobi residuals of the tensor the adjoint stack spells, so
 it runs the Jacobi kernel on that view. The transfer-matrix identity is
 evaluated in closed form, without forming any T_k. Each bilinear kernel
 evaluates every index tuple that shares a leading index (one "slab") with a
-few array products. Which slabs run is one policy, the (cap, budget) table
-_SAMPLING: up to its cap a check runs every slab in ascending order ("full");
-above it the check runs the same kernel on a seeded subset of slabs
-("sampled"): leading indices are taken in a SplitMix64(seed) order until
-their tuple counts cover the budget, so the checked subset is a pure
-function of (seed, N) and every reported count is the number of tuples
-actually checked. Inside a slab, the second index is split so that
-temporaries stay under _SLAB_CHUNK entries.
+few array products, one row of its second index at a time. One scanner,
+_scan, decides which tuples run, under one policy, the (cap, budget) table
+_SAMPLING: up to its cap a check runs every slab ("full"); above it the
+check runs the same kernel on a seeded subset of slabs ("sampled"): leading
+indices are taken in a SplitMix64(seed) order until their tuple counts cover
+the budget, and the last one is cut after the row that covers it. The
+checked subset is a pure function of (seed, N), picked slabs run in
+ascending order, and every reported count is the number of tuples actually
+checked. Rows are taken in linalg._row_chunks, so temporaries stay under
+_SLAB_CHUNK entries.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import _SLAB_CHUNK, EPS, inf_norm
+from .linalg import EPS, _row_chunks, inf_norm
 from .rng import SplitMix64
 from .sampler import LieAlgebraSample, adjoint_rows
 
@@ -64,17 +66,15 @@ __all__ = [
 
 CHECK_NAMES = ("payload", "jacobi", "closure", "derived", "killing", "series", "tproduct")
 
-# rescale running power iterates outside this window to dodge overflow
-_RESCALE_HI = 1e100
-_RESCALE_LO = 1e-100
-# series iterates whose peak falls below this are lifted by an exact power of
-# two, far above the subnormal range where a closed form would lose digits
-# and then underflow into a false termination
+# series and power iterates whose size falls below this are lifted by an
+# exact power of two, far above the subnormal range where a closed form would
+# lose digits and then underflow into a false termination
 _LIFT_BELOW = 2.0**-500
 
 # (cap, budget) per check, in tuples of the commented kind. Up to cap (the
 # dimension N) a check scans every slab; above it, seeded slabs until they
-# hold budget tuples. closure runs the jacobi kernel, so it shares that entry.
+# hold budget tuples, the last one cut after the row that reaches it. closure
+# runs the jacobi kernel, so it shares that entry.
 # These values keep verify_all interactive up to N = 100.
 _SAMPLING = {
     "jacobi": (30, 1_000_000),  # quadruples (i < j < k, m)
@@ -107,29 +107,48 @@ def _budget(check: str, dim: int) -> int | None:
     return None if dim <= cap else budget
 
 
-def _pick_slabs(sizes: np.ndarray, budget: int | None, seed: int) -> np.ndarray:
-    """Leading indices to scan, given each slab's tuple count.
+def _pick_slabs(sizes: np.ndarray, budget: int | None, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leading indices to scan, ascending, and the tuples to check in each.
 
-    budget=None takes every nonempty slab, in ascending order. Otherwise
-    nonempty slabs are taken in a SplitMix64(seed) order until their tuple
-    counts cover the budget, and are returned in that order.
+    sizes[s] is the tuple count of slab s. budget=None takes every nonempty
+    slab whole. Otherwise nonempty slabs are taken in a SplitMix64(seed)
+    order while the budget has tuples left, each whole but the last, whose
+    limit is what the budget has left.
     """
     live = np.flatnonzero(sizes)
     if budget is None:
-        return live
-    if budget <= 0:
-        return live[:0]
+        return live, sizes[live]
     order = live[np.argsort(SplitMix64(seed).uint64s(live.size), kind="stable")]
-    take = int(np.searchsorted(np.cumsum(sizes[order]), budget)) + 1
-    return order[:take]
+    whole = sizes[order]
+    left = budget - (np.cumsum(whole) - whole)  # the budget left as each slab comes up
+    picked, limits = order[left > 0], np.minimum(whole, left)[left > 0]
+    ascending = np.argsort(picked)
+    return picked[ascending], limits[ascending]
 
 
-def _scan(sizes: np.ndarray, budget: int | None, seed: int, kernel) -> tuple[float, int]:
-    """Largest kernel(slab) over the picked slabs, and the tuples they hold."""
-    slabs = _pick_slabs(sizes, budget, seed)
-    # np.max, unlike builtin max, propagates NaN
-    worst = float(np.max([kernel(int(s)) for s in slabs], initial=0.0))
-    return worst, int(sizes[slabs].sum())
+def _scan(check: str, dim: int, sizes: np.ndarray, seed: int, kernel) -> tuple[float, object, int]:
+    """Worst kernel value over the check's slabs, where it lies, and the tuples checked.
+
+    kernel(s, limit) evaluates whole rows of slab s's second index until
+    they hold at least limit tuples and returns (value, where, checked).
+    The slabs and limits come from _pick_slabs under the check's _SAMPLING
+    entry at dimension dim, and run in ascending order; the first worst
+    value is kept, NaN ranked above every number.
+    """
+    slabs, limits = _pick_slabs(sizes, _budget(check, dim), seed)
+    results = [kernel(int(s), int(limit)) for s, limit in zip(slabs, limits)]
+    # max keeps the first of equal values
+    worst, where, _ = max(results, key=lambda r: _nan_last(r[0]), default=(0.0, None, 0))
+    return float(worst), where, sum(r[2] for r in results)
+
+
+def _power_of_two_above(x: float) -> float:
+    """The smallest power of two at or above x; 1.0 unless x > 0 is finite."""
+    if not x > 0.0:
+        return 1.0
+    # frexp's mantissa is in [1/2, 1); a mantissa of exactly 1/2 is a power of two
+    mantissa, exponent = math.frexp(x)
+    return math.ldexp(1.0, exponent - (mantissa == 0.5))
 
 
 def _nan_last(value: float) -> tuple[bool, float]:
@@ -150,7 +169,7 @@ class JacobiReport:
     quadruple exists (N < 3 or a zero sample budget). max_residual is
     recomputed at that quadruple with the scalar formula, so
     ``jacobi_residual_at(f, *worst_indices)`` reproduces it exactly.
-    checked_count is the number of quadruples the scanned slabs hold.
+    checked_count is the number of quadruples checked.
     """
 
     max_residual: float
@@ -165,7 +184,7 @@ class BracketFactorization:
 
     For the pair (i, j), m_vector is the column with n{j} at position i and
     -n{i} at position j, and value = P^2 @ m_vector (x) n equals
-    commutator(A_i, A_j) up to rounding.
+    [A_i, A_j] = A_i A_j - A_j A_i up to rounding.
     """
 
     i: int
@@ -311,28 +330,32 @@ def jacobi_residual_at(f: np.ndarray, i: int, j: int, k: int, m: int) -> float:
     return float(abs(total))
 
 
-def _jacobi_slab(f: np.ndarray, i: int) -> tuple[float, tuple[int, int, int, int]]:
-    """Largest |J| over (i, j > i, k > j, m), the first in (j, k, m) order on ties.
+def _jacobi_slab(f: np.ndarray, i: int, limit: int) -> tuple[float, tuple[int, int, int, int], int]:
+    """Largest |J| over (i, j > i, k > j, m), on rows j until they hold limit quadruples.
 
-    For fixed i the three terms over every (j, k, m) are stacked products:
-    f[i, j, :] @ f[k], f[k, i, :] @ f[j] and f[j, k, :] @ f[i]. Rows j are
-    taken in chunks; each chunk evaluates every k after its first row and
-    masks the pairs with k <= j.
+    Returns (value, quadruple, checked), the quadruple first in (j, k, m)
+    order on ties. For fixed i the three terms over every (j, k, m) are
+    stacked products: f[i, j, :] @ f[k], f[k, i, :] @ f[j] and
+    f[j, k, :] @ f[i]. Rows j are taken in chunks; each chunk evaluates
+    every k after its first row and masks the pairs with k <= j.
     """
     dim = f.shape[0]
     left = np.ascontiguousarray(f[:, i, :])  # (k; l), too strided for BLAS as a view
-    step = max(1, _SLAB_CHUNK // (dim * dim))
+    checked, stop = 0, i + 1
+    while checked < limit:  # whole rows j, of dim * (dim - 1 - j) quadruples each
+        checked += dim * (dim - 1 - stop)
+        stop += 1
     best = (-1.0, (i, i + 1, i + 2, 0))
-    for j0 in range(i + 1, dim - 1, step):
-        js, ks = slice(j0, min(j0 + step, dim - 1)), slice(j0 + 1, dim)
+    for js in _row_chunks(i + 1, stop, dim * dim):
+        ks = slice(js.start + 1, dim)
         total = (f[i, js] @ f[ks]).transpose(1, 0, 2) + left[ks] @ f[js]
         total += f[js, ks] @ f[i]
         vals = np.abs(total)
         vals[np.arange(ks.start, dim) <= np.arange(js.start, js.stop)[:, None]] = -1.0
         pos = np.unravel_index(int(np.argmax(vals)), vals.shape)  # a NaN wins argmax
         if _nan_last(vals[pos]) > _nan_last(best[0]):
-            best = (float(vals[pos]), (i, j0 + int(pos[0]), j0 + 1 + int(pos[1]), int(pos[2])))
-    return best
+            best = (float(vals[pos]), (i, js.start + int(pos[0]), ks.start + int(pos[1]), int(pos[2])))
+    return best[0], best[1], checked
 
 
 def jacobi_residual(f: np.ndarray, seed: int = 0) -> JacobiReport:
@@ -340,27 +363,20 @@ def jacobi_residual(f: np.ndarray, seed: int = 0) -> JacobiReport:
 
     Up to the jacobi cap in _SAMPLING every leading index i runs (O(N^5) work
     in BLAS products); above it, leading indices run in a SplitMix64(seed)
-    order until their quadruples cover the budget, and checked_count says how
-    many that was. The reported maximum is recomputed at the winning
-    quadruple with scalar dot products; ties go to the lexicographically
-    smallest quadruple.
+    order until their quadruples cover the budget, the last one cut after
+    the row j that reaches it, and checked_count says how many that was. The
+    reported maximum is recomputed at the winning quadruple with scalar dot
+    products; ties go to the lexicographically smallest quadruple checked.
     """
     f = _check_cubic(f, "structure tensor")
     dim = f.shape[0]
     rest = dim - 1 - np.arange(dim)
     sizes = dim * rest * (rest - 1) // 2  # quadruples with leading index i
-    budget = _budget("jacobi", dim)
-    slabs = np.sort(_pick_slabs(sizes, budget, seed))
-    if slabs.size == 0:
-        return JacobiReport(0.0, None, 0, budget is not None)
-    # max keeps the first of equal values, and slabs run in ascending order
-    _, quad = max((_jacobi_slab(f, int(i)) for i in slabs), key=lambda r: _nan_last(r[0]))
-    return JacobiReport(
-        max_residual=jacobi_residual_at(f, *quad),
-        worst_indices=quad,
-        checked_count=int(sizes[slabs].sum()),
-        sampled=budget is not None,
-    )
+    _, quad, checked = _scan("jacobi", dim, sizes, seed, lambda i, limit: _jacobi_slab(f, i, limit))
+    sampled = _budget("jacobi", dim) is not None
+    if quad is None:
+        return JacobiReport(0.0, None, 0, sampled)
+    return JacobiReport(jacobi_residual_at(f, *quad), quad, checked, sampled)
 
 
 # ---------------------------------------------------------------------------
@@ -381,69 +397,67 @@ def closure_residual(adj: np.ndarray, seed: int = 0) -> float:
     return jacobi_residual(adj.transpose(0, 2, 1), seed).max_residual
 
 
-def _derived(adj, seed) -> tuple[float, int]:
+def _derived(adj, seed) -> tuple[float, None, int]:
     adj = _check_cubic(adj, "adjoint stack")
     dim = adj.shape[0]
     first, second = np.triu_indices(dim, 1)  # pair p = (first[p], second[p])
-    step = max(1, _SLAB_CHUNK // (dim * dim))
-    sizes = first.size - 1 - np.arange(first.size)  # pair-pairs (p, q > p)
-    budget = _budget("derived", dim)
-    worst, checked = 0.0, 0
-    for p in _pick_slabs(sizes, budget, seed):
-        # one slab holds up to N^2/2 pair-pairs, far above a sampled budget,
-        # so the last slab taken stops where the budget runs out
-        stop = first.size if budget is None else min(first.size, p + 1 + budget - checked)
-        checked += stop - p - 1
+
+    def slab(p: int, limit: int):
         a, b = adj[first[p]], adj[second[p]]
         b_p = a @ b - b @ a
-        for q0 in range(p + 1, stop, step):
-            qs = slice(q0, min(q0 + step, stop))
+        worst = 0.0
+        for qs in _row_chunks(p + 1, p + 1 + limit, dim * dim):  # a row q is one pair-pair
             a, b = adj[first[qs]], adj[second[qs]]
             b_q = a @ b
             b_q -= b @ a
             cross = b_p @ b_q
             cross -= b_q @ b_p
             worst = np.maximum(worst, inf_norm(cross))
-    return float(worst), checked
+        return worst, None, limit
+
+    sizes = first.size - 1 - np.arange(first.size)  # pair-pairs (p, q > p)
+    return _scan("derived", dim, sizes, seed, slab)
 
 
 def derived_abelian_residual(adj: np.ndarray, seed: int = 0) -> float:
     """max over pair-pairs p < q of ||[[A_i,A_j],[A_k,A_l]]||_inf.
 
-    A slab is every pair-pair whose first pair is p = (i < j). All slabs up to
-    the derived cap in _SAMPLING; beyond it, seeded slabs until they hold the
-    budget, the last one cut at the budget. [B_q, B_p] = -[B_p, B_q] and
-    [B_p, B_p] = 0 exactly, so q > p covers every pair-pair.
+    A slab is every pair-pair whose first pair is p = (i < j), and a row one
+    second pair q. All slabs up to the derived cap in _SAMPLING; beyond it,
+    seeded slabs until they hold the budget, the last one cut at the budget.
+    [B_q, B_p] = -[B_p, B_q] and [B_p, B_p] = 0 exactly, so q > p covers
+    every pair-pair.
     """
     return _derived(adj, seed)[0]
 
 
-def _cartan(adj, seed) -> tuple[float, int]:
+def _cartan(adj, seed) -> tuple[float, None, int]:
     adj = _check_cubic(adj, "adjoint stack")
     dim = adj.shape[0]
     flat = adj.reshape(dim, dim * dim)
-    step = max(1, _SLAB_CHUNK // (dim * dim))
 
-    def slab(j: int) -> float:
+    def slab(j: int, limit: int):
+        stop = j + 1 + -(-limit // dim)  # a row k holds the dim triples (i, j, k)
         worst = 0.0
-        for k0 in range(j + 1, dim, step):
-            rest = adj[k0 : k0 + step]
+        for ks in _row_chunks(j + 1, stop, dim * dim):
+            rest = adj[ks]
             brackets = adj[j] @ rest - rest @ adj[j]
             # trace(A_i B) = sum_ab A_i{a,b} B{b,a}, for every i at once
             traces = flat @ brackets.transpose(0, 2, 1).reshape(rest.shape[0], -1).T
             worst = np.maximum(worst, inf_norm(traces))
-        return worst
+        return worst, None, dim * (stop - j - 1)
 
     sizes = dim * (dim - 1 - np.arange(dim))  # triples (i, j, k > j)
-    return _scan(sizes, _budget("killing", dim), seed, slab)
+    return _scan("killing", dim, sizes, seed, slab)
 
 
 def cartan_residual(adj: np.ndarray, seed: int = 0) -> KillingReport:
     """Killing form and max |trace(A_i [A_j, A_k])| (zero for solvable algebras).
 
-    A slab is every triple (i, j, k > j) with pair leading index j. All slabs
-    up to the killing cap in _SAMPLING; beyond it, seeded slabs until they
-    hold the budget.
+    A slab is every triple (i, j, k > j) with pair leading index j, and a row
+    the N triples of one k. All slabs up to the killing cap in _SAMPLING;
+    beyond it, seeded slabs until they hold the budget, the last one cut
+    after the row that reaches it.
     """
     adj = _check_cubic(adj, "adjoint stack")
     dim = adj.shape[0]
@@ -477,10 +491,9 @@ def canonical_series_path(dim: int, depth: int) -> tuple[tuple[int, int], tuple[
 
 
 def _row_sum_norm(adj: np.ndarray) -> float:
-    """max_k ||A_k||_inf, read in chunks of _SLAB_CHUNK entries; NaN propagates."""
+    """max_k ||A_k||_inf, read in _row_chunks; NaN propagates."""
     dim = adj.shape[0]
-    step = max(1, _SLAB_CHUNK // (dim * dim))
-    sums = [np.abs(adj[k0 : k0 + step]).sum(axis=2).max() for k0 in range(0, dim, step)]
+    sums = [np.abs(adj[ks]).sum(axis=2).max() for ks in _row_chunks(0, dim, dim * dim)]
     return float(np.max(sums))
 
 
@@ -516,6 +529,14 @@ def lower_central_series(
     norm sinks into rounding noise.
     """
     adj = _check_cubic(adj, "adjoint stack")
+    return _series(adj, p, null, depth, base_pair, inner_indices, _row_sum_norm(adj))
+
+
+def _series(adj, p, null, depth, base_pair, inner_indices, row_sum: float) -> SeriesReport:
+    """lower_central_series on a cubic adj whose S, max_k ||A_k||_inf, is row_sum.
+
+    verify_all runs two paths on one adjoint, and reads S once for both.
+    """
     n = _vector_of(null)
     dim = adj.shape[0]
     if depth is None:
@@ -535,10 +556,7 @@ def lower_central_series(
         if not 0 <= idx < dim:
             raise ContractViolation(f"inner index {idx} out of range")
 
-    row_sum = _row_sum_norm(adj)
-    # frexp's mantissa is in [1/2, 1); a mantissa of exactly 1/2 is a power of two
-    mantissa, exponent = math.frexp(2.0 * row_sum)
-    sigma = math.ldexp(1.0, exponent - (mantissa == 0.5)) if row_sum > 0.0 else 1.0
+    sigma = _power_of_two_above(2.0 * row_sum)
     unit = 1.0 / sigma  # exact: a product with it scales without a complex division
     pm = _matrix_of(p) * unit
     a, b = adj[j] * unit, adj[k] * unit
@@ -580,73 +598,79 @@ def lower_central_series(
     )
 
 
+def _lifted(m: np.ndarray, lift: int) -> tuple[np.ndarray, int]:
+    """(m * 2^up, lift + up) once m's largest row sum is below _LIFT_BELOW, else (m, lift).
+
+    up is the integer that brings that row sum into [1/2, 1). It is applied
+    as two factors, since 2^up alone overflows once the row sum is subnormal.
+    """
+    rows = float(np.abs(m).sum(axis=1).max())
+    if not 0.0 < rows < _LIFT_BELOW:
+        return m, lift
+    up = -math.frexp(rows)[1]
+    return m * 2.0 ** (up // 2) * 2.0 ** (up - up // 2), lift + up
+
+
 def nilpotency_check(p, tau_ver: float = 1e-9) -> bool:
     """True iff ||P^N||_inf <= tau_ver * ||P||_inf^N, by repeated squaring.
 
-    Computed on P/||P||_inf with per-step renormalization and an accumulated
-    log factor, so the answer is meaningful at dimensions where ||P||^N
-    overflows float64.
+    Runs on B = P/sigma, sigma the smallest power of two at or above the
+    largest row sum of P, so that no power of B has a row sum above 1 and
+    nothing overflows. Each iterate carries an integer exponent: once its
+    largest row sum falls below _LIFT_BELOW it is lifted by an exact power
+    of two (_lifted). Both sides of the bound are compared in base-2
+    logarithms, so the answer is meaningful where ||P||^N leaves the
+    float64 range.
     """
     pm = _matrix_of(p)
-    dim = pm.shape[0]
-    base_norm = inf_norm(pm)
-    if base_norm == 0.0:
+    if not pm.any():
         return True
-    base = pm / base_norm
-    base_log = 0.0
-    result: np.ndarray | None = None
-    result_log = 0.0
-    exponent = dim
-    while exponent:
-        if exponent & 1:
-            result = base.copy() if result is None else result @ base
-            result_log += base_log
-            norm = inf_norm(result)
-            if norm == 0.0:
+    dim = pm.shape[0]
+    power = pm * (1.0 / _power_of_two_above(float(np.abs(pm).sum(axis=1).max())))
+    bound = math.log2(tau_ver) + dim * math.log2(inf_norm(power))
+    power_lift = 0  # power is B^(2^t) * 2^power_lift
+    result, result_lift = None, 0
+    bits = dim
+    while True:
+        if bits & 1:
+            if result is None:
+                result, result_lift = power, power_lift
+            else:
+                result, result_lift = _lifted(result @ power, result_lift + power_lift)
+            if not result.any():
                 return True
-            if norm > _RESCALE_HI or norm < _RESCALE_LO:
-                result = result / norm
-                result_log += math.log(norm)
-        exponent >>= 1
-        if exponent:
-            base = base @ base
-            base_log *= 2
-            norm = inf_norm(base)
-            if norm == 0.0:
-                # the leading bit still multiplies this zero into the result
-                return True
-            if norm > _RESCALE_HI or norm < _RESCALE_LO:
-                base = base / norm
-                base_log += math.log(norm)
-    assert result is not None
-    return math.log(inf_norm(result)) + result_log <= math.log(tau_ver)
+        bits >>= 1
+        if not bits:
+            return math.log2(inf_norm(result)) - result_lift <= bound
+        power, power_lift = _lifted(power @ power, 2 * power_lift)
+        if not power.any():
+            # the leading bit still multiplies this zero into the result
+            return True
 
 
 # ---------------------------------------------------------------------------
 # transfer-matrix products
 
 
-def _tproduct(null, adj, seed) -> tuple[float, int]:
+def _tproduct(null, adj, seed) -> tuple[float, None, int]:
     adj = _check_cubic(adj, "adjoint stack")
     n = _vector_of(null)
     dim = adj.shape[0]
     if n.shape != (dim,):
         raise ContractViolation("null vector length must match adjoint dimension")
-    step = max(1, _SLAB_CHUNK // (dim * dim))
 
-    def slab(j: int) -> float:
+    def slab(j: int, limit: int):
         worst = 0.0
-        for k0 in range(0, dim, step):
-            ks = slice(k0, min(k0 + step, dim))
+        for ks in _row_chunks(0, limit, dim * dim):  # a row k is one pair
             # A_j T_k - n{j} A_k = n{k} A_j - A_j[:, k] (x) n - n{j} A_k, for every k at once
             residual = n[ks, None, None] * adj[j]
             residual -= adj[j][:, ks].T[:, :, None] * n
             residual -= n[j] * adj[ks]
             worst = np.maximum(worst, inf_norm(residual))
-        return worst
+        return worst, None, limit
 
     sizes = np.full(dim, dim)  # pairs (j, k) with leading index j
-    return _scan(sizes, _budget("tproduct", dim), seed, slab)
+    return _scan("tproduct", dim, sizes, seed, slab)
 
 
 def t_product_residual(null, adj: np.ndarray, seed: int = 0) -> float:
@@ -655,7 +679,8 @@ def t_product_residual(null, adj: np.ndarray, seed: int = 0) -> float:
     A_j T_k = n{k} A_j - A_j[:, k] (x) n, so no T_k is formed. The companion
     T_j T_k = n{j} T_k holds for every n, so it is not checked. A slab is
     every pair with leading index j. All slabs up to the tproduct cap in
-    _SAMPLING; beyond it, seeded slabs until they hold the budget.
+    _SAMPLING; beyond it, seeded slabs until they hold the budget, the last
+    one cut at the budget.
     """
     return _tproduct(null, adj, seed)[0]
 
@@ -689,15 +714,13 @@ def _payload_diffs(sample: LieAlgebraSample) -> dict:
     # adjoint[a, r, c] == structure[a, c, r]; both are compared in adjoint layout
     stored = {"structure": sample.structure.transpose(0, 2, 1), "adjoint": sample.adjoint}
     best = {name: (0.0, (0, 0, 0)) for name in stored}
-    step = max(1, _SLAB_CHUNK // (dim * dim))
-    for r0 in range(0, dim, step):
-        rows = slice(r0, min(r0 + step, dim))
+    for rows in _row_chunks(0, dim, dim * dim):
         rebuilt = adjoint_rows(p, n, rows)
         for name, arr in stored.items():
             diff = np.abs(arr[:, rows, :] - rebuilt)
             a, r, c = np.unravel_index(int(np.argmax(diff)), diff.shape)
             if _nan_last(diff[a, r, c]) > _nan_last(best[name][0]):  # a NaN wins argmax
-                where = (a, r0 + r, c) if name == "adjoint" else (a, c, r0 + r)
+                where = (a, rows.start + r, c) if name == "adjoint" else (a, c, rows.start + r)
                 best[name] = (float(diff[a, r, c]), tuple(int(x) for x in where))
     return best
 
@@ -753,39 +776,30 @@ def verify_all(sample: LieAlgebraSample, config: VerifyConfig | None = None) -> 
         )
         return residual, band, residual <= band, detail
 
-    def scanned(name: str, count: int, unit: str) -> str:
-        return f"{'full' if _budget(name, dim) is None else 'sampled'}, {count} {unit}"
+    def bilinear(name: str, policy: str, unit: str, scan) -> None:
+        """Run a bilinear check; scan() gives (residual, where, checked) under policy."""
 
-    def counted(name: str, unit: str, scan) -> None:
         def check():
-            res, count = scan()
-            return res, band2, res <= band2, scanned(name, count, unit)
+            res, where, count = scan()
+            detail = f"{'full' if _budget(policy, dim) is None else 'sampled'}, {count} {unit}"
+            if where is not None:
+                detail += f", worst at {where}"
+            return res, band2, res <= band2, detail
 
         run(name, check)
 
-    def jacobi_check(f):
-        def check():
-            rep = jacobi_residual(f, seed=cfg.seed)
-            detail = scanned("jacobi", rep.checked_count, "quadruples")
-            if rep.worst_indices is not None:
-                detail += f", worst at {rep.worst_indices}"
-            return rep.max_residual, band2, rep.max_residual <= band2, detail
-
-        return check
+    def jacobi(f):
+        rep = jacobi_residual(f, seed=cfg.seed)
+        return rep.max_residual, rep.worst_indices, rep.checked_count
 
     def check_series():
         depth = min(dim, _SERIES_MAX_LEVELS)
         pair, inner = _random_series_path(SplitMix64(cfg.seed), dim, depth)
+        row_sum = _row_sum_norm(sample.adjoint)
+        adj, p, null = sample.adjoint, sample.p, sample.null
         paths = {
-            "canonical": lower_central_series(sample.adjoint, sample.p, sample.null, depth=depth),
-            "random": lower_central_series(
-                sample.adjoint,
-                sample.p,
-                sample.null,
-                depth=depth,
-                base_pair=pair,
-                inner_indices=inner,
-            ),
+            "canonical": _series(adj, p, null, depth, None, None, row_sum),
+            "random": _series(adj, p, null, depth, pair, inner, row_sum),
         }
         ends = [rep.terminated for rep in paths.values()]
         ok = all(ends) if sample.mode == "nilpotent" else not any(ends)
@@ -802,13 +816,13 @@ def verify_all(sample: LieAlgebraSample, config: VerifyConfig | None = None) -> 
         return ratio * tau, tau, bool(ok), detail
 
     run("payload", check_payload)
-    run("jacobi", jacobi_check(sample.structure))
+    bilinear("jacobi", "jacobi", "quadruples", lambda: jacobi(sample.structure))
     # closure is Jacobi on the tensor the adjoint payload spells, f{i,j,k} = A_i{k,j}
-    run("closure", jacobi_check(sample.adjoint.transpose(0, 2, 1)))
-    counted("derived", "pair-pairs", lambda: _derived(sample.adjoint, cfg.seed))
-    counted("killing", "triples", lambda: _cartan(sample.adjoint, cfg.seed))
+    bilinear("closure", "jacobi", "quadruples", lambda: jacobi(sample.adjoint.transpose(0, 2, 1)))
+    bilinear("derived", "derived", "pair-pairs", lambda: _derived(sample.adjoint, cfg.seed))
+    bilinear("killing", "killing", "triples", lambda: _cartan(sample.adjoint, cfg.seed))
     run("series", check_series)
-    counted("tproduct", "pairs", lambda: _tproduct(sample.null, sample.adjoint, cfg.seed))
+    bilinear("tproduct", "tproduct", "pairs", lambda: _tproduct(sample.null, sample.adjoint, cfg.seed))
 
     return VerificationReport(
         dim=dim,

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernel: commutators, rank, and left null vectors.
+"""Dense linear-algebra kernel: rank, left null vectors, and chunked reads.
 
 Factorizations delegate to the platform SVD/BLAS through numpy; the policy
 layered on top (rank threshold, residual bands, null-vector sign convention)
@@ -14,7 +14,6 @@ from .errors import ContractViolation
 __all__ = [
     "EPS",
     "as_field_matrix",
-    "commutator",
     "inf_norm",
     "null_residual_tol",
     "rank_and_left_null",
@@ -23,8 +22,8 @@ __all__ = [
 EPS = float(np.finfo(np.float64).eps)
 
 # entries per temporary in every chunked kernel (build_adjoint, the identity
-# slabs, inf_norm, a pass of normal draws): 1 MB of complex128, so a chunk
-# works in cache
+# slabs, inf_norm through _row_chunks; a pass of normal draws): 1 MB of
+# complex128, so a chunk works in cache
 _SLAB_CHUNK = 1 << 16
 
 # components smaller than this are never used as the sign/phase anchor;
@@ -48,41 +47,32 @@ def as_field_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _check_same_space(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ContractViolation(f"operands must share a shape, got {a.shape} and {b.shape}")
-    if (a.dtype.kind == "c") != (b.dtype.kind == "c"):
-        raise ContractViolation("operands must live over the same field")
+def _row_chunks(start: int, stop: int, row: int) -> list[slice]:
+    """Slices covering range(start, stop) in order, for rows of `row` entries.
 
-
-def commutator(a, b) -> np.ndarray:
-    """[a, b] = a @ b - b @ a, evaluated literally (no algebraic shortcuts)."""
-    a = as_field_matrix(a, "a")
-    b = as_field_matrix(b, "b")
-    _check_same_space(a, b)
-    return a @ b - b @ a
+    Each slice holds as many rows as fit in _SLAB_CHUNK entries, and at least
+    one, so a chunked loop over them keeps its temporaries in cache.
+    """
+    step = max(1, _SLAB_CHUNK // row)
+    return [slice(i, min(i + step, stop)) for i in range(start, stop, step)]
 
 
 def inf_norm(a: np.ndarray) -> float:
     """Max absolute entry; 0.0 for empty input.
 
-    Equals float(np.abs(a).max()) bit for bit, NaN included. |.| is taken
-    over slabs along axis 0, so no temporary holds more than
-    max(_SLAB_CHUNK, a.size // a.shape[0]) entries; an input of one chunk or
-    less is a single slab. Non-contiguous views are read in place.
+    Equals float(np.abs(a).max()) bit for bit, NaN included. An input of one
+    chunk or less is read at once; a larger one is read in _row_chunks along
+    axis 0, so no temporary holds more than max(_SLAB_CHUNK, a.size //
+    a.shape[0]) entries. Non-contiguous views are read in place.
     """
     a = np.asarray(a)
     if not a.size:
         return 0.0
-    if not a.ndim:
-        a = a.reshape(1)
-    rows = a.shape[0]
-    step = max(1, _SLAB_CHUNK * rows // a.size)
-    peak = np.abs(a[:step]).max()
-    for i in range(step, rows, step):
-        # np.maximum, unlike builtin max, propagates NaN
-        peak = np.maximum(peak, np.abs(a[i : i + step]).max())
-    return float(peak)
+    if a.size <= _SLAB_CHUNK:
+        return float(np.abs(a).max())
+    chunks = _row_chunks(0, a.shape[0], a.size // a.shape[0])
+    # np.max, unlike builtin max, propagates NaN
+    return float(np.max([np.abs(a[rows]).max() for rows in chunks]))
 
 
 def null_residual_tol(p: np.ndarray) -> float:

@@ -31,7 +31,7 @@ from .errors import (
     GenerationFailedError,
     NullFirstComponentError,
 )
-from .linalg import _SLAB_CHUNK, as_field_matrix, inf_norm, rank_and_left_null
+from .linalg import _row_chunks, as_field_matrix, inf_norm, rank_and_left_null
 from .rng import RNG_ID, NormalStream
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "build_adjoint",
     "adjoint_rows",
     "adjoint_to_structure",
-    "transfer_matrix",
     "assemble_sample",
     "generate",
 ]
@@ -254,8 +253,8 @@ def build_adjoint(p: np.ndarray, null_vector: np.ndarray) -> np.ndarray:
     floats through a transpose, so the structure tensor's antisymmetry (and
     its zero i = j slice) is bitwise exact; different multiply kernels would
     otherwise disagree in the last ulp on complex input. The rows r are built
-    by adjoint_rows in chunks of at most _SLAB_CHUNK products (at least one
-    row), so each chunk's transpose runs in cache; the chunk size cannot
+    by adjoint_rows in _row_chunks (at most _SLAB_CHUNK products, at least
+    one row), so each chunk's transpose runs in cache; the chunk size cannot
     change the result.
     """
     p = np.asarray(p)
@@ -264,10 +263,8 @@ def build_adjoint(p: np.ndarray, null_vector: np.ndarray) -> np.ndarray:
     if n.shape != (dim,):
         raise ContractViolation("null vector length must match matrix dimension")
     out = np.empty((dim, dim, dim), dtype=np.promote_types(p.dtype, n.dtype))
-    step = max(1, _SLAB_CHUNK // (dim * dim))
-    for start in range(0, dim, step):
-        sl = slice(start, min(start + step, dim))
-        adjoint_rows(p, n, sl, out=out[:, sl, :])
+    for rows in _row_chunks(0, dim, dim * dim):
+        adjoint_rows(p, n, rows, out=out[:, rows, :])
     return out
 
 
@@ -295,17 +292,6 @@ def adjoint_to_structure(adjoint: np.ndarray) -> np.ndarray:
     if adjoint.ndim != 3 or len(set(adjoint.shape)) != 1:
         raise ContractViolation(f"adjoint stack must be cubic, got shape {adjoint.shape}")
     return adjoint.transpose(0, 2, 1)
-
-
-def transfer_matrix(null_vector: np.ndarray, k: int) -> np.ndarray:
-    """Materialize T_k = n{k} * I - e_k (x) n (k zero-based)."""
-    n = np.asarray(null_vector)
-    dim = n.shape[0]
-    if not 0 <= k < dim:
-        raise ContractViolation(f"index {k} out of range for dimension {dim}")
-    t = n[k] * np.eye(dim, dtype=n.dtype)
-    t[k, :] -= n
-    return t
 
 
 def assemble_sample(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieforge import analysis
+from lieforge import analysis, linalg
 from lieforge.analysis import (
     CHECK_NAMES,
     VerifyConfig,
@@ -26,16 +26,16 @@ from lieforge.analysis import (
     verify_all,
 )
 from lieforge.errors import ContractViolation
-from lieforge.linalg import commutator, inf_norm
+from lieforge.linalg import inf_norm
 from lieforge.sampler import (
     ParameterMatrix,
     Tolerances,
     assemble_sample,
     generate,
-    transfer_matrix,
     validate_parameter_matrix,
 )
 from lieforge.serialize import read_sample, write_sample
+from reference import commutator, transfer_matrix
 
 HEISENBERG_P = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
 
@@ -82,6 +82,13 @@ def test_jacobi_max_is_reproducible_at_worst_indices():
     assert rep.max_residual == jacobi_residual_at(s.structure, *rep.worst_indices)
 
 
+def _one_row_per_chunk(monkeypatch, dim, chunk):
+    """Set the chunk size that linalg._row_chunks reads, and check that it
+    gives the bilinear kernels, whose rows hold N^2 entries, one row a chunk."""
+    monkeypatch.setattr(linalg, "_SLAB_CHUNK", chunk)
+    assert linalg._row_chunks(0, dim, dim * dim) == [slice(r, r + 1) for r in range(dim)]
+
+
 def _set_sampling(monkeypatch, cap, budget, names=("jacobi",)):
     """Set the named checks' sampling policy to (cap, budget); each must have an entry."""
     for name in names:
@@ -105,16 +112,16 @@ def test_jacobi_sampled_agrees_with_full_on_verdict(monkeypatch):
     assert jacobi_residual(broken, seed=1).max_residual > band
 
 
-def _brute_jacobi(f):
-    """Scalar scan of every quadruple; the first maximum in lexicographic order."""
+def _brute_jacobi(f, quads=None):
+    """Scalar scan of quads (every i < j < k by default); the first maximum in lexicographic order."""
     dim = f.shape[0]
+    if quads is None:
+        quads = [q for q in itertools.product(range(dim), repeat=4) if q[0] < q[1] < q[2]]
     best, where = -1.0, None
-    for quad in itertools.product(range(dim), repeat=4):
-        i, j, k, _ = quad
-        if i < j < k:
-            value = jacobi_residual_at(f, *quad)
-            if value > best:
-                best, where = value, quad
+    for quad in sorted(quads):
+        value = jacobi_residual_at(f, *quad)
+        if value > best:
+            best, where = value, quad
     return best, where
 
 
@@ -134,7 +141,7 @@ def _jacobi_inputs(kind, dim):
 @pytest.mark.parametrize("dim", [5, 6, 7, 8])
 def test_jacobi_matches_scalar_reference(kind, dim, monkeypatch):
     if kind == "chunked":
-        monkeypatch.setattr(analysis, "_SLAB_CHUNK", dim * dim)  # one row j per chunk
+        _one_row_per_chunk(monkeypatch, dim, dim * dim)
     f = _jacobi_inputs(kind, dim)
     best, where = _brute_jacobi(f)
     rep = jacobi_residual(f)
@@ -150,7 +157,7 @@ def test_jacobi_matches_scalar_reference(kind, dim, monkeypatch):
 @pytest.mark.parametrize("chunk", [None, 1])
 def test_jacobi_ties_go_to_smallest_quadruple(chunk, monkeypatch):
     if chunk is not None:  # one row j per chunk, so ties also span chunks
-        monkeypatch.setattr(analysis, "_SLAB_CHUNK", chunk)
+        _one_row_per_chunk(monkeypatch, 7, chunk)
     # small integers: every product and sum is exact, so ties are exact
     f = np.random.default_rng(3).integers(-1, 2, size=(7, 7, 7)).astype(float)
     best, where = _brute_jacobi(f)
@@ -163,7 +170,7 @@ def test_jacobi_ties_go_to_smallest_quadruple(chunk, monkeypatch):
 @pytest.mark.parametrize("chunk", [None, 1])
 def test_jacobi_zero_tensor_reports_first_valid_quadruple(chunk, monkeypatch):
     if chunk is not None:
-        monkeypatch.setattr(analysis, "_SLAB_CHUNK", chunk)
+        _one_row_per_chunk(monkeypatch, 5, chunk)
     for cap in (5, 4):  # full, then sampled
         _set_sampling(monkeypatch, cap, 10**6)
         rep = jacobi_residual(np.zeros((5, 5, 5)))
@@ -214,29 +221,35 @@ def test_closure_detects_broken_adjoint():
     assert closure_residual(adj) > _band(s)
 
 
-def _closure_reference(adj):
-    """The pair-slab closure kernel closure_residual replaced, over every pair i < j."""
+def _closure_reference(adj, quads=None):
+    """The pair-slab closure kernel closure_residual replaced, over every pair i < j.
+
+    Entry (m, k) of pair (i, j) is the Jacobi residual J(i, j, k, m) of the
+    tensor the adjoint stack spells, so quads, if given, picks those entries.
+    """
     dim = adj.shape[0]
     flat = adj.reshape(dim, dim * dim)
-    worst = 0.0
+    pair = {}
     for i in range(dim):
         rest = adj[i + 1 :]
         residual = adj[i] @ rest - rest @ adj[i]
         # sum_k A_i{k,j} A_k for every j > i
         residual -= (adj[i][:, i + 1 :].T @ flat).reshape(rest.shape)
-        worst = max(worst, inf_norm(residual))
-    return worst
+        pair.update({(i, j): residual[j - i - 1] for j in range(i + 1, dim)})
+    if quads is None:
+        return max((inf_norm(r) for r in pair.values()), default=0.0)
+    return max(abs(pair[i, j][m, k]) for i, j, k, m in quads)
 
 
-def _tproduct_reference(n, adj):
-    """The transfer-matrix GEMM form t_product_residual replaced, over every pair (j, k)."""
+def _tproduct_reference(n, adj, pairs=None):
+    """The transfer-matrix GEMM form t_product_residual replaced, over pairs (j, k), all by default."""
     dim = adj.shape[0]
     t = np.stack([transfer_matrix(n, k) for k in range(dim)])
-    worst = 0.0
-    for j in range(dim):
-        for left, expect in ((t[j], t), (adj[j], adj)):
-            worst = max(worst, inf_norm(left @ t - n[j] * expect))
-    return worst
+    if pairs is None:
+        pairs = itertools.product(range(dim), repeat=2)
+    return max(
+        inf_norm(left[j] @ t[k] - n[j] * left[k]) for j, k in pairs for left in (t, adj)
+    )
 
 
 def _random_bilinear_inputs(dim, field, seed):
@@ -399,6 +412,102 @@ def test_default_policy_samples_above_each_cap():
             assert mode == "sampled" and count >= budget, check
         else:
             assert mode == "full", check
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_sampled_counts_stop_within_one_row_of_the_budget(field):
+    """Above every cap each count lies in [budget, budget + row), where a row
+    is the tuples of one second index: at most N(N-2) for jacobi and closure."""
+    dim = 65
+    quads = dim * (dim - 2)
+    rows = {"jacobi": quads, "closure": quads, "derived": 1, "killing": dim, "tproduct": 1}
+    report = verify_all(generate(dim, 3, field=field), VerifyConfig(checks=tuple(rows)))
+    assert [c.name for c in report.checks] == list(rows)
+    for check in report.checks:
+        _, budget = analysis._SAMPLING["jacobi" if check.name == "closure" else check.name]
+        mode, count = check.detail.split(",")[:2]
+        count = int(count.split()[0])
+        assert check.passed and mode == "sampled", check
+        assert budget <= count < budget + rows[check.name], check
+
+
+def _counted_tuples(rows_of, slabs, budget, seed):
+    """The tuples a sampled check evaluates: whole rows of each picked slab until its limit.
+
+    rows_of(s) lists slab s's rows, each a list of tuples. Also says whether
+    some slab was cut.
+    """
+    sizes = np.array([sum(map(len, rows_of(s))) for s in range(slabs)])
+    tuples, cut = [], False
+    for s, limit in zip(*analysis._pick_slabs(sizes, budget, seed)):
+        held = 0
+        for row in rows_of(int(s)):
+            if held >= limit:
+                break
+            tuples += row
+            held += len(row)
+        cut |= held < sizes[s]
+    return tuples, cut
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize(
+    "budgets",
+    [
+        # each cuts the first slab it picks
+        {"jacobi": 40, "derived": 5, "killing": 5, "tproduct": 3},
+        # each takes a few slabs and cuts the last
+        {"jacobi": 100, "derived": 30, "killing": 50, "tproduct": 20},
+    ],
+    ids=["one-slab", "several-slabs"],
+)
+def test_a_cut_slab_checks_exactly_the_tuples_it_counts(budgets, field, monkeypatch):
+    """Each residual is the brute-force maximum over the tuples its detail counts."""
+    dim, seed = 7, 2
+    s = generate(dim, 4, field=field)
+    adj, _ = _random_bilinear_inputs(dim, field, 5)
+    n, f = s.null.vector, adj.transpose(0, 2, 1)
+    pairs = list(zip(*np.triu_indices(dim, 1)))
+    policy = {  # check: (slabs, rows of a slab)
+        "jacobi": (dim, lambda i: [
+            [(i, j, k, m) for k in range(j + 1, dim) for m in range(dim)]
+            for j in range(i + 1, dim - 1)
+        ]),
+        "derived": (len(pairs), lambda p: [[(p, q)] for q in range(p + 1, len(pairs))]),
+        "killing": (dim, lambda j: [[(i, j, k) for i in range(dim)] for k in range(j + 1, dim)]),
+        "tproduct": (dim, lambda j: [[(j, k)] for k in range(dim)]),
+    }
+    tuples = {}
+    for name, (slabs, rows_of) in policy.items():
+        budget = budgets[name]
+        _set_sampling(monkeypatch, 0, budget, (name,))
+        tuples[name], cut = _counted_tuples(rows_of, slabs, budget, seed)
+        assert cut, name
+    tuples["closure"] = tuples["jacobi"]
+    sample = assemble_sample(s.p, s.null, seed=s.seed, adjoint=adj, structure=f)
+    report = verify_all(sample, VerifyConfig(seed=seed, checks=tuple(tuples)))
+    checks = {c.name: c for c in report.checks}
+
+    best, where = _brute_jacobi(f, tuples["jacobi"])
+    for name in ("jacobi", "closure"):
+        assert checks[name].detail == f"sampled, {len(tuples[name])} quadruples, worst at {where}"
+    assert checks["jacobi"].residual == best
+
+    def bracket(p):
+        return commutator(adj[pairs[p][0]], adj[pairs[p][1]])
+
+    want = {
+        "closure": _closure_reference(adj, tuples["closure"]),
+        "derived": max(inf_norm(commutator(bracket(p), bracket(q))) for p, q in tuples["derived"]),
+        "killing": max(
+            abs(np.trace(adj[i] @ commutator(adj[j], adj[k]))) for i, j, k in tuples["killing"]
+        ),
+        "tproduct": _tproduct_reference(n, adj, tuples["tproduct"]),
+    }
+    for name, unit in (("derived", "pair-pairs"), ("killing", "triples"), ("tproduct", "pairs")):
+        assert checks[name].detail == f"sampled, {len(tuples[name])} {unit}"
+    for name, value in want.items():
+        assert math.isclose(checks[name].residual, value, rel_tol=1e-12), (name, value)
 
 
 def test_killing_form_of_affine_line():
@@ -586,6 +695,15 @@ def test_nilpotency_check_cases():
 def test_nilpotency_check_handles_extreme_norms():
     assert nilpotency_check(np.array([[0.0, 1e200], [0.0, 0.0]]))
     assert not nilpotency_check(np.diag([1e-200, 1e-200]))
+
+
+def test_nilpotency_check_lifts_powers_below_the_float_range():
+    # P^2 = 1e-320 I: the lift of a subnormal row sum needs 2^1063
+    assert nilpotency_check(np.array([[0.0, 1.0], [1e-320, 0.0]]))
+    # a random sign matrix's powers shrink like N^(-k/2), so P^400 / sigma^400
+    # is far below the float range, yet far above tau * ||P||^400
+    signs = np.random.default_rng(0).choice([-1.0, 1.0], size=(400, 400))
+    assert not nilpotency_check(signs)
 
 
 # --- aggregate verifier ---------------------------------------------------

