@@ -583,7 +583,7 @@ def _series(adj, p, null, depth, base_pair, inner_indices, row_sum: float) -> Se
         peak = max(direct_norm, closed_norm)
         if 0.0 < peak < _LIFT_BELOW:
             up = -math.frexp(peak)[1]
-            direct, column = direct * 2.0**up, column * 2.0**up
+            direct, column = _times_power_of_two(direct, up), _times_power_of_two(column, up)
             lift += up
 
     return SeriesReport(
@@ -598,17 +598,21 @@ def _series(adj, p, null, depth, base_pair, inner_indices, row_sum: float) -> Se
     )
 
 
+def _times_power_of_two(m: np.ndarray, up: int) -> np.ndarray:
+    """m * 2^up as two exact factors, since 2.0**up alone overflows once up > 1023."""
+    return m * 2.0 ** (up // 2) * 2.0 ** (up - up // 2)
+
+
 def _lifted(m: np.ndarray, lift: int) -> tuple[np.ndarray, int]:
     """(m * 2^up, lift + up) once m's largest row sum is below _LIFT_BELOW, else (m, lift).
 
-    up is the integer that brings that row sum into [1/2, 1). It is applied
-    as two factors, since 2^up alone overflows once the row sum is subnormal.
+    up is the integer that brings that row sum into [1/2, 1).
     """
     rows = float(np.abs(m).sum(axis=1).max())
     if not 0.0 < rows < _LIFT_BELOW:
         return m, lift
     up = -math.frexp(rows)[1]
-    return m * 2.0 ** (up // 2) * 2.0 ** (up - up // 2), lift + up
+    return _times_power_of_two(m, up), lift + up
 
 
 def nilpotency_check(p, tau_ver: float = 1e-9) -> bool:

@@ -64,17 +64,20 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
+def _splitmix(seed: int, first: int, count: int) -> np.ndarray:
+    """Draws first .. first+count-1 (zero-based) of the stream seeded with seed."""
+    idx = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        state = np.uint64(seed) + idx * np.uint64(_GAMMA)
+    return _mix64_array(state)
+
+
 class SplitMix64:
     """Raw uint64 stream. Draw k is a pure function of (seed, k)."""
 
     def __init__(self, seed: int):
         self._seed = _check_seed(seed)
         self._count = 0
-
-    @property
-    def draws(self) -> int:
-        """Number of uint64 values consumed so far."""
-        return self._count
 
     def next_uint64(self) -> int:
         z = (self._seed + (self._count + 1) * _GAMMA) & _MASK64
@@ -83,19 +86,12 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
-    def next_float(self) -> float:
-        """Uniform in [0, 1) with 53-bit resolution."""
-        return (self.next_uint64() >> 11) * 2.0**-53
-
     def uint64s(self, count: int) -> np.ndarray:
         """Vectorized draw of `count` values; bit-identical to the scalar path."""
         if count < 0:
             raise ContractViolation("count must be nonnegative")
-        idx = np.arange(self._count + 1, self._count + count + 1, dtype=np.uint64)
-        self._count += count
-        with np.errstate(over="ignore"):
-            state = np.uint64(self._seed) + idx * np.uint64(_GAMMA)
-        return _mix64_array(state)
+        first, self._count = self._count, self._count + count
+        return _splitmix(self._seed, first, count)
 
     def integers(self, count: int, bound: int) -> np.ndarray:
         """`count` integers uniform in [0, bound) via modulo reduction.
@@ -118,12 +114,8 @@ class NormalStream:
 
     def _compute_block(self, first: int, count: int) -> np.ndarray:
         """Draws of blocks first .. first+count-1 in one vectorized pass."""
-        start = first * _BLOCK_DRAWS
         size = count * _BLOCK_DRAWS
-        idx = np.arange(start + 1, start + size + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            state = np.uint64(self._seed) + idx * np.uint64(_GAMMA)
-        hi = _mix64_array(state) >> np.uint64(11)
+        hi = _splitmix(self._seed, first * _BLOCK_DRAWS, size) >> np.uint64(11)
         u1 = (hi[0::2] + np.uint64(1)) * 2.0**-53
         u2 = hi[1::2] * 2.0**-53
         radius = np.sqrt(-2.0 * np.log(u1))
@@ -151,6 +143,3 @@ class NormalStream:
             # copy the tail, so that it does not keep the whole pass alive
             self._buffer = drawn[take:].copy()
         return out
-
-    def next_normal(self) -> float:
-        return float(self.normals(1)[0])

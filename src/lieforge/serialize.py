@@ -23,16 +23,22 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DocumentIntegrityError, FormatVersionError, ContractViolation
-from .linalg import inf_norm, null_residual_tol, rank_and_left_null
+from .errors import (
+    ContractViolation,
+    DegenerateParametersError,
+    DocumentIntegrityError,
+    FormatVersionError,
+    NullFirstComponentError,
+)
+from .linalg import inf_norm, null_residual_tol
 from .sampler import (
     FIELDS,
-    MODES,
     LieAlgebraSample,
     NullData,
     ParameterMatrix,
     Tolerances,
     assemble_sample,
+    validate_parameter_matrix,
 )
 
 __all__ = ["FORMAT_VERSION", "write_sample", "read_sample"]
@@ -170,6 +176,10 @@ def _parse_structure(entries, dim: int, complex_field: bool) -> np.ndarray:
 def read_sample(source: str | bytes) -> LieAlgebraSample:
     """Decode a lieforge/1 document and revalidate its invariants.
 
+    The parameter matrix passes the generator's validate_parameter_matrix,
+    so the reader accepts exactly the matrices generate accepts; the stored
+    null_vector and c are then checked against that verdict.
+
     Absent adjoint/structure fields are rebuilt from p_matrix and
     null_vector through the same code path the generator uses, so a
     rebuilt sample is bitwise identical to the one that was written.
@@ -208,9 +218,6 @@ def read_sample(source: str | bytes) -> LieAlgebraSample:
     field = data["field"]
     if field not in FIELDS:
         raise _fail(f"field must be one of {FIELDS}, got {field!r}")
-    mode = data["mode"]
-    if mode not in MODES:
-        raise _fail(f"mode must be one of {MODES}, got {mode!r}")
     seed = data["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise _fail(f"seed must be a uint64, got {seed!r}")
@@ -233,8 +240,9 @@ def read_sample(source: str | bytes) -> LieAlgebraSample:
     cx = field == "complex"
     p = _numbers(data["p_matrix"], (dim, dim), cx, "p_matrix")
     try:
-        pm = ParameterMatrix(matrix=p, mode=mode)
-    except ContractViolation as err:
+        pm = ParameterMatrix(matrix=p, mode=data["mode"])
+        fresh = validate_parameter_matrix(pm, tolerances)
+    except (ContractViolation, DegenerateParametersError, NullFirstComponentError) as err:
         raise _fail(f"stored parameter matrix is invalid: {err}") from err
 
     nvec = _numbers(data["null_vector"], (dim,), cx, "null_vector")
@@ -248,22 +256,17 @@ def read_sample(source: str | bytes) -> LieAlgebraSample:
     if residual > bound:
         raise _fail(f"null_vector residual {residual:.3e} exceeds the residual band {bound:.3e}")
 
-    rank, _, svals = rank_and_left_null(pm.matrix, tolerances.tol_rank)
-    if rank != dim - 1:
-        raise _fail(f"stored parameter matrix has rank {rank}, expected {dim - 1}")
-
     c = data["c"]
     if c is not None:
         c = _numbers([c], (), cx, "c").item()
-    usable = abs(nvec[0]) >= tolerances.tau_n1
-    if usable and c is None:
+    if c is None and fresh.scale_factor is not None:
         raise _fail("c is null although |n{1}| is above tau_n1")
-    if not usable and c is not None:
+    if c is not None and fresh.scale_factor is None:
         raise _fail("c is present although |n{1}| is below tau_n1")
     if c is not None and abs(c * nvec[0] - 1.0) > 1e-8:
         raise _fail("stored c is inconsistent with 1/n{1}")
 
-    null = NullData(vector=nvec, scale_factor=c, smallest_retained_sv=float(svals[rank - 1]))
+    null = NullData(vector=nvec, scale_factor=c, smallest_retained_sv=fresh.smallest_retained_sv)
 
     adjoint = None
     if "adjoint" in data:

@@ -706,6 +706,16 @@ def test_nilpotency_check_lifts_powers_below_the_float_range():
     assert not nilpotency_check(signs)
 
 
+def test_series_lifts_a_subnormal_level_without_overflow():
+    # the closed form's peak row sum is 1e-320, so its lift needs 2^1063;
+    # the lift is exact, so dividing it out gives that row sum back
+    n = np.array([1.0, 1e-320, 0.0])
+    report = lower_central_series(np.zeros((3, 3, 3)), np.eye(3), n, depth=1)
+    assert report.norm_per_level == (0.0, 0.0)
+    assert report.discrepancy_per_level == (1e-320, 1e-320)
+    assert not report.terminated
+
+
 # --- aggregate verifier ---------------------------------------------------
 
 

@@ -218,6 +218,16 @@ def test_verify_malformed_document(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_rejects_a_nilpotent_document_relabelled_generic(tmp_path, capsys):
+    # n{1} = 0, so generate rejects this matrix in generic mode
+    path = _generate_doc(tmp_path, "--mode", "nilpotent")
+    doc = json.loads(path.read_text())
+    doc["mode"] = "generic"
+    path.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+    assert main(["verify", str(path)]) == 65
+    assert "n{1}" in capsys.readouterr().err
+
+
 def test_verify_non_utf8_file_is_malformed_input(tmp_path, capsys):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe{\x00}\x00")

@@ -9,8 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieforge.errors import DocumentIntegrityError, FormatVersionError
+from lieforge.errors import (
+    ContractViolation,
+    DegenerateParametersError,
+    DocumentIntegrityError,
+    FormatVersionError,
+    NullFirstComponentError,
+)
+from lieforge.linalg import rank_and_left_null
 from lieforge.sampler import (
+    MODES,
     ParameterMatrix,
     Tolerances,
     assemble_sample,
@@ -271,6 +279,46 @@ def test_scale_factor_consistency_is_enforced():
     nil = write_sample(generate(3, 1, mode="nilpotent"))
     with pytest.raises(DocumentIntegrityError, match="c is present"):
         read_sample(_edited(nil, c=1.0))
+
+
+# the sampler tests' examples: affine, Heisenberg, a rank defect, a diagonal
+PARITY_MATRICES = {
+    "affine": np.array([[0.0, 0.0], [0.0, 1.0]]),
+    "heisenberg": np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),
+    "zeros": np.zeros((3, 3)),
+    "diagonal": np.diag([0.0, 1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", PARITY_MATRICES)
+def test_reader_rejects_exactly_what_the_generator_rejects(name, mode):
+    matrix = PARITY_MATRICES[name]
+    dim = matrix.shape[0]
+    try:
+        validate_parameter_matrix(ParameterMatrix(matrix, mode), Tolerances())
+        generator_rejects = False
+    except (ContractViolation, DegenerateParametersError, NullFirstComponentError):
+        generator_rejects = True
+    # the stored null vector and c agree with P, so only the generator's rules can fail
+    _, n, _ = rank_and_left_null(matrix)
+    # a rank defect gives no null vector; e_N annihilates the zero matrix
+    n = np.eye(dim)[-1] if n is None else n
+    doc = json.loads(AFFINE_DOC)
+    del doc["structure_constants"]
+    doc.update(
+        dim=dim,
+        mode=mode,
+        p_matrix=matrix.ravel().tolist(),
+        null_vector=n.tolist(),
+        c=1.0 / n[0] if abs(n[0]) >= Tolerances().tau_n1 else None,
+    )
+    try:
+        read_sample(json.dumps(doc))
+        reader_rejects = False
+    except DocumentIntegrityError:
+        reader_rejects = True
+    assert reader_rejects == generator_rejects
 
 
 @pytest.mark.parametrize(
