@@ -710,8 +710,9 @@ def _random_series_path(
 def _payload_diffs(sample: LieAlgebraSample) -> dict:
     """Max |stored - rebuilt| and its index per payload.
 
-    The rebuild runs build_adjoint's row-chunk kernel on the stored (P, n), so
-    a payload written from that sample matches it bit for bit.
+    The rebuild runs adjoint_rows, which equals build_adjoint bit for bit, on
+    the stored (P, n), so a payload written from that sample matches it bit
+    for bit.
     """
     p, n = sample.p.matrix, sample.null.vector
     dim = sample.dim

@@ -1,8 +1,9 @@
 """Batch command line: generate, verify, oracle, bench.
 
 Exit codes: 0 success, 1 verification failure, 2 generation failure,
-3 oracle singular system, 64 usage (an unwritable output path included),
-65 input integrity.
+3 oracle singular system, 64 usage (an unwritable output path and an adjoint
+too large for available memory included), 65 input integrity (a document
+whose adjoint would not fit included).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
     FormatVersionError,
     GenerationFailedError,
     SingularSystemError,
+    SystemSizeError,
 )
 from .oracle import MAX_SYSTEM_DIM, compare_tensors, count_equations, oracle_structure_constants
 from .rng import RNG_ID
@@ -212,6 +214,9 @@ def cmd_generate(args) -> int:
     except GenerationFailedError as err:
         print(f"lieforge generate: {err}", file=sys.stderr)
         return EXIT_GENERATION_FAILED
+    except SystemSizeError as err:
+        print(f"lieforge generate: {err}", file=sys.stderr)
+        return EXIT_USAGE
     doc = write_sample(
         sample,
         include_adjoint=args.emit in ("adjoint", "both"),
@@ -246,7 +251,7 @@ def cmd_verify(args) -> int:
         return EXIT_INPUT
     try:
         sample = read_sample(raw)
-    except (FormatVersionError, DocumentIntegrityError) as err:
+    except (FormatVersionError, DocumentIntegrityError, SystemSizeError) as err:
         print(f"lieforge verify: {err}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -345,6 +350,9 @@ def cmd_bench(args) -> int:
             except GenerationFailedError as err:
                 print(f"lieforge bench: {err}", file=sys.stderr)
                 return EXIT_GENERATION_FAILED
+            except SystemSizeError as err:
+                print(f"lieforge bench: {err}", file=sys.stderr)
+                return EXIT_USAGE
             gen_times.append(time.perf_counter() - begin)
             if args.verify:
                 begin = time.perf_counter()

@@ -47,7 +47,8 @@ class SingularSystemError(LieForgeError):
 
 
 class SystemSizeError(LieForgeError):
-    """Linear system would exceed the oracle's size guard."""
+    """A system would exceed a size guard: the oracle's, or available memory
+    for the N^3 adjoint stack."""
 
 
 class FormatVersionError(LieForgeError):

@@ -7,6 +7,8 @@ is what this module owns.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import ContractViolation
@@ -23,7 +25,7 @@ EPS = float(np.finfo(np.float64).eps)
 
 # entries per temporary in every chunked kernel (build_adjoint, the identity
 # slabs, inf_norm through _row_chunks; a pass of normal draws): 1 MB of
-# complex128, so a chunk works in cache
+# complex128, so a chunk works in cache; _chunk_map splits it among its threads
 _SLAB_CHUNK = 1 << 16
 
 # components smaller than this are never used as the sign/phase anchor;
@@ -57,12 +59,50 @@ def _row_chunks(start: int, stop: int, row: int) -> list[slice]:
     return [slice(i, min(i + step, stop)) for i in range(start, stop, step)]
 
 
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _chunk_map(fn, stop: int, row: int) -> list:
+    """[fn(rows) for rows in slices covering range(stop)], rows of `row` entries.
+
+    When _row_chunks(0, stop, row) is one slice, or the affinity mask holds
+    one CPU, fn runs inline on those slices. Otherwise this thread and one
+    helper per further CPU each take every threads-th slice (numpy ufuncs
+    release the GIL), and each slice gets a 1/threads share of _SLAB_CHUNK,
+    so the temporaries in flight together still fit one chunk. fn must
+    depend only on its own rows, so that the split cannot change the result.
+    """
+    chunks = _row_chunks(0, stop, row)
+    threads = min(len(chunks), _cpus())
+    if threads == 1:
+        return [fn(rows) for rows in chunks]
+    from concurrent.futures import ThreadPoolExecutor
+
+    chunks = _row_chunks(0, stop, row * threads)
+    results = [None] * len(chunks)
+
+    def work(first: int) -> None:
+        results[first::threads] = [fn(rows) for rows in chunks[first::threads]]
+
+    with ThreadPoolExecutor(threads - 1) as pool:
+        helpers = [pool.submit(work, first) for first in range(1, threads)]
+        work(0)
+        for helper in helpers:
+            helper.result()
+    return results
+
+
 def inf_norm(a: np.ndarray) -> float:
     """Max absolute entry; 0.0 for empty input.
 
     Equals float(np.abs(a).max()) bit for bit, NaN included. An input of one
-    chunk or less is read at once; a larger one is read in _row_chunks along
-    axis 0, so no temporary holds more than max(_SLAB_CHUNK, a.size //
+    chunk or less is read at once; a larger one is read through _chunk_map
+    along axis 0, so no temporary holds more than max(_SLAB_CHUNK, a.size //
     a.shape[0]) entries. Non-contiguous views are read in place.
     """
     a = np.asarray(a)
@@ -70,9 +110,9 @@ def inf_norm(a: np.ndarray) -> float:
         return 0.0
     if a.size <= _SLAB_CHUNK:
         return float(np.abs(a).max())
-    chunks = _row_chunks(0, a.shape[0], a.size // a.shape[0])
+    maxima = _chunk_map(lambda rows: np.abs(a[rows]).max(), a.shape[0], a.size // a.shape[0])
     # np.max, unlike builtin max, propagates NaN
-    return float(np.max([np.abs(a[rows]).max() for rows in chunks]))
+    return float(np.max(maxima))
 
 
 def null_residual_tol(p: np.ndarray) -> float:

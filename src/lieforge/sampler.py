@@ -30,8 +30,9 @@ from .errors import (
     DegenerateParametersError,
     GenerationFailedError,
     NullFirstComponentError,
+    SystemSizeError,
 )
-from .linalg import _row_chunks, as_field_matrix, inf_norm, rank_and_left_null
+from .linalg import _chunk_map, as_field_matrix, inf_norm, rank_and_left_null
 from .rng import RNG_ID, NormalStream
 
 __all__ = [
@@ -164,11 +165,19 @@ class LieAlgebraSample:
     null: NullData
     adjoint: np.ndarray = field(repr=False)
     structure: np.ndarray = field(repr=False)
+    # the build's own max |entry|; None until first read for a stored adjoint
+    _scale: float | None = field(default=None, repr=False, compare=False)
 
     @property
     def scale(self) -> float:
-        """max_k ||A_k||_inf; the magnitude all verification bands scale with."""
-        return inf_norm(self.adjoint)
+        """max_k ||A_k||_inf; the magnitude all verification bands scale with.
+
+        Equals inf_norm(adjoint) bit for bit. A built adjoint brings it from
+        its build; a stored one is read once, on first use.
+        """
+        if self._scale is None:
+            object.__setattr__(self, "_scale", inf_norm(self.adjoint))
+        return self._scale
 
 
 def sample_parameter_matrix(
@@ -245,27 +254,73 @@ def validate_parameter_matrix(
     )
 
 
+def _available_memory() -> int | None:
+    """MemAvailable from /proc/meminfo in bytes; None where the file is absent."""
+    try:
+        with open("/proc/meminfo", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
 def build_adjoint(p: np.ndarray, null_vector: np.ndarray) -> np.ndarray:
     """All adjoint matrices at once: adj[k] = n{k} * P - p_k (x) n.
 
-    Equals P @ T_k for each k but runs in O(N^3) total. Every product
-    n{a} * P{r,c} is computed exactly once and the second term reuses those
-    floats through a transpose, so the structure tensor's antisymmetry (and
-    its zero i = j slice) is bitwise exact; different multiply kernels would
-    otherwise disagree in the last ulp on complex input. The rows r are built
-    by adjoint_rows in _row_chunks (at most _SLAB_CHUNK products, at least
-    one row), so each chunk's transpose runs in cache; the chunk size cannot
-    change the result.
+    Equals P @ T_k for each k but runs in O(N^3) total. Raises
+    SystemSizeError, before it allocates, when the N^3 stack exceeds the
+    memory the OS reports available. See _adjoint_and_scale for the kernels.
+    """
+    return _adjoint_and_scale(p, null_vector)[0]
+
+
+def _adjoint_and_scale(p: np.ndarray, null_vector: np.ndarray) -> tuple[np.ndarray, float]:
+    """build_adjoint(p, null_vector) and its inf_norm, from one pass.
+
+    Each chunk of _chunk_map (rows of N^2 entries) takes its own max |entry|
+    while it is still in cache, so the stack is never read a second time.
+    The chunks run on one thread per CPU, and neither the thread count nor
+    the split changes a bit:
+      real: chunk rows a, out[a] = n{a} * P - P[:, a] (x) n as contiguous
+        blocks; a correctly rounded real product commutes, so each entry
+        n{a} P{r,c} - n{c} P{r,a} has the same bits as adjoint_rows gives;
+      complex: chunk rows r through adjoint_rows, whose shared products keep
+        the structure tensor's antisymmetry bitwise exact, since numpy's
+        complex multiply loops can disagree in the last ulp.
     """
     p = np.asarray(p)
     n = np.asarray(null_vector)
     dim = p.shape[0]
     if n.shape != (dim,):
         raise ContractViolation("null vector length must match matrix dimension")
-    out = np.empty((dim, dim, dim), dtype=np.promote_types(p.dtype, n.dtype))
-    for rows in _row_chunks(0, dim, dim * dim):
-        adjoint_rows(p, n, rows, out=out[:, rows, :])
-    return out
+    dtype = np.promote_types(p.dtype, n.dtype)
+    nbytes = dim**3 * dtype.itemsize
+    available = _available_memory()
+    if available is not None and nbytes > available:
+        raise SystemSizeError(
+            f"the N={dim} adjoint stack needs {nbytes / 2**20:.0f} MiB,"
+            f" more than the {available / 2**20:.0f} MiB available"
+        )
+    out = np.empty((dim, dim, dim), dtype=dtype)
+
+    if dtype.kind == "c":
+
+        def chunk(rows: slice):
+            return np.abs(adjoint_rows(p, n, rows, out=out[:, rows, :])).max()
+
+    else:
+
+        def chunk(rows: slice):
+            block = np.multiply(n[rows, None, None], p, out=out[rows])
+            # outer[a, r, c] = P{r, a} * n{c}, laid out like block, not like p.T
+            outer = np.multiply(p.T[rows, :, None], n, order="C")
+            np.subtract(block, outer, out=block)
+            return np.abs(block, out=outer).max()
+
+    # np.max, unlike builtin max, propagates NaN
+    return out, float(np.max(_chunk_map(chunk, dim, dim * dim)))
 
 
 def adjoint_rows(
@@ -305,8 +360,9 @@ def assemble_sample(
     structure: np.ndarray | None = None,
 ) -> LieAlgebraSample:
     """Bundle validated pieces into a sample, rebuilding anything absent."""
+    scale = None
     if adjoint is None:
-        adjoint = build_adjoint(pm.matrix, null.vector)
+        adjoint, scale = _adjoint_and_scale(pm.matrix, null.vector)
     adjoint = _freeze(np.ascontiguousarray(adjoint))
     if structure is None:
         structure = adjoint_to_structure(adjoint)
@@ -322,6 +378,7 @@ def assemble_sample(
         null=null,
         adjoint=adjoint,
         structure=structure,
+        _scale=scale,
     )
 
 

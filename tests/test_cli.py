@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import lieforge.sampler as sampler_module
 from lieforge.cli import CSV_HEADER, main
 
 
@@ -92,6 +93,20 @@ def test_generate_unwritable_out_is_usage_error(tmp_path, capsys):
     assert main(["generate", "--dim", "3", "--seed", "1", "--out", str(out)]) == 64
     err = capsys.readouterr().err
     assert err.startswith("lieforge generate: cannot write output:")
+    assert err.count("\n") == 1
+
+
+def _no_memory(monkeypatch):
+    monkeypatch.setattr(sampler_module, "_available_memory", lambda: 0)
+
+
+def test_generate_adjoint_too_large_for_memory_is_usage_error(monkeypatch, tmp_path, capsys):
+    _no_memory(monkeypatch)
+    out = tmp_path / "x.json"
+    assert main(["generate", "--dim", "11", "--seed", "1", "--out", str(out)]) == 64
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("lieforge generate: the N=11 adjoint stack needs")
     assert err.count("\n") == 1
 
 
@@ -228,6 +243,13 @@ def test_verify_rejects_a_nilpotent_document_relabelled_generic(tmp_path, capsys
     assert "n{1}" in capsys.readouterr().err
 
 
+def test_verify_adjoint_too_large_for_memory_is_input_error(monkeypatch, tmp_path, capsys):
+    path = _generate_doc(tmp_path)
+    _no_memory(monkeypatch)
+    assert main(["verify", str(path)]) == 65
+    assert capsys.readouterr().err.startswith("lieforge verify: the N=5 adjoint stack needs")
+
+
 def test_verify_non_utf8_file_is_malformed_input(tmp_path, capsys):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe{\x00}\x00")
@@ -335,6 +357,14 @@ def test_bench_unwritable_csv_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("lieforge bench: cannot write output:")
     assert err.count("\n") == 1
+
+
+def test_bench_adjoint_too_large_for_memory_is_usage_error(monkeypatch, capsys):
+    _no_memory(monkeypatch)
+    assert main(["bench", "--dims", "11", "--repeat", "3"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("lieforge bench: the N=11 adjoint stack needs")
 
 
 # --- top level --------------------------------------------------------------

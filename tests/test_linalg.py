@@ -1,9 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lieforge import linalg
 from lieforge.errors import ContractViolation
 from lieforge.linalg import (
     EPS,
@@ -81,6 +85,34 @@ def test_inf_norm_propagates_nan(dtype, shape):
     a = np.ones(shape, dtype=dtype)
     a[-1, -1] = np.nan  # in the last slab, after a finite peak
     assert np.isnan(inf_norm(a)) and np.isnan(inf_norm(a.T))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8])
+def test_chunk_map_covers_every_row_once_in_order(monkeypatch, threads):
+    """More threads than this box may have, switching as often as it can."""
+    monkeypatch.setattr(linalg, "_cpus", lambda: threads)
+    a = np.random.default_rng(3).standard_normal((1200, 500))  # ten chunks
+    seen = np.zeros(1200, dtype=int)
+
+    def fn(rows):
+        seen[rows] += 1  # slices are disjoint: no two threads write one row
+        return rows, float(np.abs(a[rows]).sum())
+
+    interval, alive = sys.getswitchinterval(), threading.active_count()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = linalg._chunk_map(fn, 1200, 500)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (seen == 1).all()
+    assert [rows for rows, _ in got] == linalg._row_chunks(0, 1200, 500 * threads)
+    assert [total for _, total in got] == [float(np.abs(a[r]).sum()) for r, _ in got]
+    assert threading.active_count() == alive  # the helpers are joined
+
+
+def test_chunk_map_runs_one_chunk_inline(monkeypatch):
+    monkeypatch.setattr(linalg, "_cpus", lambda: 8)
+    assert linalg._chunk_map(lambda rows: threading.get_ident(), 10, 100) == [threading.get_ident()]
 
 
 def test_rank_of_diagonal_example():

@@ -1,6 +1,10 @@
 """Generator contracts: draw order, validation, retry policy, closed form."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from lieforge.errors import (
     DegenerateParametersError,
     GenerationFailedError,
     NullFirstComponentError,
+    SystemSizeError,
 )
 from lieforge.linalg import EPS, inf_norm, null_residual_tol
 from lieforge.rng import RNG_ID, NormalStream
@@ -28,6 +33,7 @@ from lieforge.sampler import (
     sample_parameter_matrix,
     validate_parameter_matrix,
 )
+from lieforge.serialize import read_sample, write_sample
 from reference import transfer_matrix
 
 AFFINE_P = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -334,3 +340,112 @@ def test_null_data_smallest_sv_positive():
     s = generate(8, 3)
     assert s.null.smallest_retained_sv > 0
     assert isinstance(s.null, NullData)
+
+
+def test_an_adjoint_too_large_for_memory_fails_before_it_allocates(monkeypatch):
+    p, n = _random_pn(96, "complex")
+    nbytes = 96**3 * 16
+    monkeypatch.setattr(sampler_module, "_available_memory", lambda: nbytes - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemSizeError, match="N=96"):
+            build_adjoint(p, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < nbytes // 100
+    with pytest.raises(SystemSizeError):
+        generate(96, 2, field="complex")  # not a retryable draw: it ends the run
+    monkeypatch.setattr(sampler_module, "_available_memory", lambda: nbytes)
+    assert build_adjoint(p, n).nbytes == nbytes
+
+
+def test_the_memory_check_is_skipped_without_meminfo(monkeypatch):
+    def no_file(*args, **kwargs):
+        raise FileNotFoundError("/proc/meminfo")
+
+    if os.path.exists("/proc/meminfo"):
+        assert sampler_module._available_memory() > 0
+    monkeypatch.setattr(sampler_module, "open", no_file, raising=False)
+    assert sampler_module._available_memory() is None
+    p, n = _random_pn(6, "real")
+    np.testing.assert_array_equal(build_adjoint(p, n), _earlier_build_adjoint(p, n))
+
+
+# (dim, field, mode, seed): each build has several chunks
+_MULTI_CHUNK_BUILDS = [
+    (130, "real", "generic", 2), (96, "complex", "generic", 2), (64, "real", "nilpotent", 2),
+]
+
+_FINGERPRINTS = f"""
+import hashlib, os, sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+from lieforge import generate, linalg
+if sys.argv[1] == "three":
+    linalg._cpus = lambda: 3
+print(linalg._cpus())
+for dim, field, mode, seed in {_MULTI_CHUNK_BUILDS!r}:
+    s = generate(dim, seed, field=field, mode=mode)
+    print(hashlib.sha256(s.adjoint.tobytes()).hexdigest(), s.scale.hex())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_the_worker_count_cannot_change_the_output():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sampler_module.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # the complex SVD's last bits follow the BLAS thread count, which pinning
+    # would change too; one BLAS thread leaves only the build's threads to vary
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    runs = {}
+    for how in ("pinned", "unpinned", "three"):
+        out = subprocess.run(
+            [sys.executable, "-c", _FINGERPRINTS, how],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.splitlines()
+        runs[how] = (int(out[0]), out[1:])
+    assert runs["pinned"][0] == 1 and runs["three"][0] == 3
+    assert len(runs["pinned"][1]) == len(_MULTI_CHUNK_BUILDS)
+    assert runs["pinned"][1] == runs["unpinned"][1] == runs["three"][1]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_scale_is_the_inf_norm_of_the_adjoint_bit_for_bit(field):
+    for dim in (5, 41, 70):  # one chunk, then several
+        s = generate(dim, 3, field=field)
+        assert s.scale.hex() == inf_norm(s.adjoint).hex()
+        for flags in ((False, True), (True, False), (True, True)):
+            doc = write_sample(s, include_adjoint=flags[0], include_structure=flags[1])
+            read = read_sample(doc)
+            assert read.scale.hex() == inf_norm(read.adjoint).hex() == s.scale.hex()
+
+
+@pytest.mark.parametrize("dim", [4, 41])
+def test_a_nan_adjoint_gives_a_nan_scale(dim):
+    s = generate(dim, 1)
+    adj = s.adjoint.copy()
+    adj[dim - 1, 1, 2] = np.nan
+    assert np.isnan(assemble_sample(s.p, s.null, seed=1, adjoint=adj).scale)
+
+
+def test_scale_makes_no_second_pass_over_the_adjoint(monkeypatch):
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(sampler_module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(sampler_module, name, counted)
+
+    spy("_chunk_map")
+    spy("inf_norm")
+    s = generate(70, 3)
+    assert s.scale == s.scale
+    assert calls == {"_chunk_map": 1}  # the build's own pass
+    stored = assemble_sample(s.p, s.null, seed=3, adjoint=s.adjoint)
+    assert stored.scale == stored.scale == s.scale
+    assert calls == {"_chunk_map": 1, "inf_norm": 1}  # read once, then cached
