@@ -290,6 +290,9 @@ def cmd_oracle(args) -> int:
     except GenerationFailedError as err:
         print(f"lieforge oracle: {err}", file=sys.stderr)
         return EXIT_GENERATION_FAILED
+    except SystemSizeError as err:
+        print(f"lieforge oracle: {err}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         tensor, diagnostics = oracle_structure_constants(sample, return_diagnostics=True)
     except SingularSystemError as err:

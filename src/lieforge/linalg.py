@@ -67,23 +67,23 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _chunk_map(fn, stop: int, row: int) -> list:
+def _chunk_map(fn, stop: int, row: int, threads: int) -> list:
     """[fn(rows) for rows in slices covering range(stop)], rows of `row` entries.
 
-    When _row_chunks(0, stop, row) is one slice, or the affinity mask holds
-    one CPU, fn runs inline on those slices. Otherwise this thread and one
-    helper per further CPU each take every threads-th slice (numpy ufuncs
-    release the GIL), and each slice gets a 1/threads share of _SLAB_CHUNK,
-    so the temporaries in flight together still fit one chunk. fn must
-    depend only on its own rows, so that the split cannot change the result.
+    Runs on min(threads, _cpus()) threads: this one and a helper per further
+    thread, each taking every threads-th slice (numpy ufuncs release the
+    GIL). A slice holds a 1/threads share of _SLAB_CHUNK entries and at least
+    one row, so the temporaries in flight hold at most max(_SLAB_CHUNK,
+    threads * row) entries. With one thread, or one slice, fn runs inline on
+    _row_chunks(0, stop, row). fn must depend only on its own rows, so that
+    the split cannot change the result.
     """
-    chunks = _row_chunks(0, stop, row)
-    threads = min(len(chunks), _cpus())
+    threads = min(threads, _cpus(), len(_row_chunks(0, stop, row)))
+    chunks = _row_chunks(0, stop, row * threads)
     if threads == 1:
         return [fn(rows) for rows in chunks]
     from concurrent.futures import ThreadPoolExecutor
 
-    chunks = _row_chunks(0, stop, row * threads)
     results = [None] * len(chunks)
 
     def work(first: int) -> None:
@@ -101,8 +101,8 @@ def inf_norm(a: np.ndarray) -> float:
     """Max absolute entry; 0.0 for empty input.
 
     Equals float(np.abs(a).max()) bit for bit, NaN included. An input of one
-    chunk or less is read at once; a larger one is read through _chunk_map
-    along axis 0, so no temporary holds more than max(_SLAB_CHUNK, a.size //
+    chunk or less is read at once; a larger one is read in _row_chunks along
+    axis 0, so no temporary holds more than max(_SLAB_CHUNK, a.size //
     a.shape[0]) entries. Non-contiguous views are read in place.
     """
     a = np.asarray(a)
@@ -110,9 +110,9 @@ def inf_norm(a: np.ndarray) -> float:
         return 0.0
     if a.size <= _SLAB_CHUNK:
         return float(np.abs(a).max())
-    maxima = _chunk_map(lambda rows: np.abs(a[rows]).max(), a.shape[0], a.size // a.shape[0])
+    chunks = _row_chunks(0, a.shape[0], a.size // a.shape[0])
     # np.max, unlike builtin max, propagates NaN
-    return float(np.max(maxima))
+    return float(np.max([np.abs(a[rows]).max() for rows in chunks]))
 
 
 def null_residual_tol(p: np.ndarray) -> float:

@@ -165,8 +165,9 @@ class LieAlgebraSample:
     null: NullData
     adjoint: np.ndarray = field(repr=False)
     structure: np.ndarray = field(repr=False)
-    # the build's own max |entry|; None until first read for a stored adjoint
-    _scale: float | None = field(default=None, repr=False, compare=False)
+    # the build's own max |entry|, set by assemble_sample; None until first
+    # read for a stored adjoint
+    _scale: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def scale(self) -> float:
@@ -254,6 +255,15 @@ def validate_parameter_matrix(
     )
 
 
+# a build runs its chunks on threads only when its stack exceeds this many
+# bytes, and then on at most _MAX_THREADS. Both are measured (ROADMAP aim 1):
+# right after the SVD that precedes every build, stacks up to 128 MiB gained
+# nothing from a second thread, larger ones gained, and no box with more
+# than two CPUs was measured
+_THREAD_MIN_BYTES = 128 << 20
+_MAX_THREADS = 2
+
+
 def _available_memory() -> int | None:
     """MemAvailable from /proc/meminfo in bytes; None where the file is absent."""
     try:
@@ -277,18 +287,21 @@ def build_adjoint(p: np.ndarray, null_vector: np.ndarray) -> np.ndarray:
 
 
 def _adjoint_and_scale(p: np.ndarray, null_vector: np.ndarray) -> tuple[np.ndarray, float]:
-    """build_adjoint(p, null_vector) and its inf_norm, from one pass.
+    """build_adjoint(p, null_vector) and its inf_norm, in chunks of _chunk_map.
 
-    Each chunk of _chunk_map (rows of N^2 entries) takes its own max |entry|
-    while it is still in cache, so the stack is never read a second time.
-    The chunks run on one thread per CPU, and neither the thread count nor
-    the split changes a bit:
+    A stack above _THREAD_MIN_BYTES runs its chunks on up to _MAX_THREADS
+    threads, which hold at most max(_SLAB_CHUNK, _MAX_THREADS * N^2) entries
+    of temporaries in flight; neither the thread count nor the split changes
+    a bit. The kernels differ by field (timings in ROADMAP aim 1):
       real: chunk rows a, out[a] = n{a} * P - P[:, a] (x) n as contiguous
-        blocks; a correctly rounded real product commutes, so each entry
-        n{a} P{r,c} - n{c} P{r,a} has the same bits as adjoint_rows gives;
+        blocks, each taking its max |entry| while it is in cache; a correctly
+        rounded real product commutes, so each entry n{a} P{r,c} - n{c} P{r,a}
+        has the same bits as adjoint_rows gives;
       complex: chunk rows r through adjoint_rows, whose shared products keep
         the structure tensor's antisymmetry bitwise exact, since numpy's
-        complex multiply loops can disagree in the last ulp.
+        complex multiply loops can disagree in the last ulp; a second pass
+        then reads contiguous rows a, because |entry| taken on the strided
+        rows r in the first pass cost more than that whole pass.
     """
     p = np.asarray(p)
     n = np.asarray(null_vector)
@@ -304,12 +317,15 @@ def _adjoint_and_scale(p: np.ndarray, null_vector: np.ndarray) -> tuple[np.ndarr
             f" more than the {available / 2**20:.0f} MiB available"
         )
     out = np.empty((dim, dim, dim), dtype=dtype)
+    threads = _MAX_THREADS if nbytes > _THREAD_MIN_BYTES else 1
 
     if dtype.kind == "c":
 
-        def chunk(rows: slice):
-            return np.abs(adjoint_rows(p, n, rows, out=out[:, rows, :])).max()
+        def build(rows: slice) -> None:
+            adjoint_rows(p, n, rows, out=out[:, rows, :])
 
+        _chunk_map(build, dim, dim * dim, threads)
+        maxima = _chunk_map(lambda rows: np.abs(out[rows]).max(), dim, dim * dim, threads)
     else:
 
         def chunk(rows: slice):
@@ -319,8 +335,9 @@ def _adjoint_and_scale(p: np.ndarray, null_vector: np.ndarray) -> tuple[np.ndarr
             np.subtract(block, outer, out=block)
             return np.abs(block, out=outer).max()
 
+        maxima = _chunk_map(chunk, dim, dim * dim, threads)
     # np.max, unlike builtin max, propagates NaN
-    return out, float(np.max(_chunk_map(chunk, dim, dim * dim)))
+    return out, float(np.max(maxima))
 
 
 def adjoint_rows(
@@ -366,7 +383,7 @@ def assemble_sample(
     adjoint = _freeze(np.ascontiguousarray(adjoint))
     if structure is None:
         structure = adjoint_to_structure(adjoint)
-    return LieAlgebraSample(
+    sample = LieAlgebraSample(
         dim=pm.dim,
         field=pm.field,
         mode=pm.mode,
@@ -378,8 +395,9 @@ def assemble_sample(
         null=null,
         adjoint=adjoint,
         structure=structure,
-        _scale=scale,
     )
+    object.__setattr__(sample, "_scale", scale)
+    return sample
 
 
 def generate(

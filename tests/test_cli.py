@@ -289,6 +289,15 @@ def test_oracle_size_guard(capsys):
     assert "29640" in capsys.readouterr().err
 
 
+def test_oracle_adjoint_too_large_for_memory_is_usage_error(monkeypatch, capsys):
+    _no_memory(monkeypatch)
+    assert main(["oracle", "--dim", "5", "--seed", "1"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("lieforge oracle: the N=5 adjoint stack needs")
+    assert captured.err.count("\n") == 1
+
+
 def test_oracle_rejects_tiny_dim(capsys):
     assert main(["oracle", "--dim", "1"]) == 64
     capsys.readouterr()

@@ -90,7 +90,7 @@ def test_inf_norm_propagates_nan(dtype, shape):
 @pytest.mark.parametrize("threads", [1, 2, 8])
 def test_chunk_map_covers_every_row_once_in_order(monkeypatch, threads):
     """More threads than this box may have, switching as often as it can."""
-    monkeypatch.setattr(linalg, "_cpus", lambda: threads)
+    monkeypatch.setattr(linalg, "_cpus", lambda: 64)
     a = np.random.default_rng(3).standard_normal((1200, 500))  # ten chunks
     seen = np.zeros(1200, dtype=int)
 
@@ -101,7 +101,7 @@ def test_chunk_map_covers_every_row_once_in_order(monkeypatch, threads):
     interval, alive = sys.getswitchinterval(), threading.active_count()
     sys.setswitchinterval(1e-6)
     try:
-        got = linalg._chunk_map(fn, 1200, 500)
+        got = linalg._chunk_map(fn, 1200, 500, threads)
     finally:
         sys.setswitchinterval(interval)
     assert (seen == 1).all()
@@ -110,9 +110,12 @@ def test_chunk_map_covers_every_row_once_in_order(monkeypatch, threads):
     assert threading.active_count() == alive  # the helpers are joined
 
 
-def test_chunk_map_runs_one_chunk_inline(monkeypatch):
-    monkeypatch.setattr(linalg, "_cpus", lambda: 8)
-    assert linalg._chunk_map(lambda rows: threading.get_ident(), 10, 100) == [threading.get_ident()]
+@pytest.mark.parametrize("stop, cpus", [(10, 8), (1200, 1)])
+def test_chunk_map_runs_inline_on_one_chunk_or_one_cpu(monkeypatch, stop, cpus):
+    monkeypatch.setattr(linalg, "_cpus", lambda: cpus)
+    got = linalg._chunk_map(lambda rows: (rows, threading.get_ident()), stop, 500, 8)
+    assert [rows for rows, _ in got] == linalg._row_chunks(0, stop, 500)
+    assert {ident for _, ident in got} == {threading.get_ident()}
 
 
 def test_rank_of_diagonal_example():

@@ -336,6 +336,37 @@ def test_adjoint_build_and_scale_stay_within_one_chunk_of_memory():
     assert norm_peak - base < budget
 
 
+@pytest.mark.parametrize("cpus", [16, 64])
+def test_a_threaded_build_stays_within_one_chunk_of_memory_on_many_cpus(monkeypatch, cpus):
+    """The tracemalloc peak sees only the threads this box runs at once, so
+    the bound is also checked on what the threads may hold together: one
+    slice each, of a complex product and its float abs (at most 24 bytes an
+    entry)."""
+    monkeypatch.setattr(linalg, "_cpus", lambda: cpus)
+    monkeypatch.setattr(sampler_module, "_THREAD_MIN_BYTES", 0)
+    in_flight = []
+    real_map = linalg._chunk_map
+
+    def spy(fn, stop, row, threads):
+        threads = min(threads, cpus, len(linalg._row_chunks(0, stop, row)))
+        first = linalg._row_chunks(0, stop, row * threads)[0]
+        in_flight.append((threads, threads * (first.stop - first.start) * row * 24))
+        return real_map(fn, stop, row, threads)
+
+    monkeypatch.setattr(sampler_module, "_chunk_map", spy)
+    p, n = _random_pn(96, "complex")
+    budget = 2 * 1024 * 1024
+    tracemalloc.start()
+    try:
+        adj = build_adjoint(p, n)
+        _, build_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(in_flight) == 2  # the build, then its |entry| pass
+    assert all(threads > 1 and nbytes <= budget for threads, nbytes in in_flight)
+    assert build_peak <= adj.nbytes + budget
+
+
 def test_null_data_smallest_sv_positive():
     s = generate(8, 3)
     assert s.null.smallest_retained_sv > 0
@@ -381,10 +412,12 @@ _FINGERPRINTS = f"""
 import hashlib, os, sys
 if sys.argv[1] == "pinned":
     os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
-from lieforge import generate, linalg
+from lieforge import generate, linalg, sampler
+sampler._THREAD_MIN_BYTES = 0  # thread every build of several chunks
 if sys.argv[1] == "three":
     linalg._cpus = lambda: 3
-print(linalg._cpus())
+    sampler._MAX_THREADS = 3
+print(min(linalg._cpus(), sampler._MAX_THREADS))
 for dim, field, mode, seed in {_MULTI_CHUNK_BUILDS!r}:
     s = generate(dim, seed, field=field, mode=mode)
     print(hashlib.sha256(s.adjoint.tobytes()).hexdigest(), s.scale.hex())
@@ -405,7 +438,7 @@ def test_the_worker_count_cannot_change_the_output():
             env=env, capture_output=True, text=True, check=True,
         ).stdout.splitlines()
         runs[how] = (int(out[0]), out[1:])
-    assert runs["pinned"][0] == 1 and runs["three"][0] == 3
+    assert runs["pinned"][0] == 1 and runs["three"][0] == 3 and runs["unpinned"][0] >= 1
     assert len(runs["pinned"][1]) == len(_MULTI_CHUNK_BUILDS)
     assert runs["pinned"][1] == runs["unpinned"][1] == runs["three"][1]
 
@@ -429,7 +462,10 @@ def test_a_nan_adjoint_gives_a_nan_scale(dim):
     assert np.isnan(assemble_sample(s.p, s.null, seed=1, adjoint=adj).scale)
 
 
-def test_scale_makes_no_second_pass_over_the_adjoint(monkeypatch):
+@pytest.mark.parametrize("field, passes", [("real", 1), ("complex", 2)])
+def test_scale_comes_from_the_build(monkeypatch, field, passes):
+    """A real build takes scale in its one pass; a complex build in a second
+    pass of its own. Reading scale never reads the adjoint again."""
     calls = Counter()
 
     def spy(name):
@@ -443,9 +479,9 @@ def test_scale_makes_no_second_pass_over_the_adjoint(monkeypatch):
 
     spy("_chunk_map")
     spy("inf_norm")
-    s = generate(70, 3)
+    s = generate(70, 3, field=field)
     assert s.scale == s.scale
-    assert calls == {"_chunk_map": 1}  # the build's own pass
+    assert calls == {"_chunk_map": passes}
     stored = assemble_sample(s.p, s.null, seed=3, adjoint=s.adjoint)
     assert stored.scale == stored.scale == s.scale
-    assert calls == {"_chunk_map": 1, "inf_norm": 1}  # read once, then cached
+    assert calls == {"_chunk_map": passes, "inf_norm": 1}  # read once, then cached
