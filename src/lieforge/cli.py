@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 generation failure,
 3 oracle singular system, 64 usage (an unwritable output path and an adjoint
 too large for available memory included), 65 input integrity (a document
-whose adjoint would not fit included).
+whose structure tensor or adjoint would not fit included). main maps library
+errors to these codes through _EXIT_CODES.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import secrets
 import statistics
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .rng import RNG_ID
 from .sampler import FIELDS, MODES, generate
 from .serialize import read_sample, write_sample
 
-__all__ = ["main", "build_parser", "BenchRecord", "CSV_HEADER"]
+__all__ = ["main", "build_parser", "CSV_HEADER"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -43,30 +43,23 @@ EXIT_ORACLE_SINGULAR = 3
 EXIT_USAGE = 64
 EXIT_INPUT = 65
 
+# the library errors a command may raise, each printed once by main as
+# "lieforge <command>: <message>"; a ContractViolation stays out: argument
+# checks are usage errors, and any other one is a bug that keeps its traceback
+_EXIT_CODES = {
+    GenerationFailedError: EXIT_GENERATION_FAILED,
+    SingularSystemError: EXIT_ORACLE_SINGULAR,
+    SystemSizeError: EXIT_USAGE,
+    FormatVersionError: EXIT_INPUT,
+    DocumentIntegrityError: EXIT_INPUT,
+}
+
 CSV_HEADER = "n,mode,repeats,median_generate_s,median_verify_s,rng_id"
 
 # reference wall-clock upper bounds for median generation time, from an
 # interpreted-language implementation on 2008-era hardware; treated as
 # upper bounds, not targets
 GENERATE_BASELINES_S = {100: 0.3, 500: 40.0}
-
-
-@dataclass(frozen=True)
-class BenchRecord:
-    n: int
-    mode: str
-    repeats: int
-    median_generate_s: float
-    median_verify_s: float | None
-    rng_id: str
-    hardware: str
-
-    def csv_row(self) -> str:
-        verify = "" if self.median_verify_s is None else repr(self.median_verify_s)
-        return (
-            f"{self.n},{self.mode},{self.repeats},"
-            f"{self.median_generate_s!r},{verify},{self.rng_id}"
-        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -207,16 +200,9 @@ def cmd_generate(args) -> int:
     if args.max_attempts < 1:
         args._parser.error("--max-attempts must be at least 1")
     seed = _resolve_seed(args)
-    try:
-        sample = generate(
-            args.dim, seed, field=args.field, mode=args.mode, max_attempts=args.max_attempts
-        )
-    except GenerationFailedError as err:
-        print(f"lieforge generate: {err}", file=sys.stderr)
-        return EXIT_GENERATION_FAILED
-    except SystemSizeError as err:
-        print(f"lieforge generate: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    sample = generate(
+        args.dim, seed, field=args.field, mode=args.mode, max_attempts=args.max_attempts
+    )
     doc = write_sample(
         sample,
         include_adjoint=args.emit in ("adjoint", "both"),
@@ -251,9 +237,9 @@ def cmd_verify(args) -> int:
         return EXIT_INPUT
     try:
         sample = read_sample(raw)
-    except (FormatVersionError, DocumentIntegrityError, SystemSizeError) as err:
-        print(f"lieforge verify: {err}", file=sys.stderr)
-        return EXIT_INPUT
+    except SystemSizeError as err:
+        # a document too large to hold is bad input here, not a usage error
+        raise DocumentIntegrityError(str(err)) from err
 
     checks = CHECK_NAMES
     if args.checks is not None:
@@ -285,19 +271,8 @@ def cmd_oracle(args) -> int:
             "reduce --dim"
         )
     seed = _resolve_seed(args)
-    try:
-        sample = generate(args.dim, seed, field=args.field, mode=args.mode)
-    except GenerationFailedError as err:
-        print(f"lieforge oracle: {err}", file=sys.stderr)
-        return EXIT_GENERATION_FAILED
-    except SystemSizeError as err:
-        print(f"lieforge oracle: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        tensor, diagnostics = oracle_structure_constants(sample, return_diagnostics=True)
-    except SingularSystemError as err:
-        print(f"lieforge oracle: singular system: {err}", file=sys.stderr)
-        return EXIT_ORACLE_SINGULAR
+    sample = generate(args.dim, seed, field=args.field, mode=args.mode)
+    tensor, diagnostics = oracle_structure_constants(sample, return_diagnostics=True)
     comparison = compare_tensors(sample.structure, tensor, args.tol)
 
     print(f"dim: {args.dim}  unknowns: {dim_sys}  equations: {dim_sys}")
@@ -322,13 +297,6 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if comparison.passed else EXIT_VERIFY_FAILED
 
 
-def _hardware_note() -> str:
-    return (
-        f"{platform.machine() or 'unknown-arch'}, {os.cpu_count()} cpu, "
-        f"python {platform.python_version()}, numpy {np.__version__}"
-    )
-
-
 def cmd_bench(args) -> int:
     try:
         dims = [int(part) for part in args.dims.split(",") if part.strip()]
@@ -340,54 +308,43 @@ def cmd_bench(args) -> int:
         args._parser.error("--repeat must be at least 3 for a meaningful median")
     dims = list(dict.fromkeys(dims))
 
-    hardware = _hardware_note()
-    records: list[BenchRecord] = []
+    rows, notes = [CSV_HEADER], []
     for n in dims:
         gen_times: list[float] = []
         verify_times: list[float] = []
         for run in range(args.repeat):
             seed = (args.seed + run) % 2**64
             begin = time.perf_counter()
-            try:
-                sample = generate(n, seed, field=args.field, mode=args.mode)
-            except GenerationFailedError as err:
-                print(f"lieforge bench: {err}", file=sys.stderr)
-                return EXIT_GENERATION_FAILED
-            except SystemSizeError as err:
-                print(f"lieforge bench: {err}", file=sys.stderr)
-                return EXIT_USAGE
+            sample = generate(n, seed, field=args.field, mode=args.mode)
             gen_times.append(time.perf_counter() - begin)
             if args.verify:
                 begin = time.perf_counter()
                 verify_all(sample)
                 verify_times.append(time.perf_counter() - begin)
-        records.append(
-            BenchRecord(
-                n=n,
-                mode=args.mode,
-                repeats=args.repeat,
-                median_generate_s=statistics.median(gen_times),
-                median_verify_s=statistics.median(verify_times) if verify_times else None,
-                rng_id=RNG_ID,
-                hardware=hardware,
-            )
-        )
+        gen_s = statistics.median(gen_times)
+        verify_s = statistics.median(verify_times) if verify_times else None
+        verify_cell = "" if verify_s is None else repr(verify_s)
+        rows.append(f"{n},{args.mode},{args.repeat},{gen_s!r},{verify_cell},{RNG_ID}")
+        note = f"N={n}: median generate {gen_s:.4f} s"
+        if verify_s is not None:
+            note += f", median verify {verify_s:.4f} s"
+        baseline = GENERATE_BASELINES_S.get(n)
+        if baseline is not None:
+            ratio = baseline / gen_s if gen_s > 0 else float("inf")
+            note += f" (reference baseline {baseline:g} s, {ratio:.1f}x headroom)"
+        notes.append(note)
 
-    csv_text = CSV_HEADER + "\n" + "".join(rec.csv_row() + "\n" for rec in records)
-    code = _write_output("bench", args.csv, csv_text)
+    code = _write_output("bench", args.csv, "".join(row + "\n" for row in rows))
     if code != EXIT_OK:
         return code
 
-    print(f"hardware: {hardware}", file=sys.stderr)
-    for rec in records:
-        line = f"N={rec.n}: median generate {rec.median_generate_s:.4f} s"
-        if rec.median_verify_s is not None:
-            line += f", median verify {rec.median_verify_s:.4f} s"
-        baseline = GENERATE_BASELINES_S.get(rec.n)
-        if baseline is not None:
-            ratio = baseline / rec.median_generate_s if rec.median_generate_s > 0 else float("inf")
-            line += f" (reference baseline {baseline:g} s, {ratio:.1f}x headroom)"
-        print(line, file=sys.stderr)
+    print(
+        f"hardware: {platform.machine() or 'unknown-arch'}, {os.cpu_count()} cpu, "
+        f"python {platform.python_version()}, numpy {np.__version__}",
+        file=sys.stderr,
+    )
+    for note in notes:
+        print(note, file=sys.stderr)
     return EXIT_OK
 
 
@@ -396,6 +353,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except tuple(_EXIT_CODES) as err:
+        print(f"lieforge {args.command}: {err}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(err, kind))
     except SystemExit as exc:
         code = exc.code
         if code is None:

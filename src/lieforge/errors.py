@@ -48,7 +48,7 @@ class SingularSystemError(LieForgeError):
 
 class SystemSizeError(LieForgeError):
     """A system would exceed a size guard: the oracle's, or available memory
-    for the N^3 adjoint stack."""
+    for an N^3 adjoint stack or structure tensor."""
 
 
 class FormatVersionError(LieForgeError):

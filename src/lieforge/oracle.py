@@ -54,8 +54,6 @@ __all__ = [
     "SolveDiagnostics",
     "ComparisonReport",
     "count_equations",
-    "unknown_position",
-    "equation_position",
     "assemble_system",
     "solve_system",
     "extract_unknowns",
@@ -73,29 +71,9 @@ def count_equations(dim: int) -> int:
     return dim * (dim - 1) * (dim - 2) // 2
 
 
-def _pair_rank(p: int, q: int, dim: int) -> int:
-    # rank of (p, q) in lexicographic order over 1 <= p < q <= dim-1
-    before = (p - 1) * (dim - 1) - (p - 1) * p // 2
-    return before + (q - p - 1)
-
-
-def unknown_position(i: int, j: int, k: int, dim: int) -> int:
-    """Column of unknown f{i,j,k}; zero-based, 1 <= i < j <= dim-1, 0 <= k < dim."""
-    if not (1 <= i < j <= dim - 1 and 0 <= k < dim):
-        raise ContractViolation(f"({i}, {j}, {k}) is not a valid unknown for dim {dim}")
-    return _pair_rank(i, j, dim) * dim + k
-
-
-def equation_position(j: int, k: int, m: int, dim: int) -> int:
-    """Row of equation (j,k,m); zero-based, 1 <= j < k <= dim-1, 0 <= m < dim."""
-    if not (1 <= j < k <= dim - 1 and 0 <= m < dim):
-        raise ContractViolation(f"({j}, {k}, {m}) is not a valid equation for dim {dim}")
-    return _pair_rank(j, k, dim) * dim + m
-
-
 @dataclass(frozen=True)
 class AssembledSystem:
-    """K X + X a = R: K comes from a, and R is flattened in equation_position order as rhs."""
+    """K X + X a = R: K comes from a, and R is flattened in pair-major order as rhs."""
 
     dim: int
     dim_sys: int
@@ -288,8 +266,9 @@ def solve_system(system: AssembledSystem) -> tuple[np.ndarray, SolveDiagnostics]
     tau_sep = system.dim_sys * EPS * norm_inf
     if separation <= tau_sep:
         raise SingularSystemError(
-            f"eigenvalue separation {separation:.3e} at or below breakdown threshold"
-            f" {tau_sep:.3e}; a-priori data violates the non-degeneracy assumption"
+            f"singular system: eigenvalue separation {separation:.3e} at or below"
+            f" breakdown threshold {tau_sep:.3e}; a-priori data violates the"
+            " non-degeneracy assumption"
         )
     x = solve(r)
     b = a[1:, 1:]

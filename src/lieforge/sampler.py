@@ -276,6 +276,18 @@ def _available_memory() -> int | None:
     return None
 
 
+def _check_stack_fits(dim: int, dtype) -> None:
+    """Raise SystemSizeError when an N^3 stack of dtype exceeds the memory the
+    OS reports available; no check where /proc/meminfo is absent."""
+    nbytes = dim**3 * np.dtype(dtype).itemsize
+    available = _available_memory()
+    if available is not None and nbytes > available:
+        raise SystemSizeError(
+            f"the N={dim} adjoint stack needs {nbytes / 2**20:.0f} MiB,"
+            f" more than the {available / 2**20:.0f} MiB available"
+        )
+
+
 def build_adjoint(p: np.ndarray, null_vector: np.ndarray) -> np.ndarray:
     """All adjoint matrices at once: adj[k] = n{k} * P - p_k (x) n.
 
@@ -309,15 +321,9 @@ def _adjoint_and_scale(p: np.ndarray, null_vector: np.ndarray) -> tuple[np.ndarr
     if n.shape != (dim,):
         raise ContractViolation("null vector length must match matrix dimension")
     dtype = np.promote_types(p.dtype, n.dtype)
-    nbytes = dim**3 * dtype.itemsize
-    available = _available_memory()
-    if available is not None and nbytes > available:
-        raise SystemSizeError(
-            f"the N={dim} adjoint stack needs {nbytes / 2**20:.0f} MiB,"
-            f" more than the {available / 2**20:.0f} MiB available"
-        )
+    _check_stack_fits(dim, dtype)
     out = np.empty((dim, dim, dim), dtype=dtype)
-    threads = _MAX_THREADS if nbytes > _THREAD_MIN_BYTES else 1
+    threads = _MAX_THREADS if out.nbytes > _THREAD_MIN_BYTES else 1
 
     if dtype.kind == "c":
 
@@ -413,12 +419,14 @@ def generate(
     A single normal stream seeded with `seed` feeds all attempts, so the
     document produced for a given (dim, field, mode, seed) is unique even
     when early draws are rejected. Raises GenerationFailedError after
-    `max_attempts` rejections.
+    `max_attempts` rejections, and SystemSizeError before the first draw
+    when the adjoint stack would not fit in memory.
     """
     if dim < 2:
         raise ContractViolation(f"dimension must be at least 2, got {dim}")
     if max_attempts < 1:
         raise ContractViolation("max_attempts must be at least 1")
+    _check_stack_fits(dim, np.complex128 if field == "complex" else np.float64)
     tol = tolerances or Tolerances()
     stream = NormalStream(seed)
     last_error: Exception | None = None

@@ -37,6 +37,7 @@ from .sampler import (
     NullData,
     ParameterMatrix,
     Tolerances,
+    _check_stack_fits,
     assemble_sample,
     validate_parameter_matrix,
 )
@@ -167,6 +168,7 @@ def _parse_structure(entries, dim: int, complex_field: bool) -> np.ndarray:
     ):
         if bad.any():
             raise _fail(f"{where}[{int(np.argmax(bad))}]: {message}")
+    _check_stack_fits(dim, values.dtype)
     dense = np.zeros((dim, dim, dim), dtype=values.dtype)
     dense[i, j, k] = values
     dense[j, i, k] = -values
@@ -182,7 +184,9 @@ def read_sample(source: str | bytes) -> LieAlgebraSample:
 
     Absent adjoint/structure fields are rebuilt from p_matrix and
     null_vector through the same code path the generator uses, so a
-    rebuilt sample is bitwise identical to the one that was written.
+    rebuilt sample is bitwise identical to the one that was written. A
+    structure payload whose dense N^3 tensor would not fit in available
+    memory raises SystemSizeError before the tensor is allocated.
     """
     if isinstance(source, bytes):
         try:

@@ -5,8 +5,10 @@ import re
 
 import pytest
 
+import lieforge.oracle as oracle_module
 import lieforge.sampler as sampler_module
 from lieforge.cli import CSV_HEADER, main
+from lieforge.errors import DegenerateParametersError
 
 
 def _generate_doc(tmp_path, *extra):
@@ -96,7 +98,7 @@ def test_generate_unwritable_out_is_usage_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def _no_memory(monkeypatch):
+def _no_memory(monkeypatch, path=None):
     monkeypatch.setattr(sampler_module, "_available_memory", lambda: 0)
 
 
@@ -377,6 +379,71 @@ def test_bench_adjoint_too_large_for_memory_is_usage_error(monkeypatch, capsys):
 
 
 # --- top level --------------------------------------------------------------
+
+
+def _reject_every_draw(monkeypatch, path):
+    def reject(pm, tolerances=None):
+        raise DegenerateParametersError("rejected")
+
+    monkeypatch.setattr(sampler_module, "validate_parameter_matrix", reject)
+
+
+def _zero_separation(monkeypatch, path):
+    monkeypatch.setattr(oracle_module, "_schur_solver", lambda a: (None, 0.0))
+
+
+def _other_version(monkeypatch, path):
+    path.write_text(path.read_text().replace("lieforge/1", "lieforge/9", 1))
+
+
+def _truncated(monkeypatch, path):
+    path.write_text(path.read_text()[:-10])
+
+
+_ARGV = {
+    "generate": ["generate", "--dim", "5", "--seed", "1"],
+    "oracle": ["oracle", "--dim", "5", "--seed", "1"],
+    "bench": ["bench", "--dims", "5", "--repeat", "3"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, trigger, code, message",
+    [
+        *(
+            pytest.param(command, trigger, code, message, id=f"{command}-{error}")
+            for command in _ARGV
+            for trigger, code, message, error in (
+                (_reject_every_draw, 2, "no valid sample after 16 attempts", "GenerationFailed"),
+                (_no_memory, 64, "the N=5 adjoint stack needs", "SystemSize"),
+            )
+        ),
+        pytest.param(
+            "oracle", _zero_separation, 3, "singular system: eigenvalue separation",
+            id="oracle-SingularSystem",
+        ),
+        pytest.param(
+            "verify", _other_version, 65, "unsupported format version", id="verify-FormatVersion"
+        ),
+        pytest.param(
+            "verify", _truncated, 65, "document is not valid JSON", id="verify-DocumentIntegrity"
+        ),
+        pytest.param(
+            "verify", _no_memory, 65, "the N=5 adjoint stack needs", id="verify-SystemSize"
+        ),
+    ],
+)
+def test_each_library_error_exits_with_its_code_and_one_line(
+    command, trigger, code, message, monkeypatch, tmp_path, capsys
+):
+    path = _generate_doc(tmp_path)
+    trigger(monkeypatch, path)
+    argv = ["verify", str(path)] if command == "verify" else _ARGV[command]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"lieforge {command}: {message}")
+    assert captured.err.count("\n") == 1
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -14,11 +14,9 @@ from lieforge.oracle import (
     assemble_system,
     compare_tensors,
     count_equations,
-    equation_position,
     extract_unknowns,
     oracle_structure_constants,
     solve_system,
-    unknown_position,
 )
 from lieforge.sampler import (
     ParameterMatrix,
@@ -27,6 +25,7 @@ from lieforge.sampler import (
     generate,
     validate_parameter_matrix,
 )
+from reference import equation_position, unknown_position
 
 
 def _sample_from(matrix, mode="generic"):

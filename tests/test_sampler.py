@@ -391,6 +391,18 @@ def test_an_adjoint_too_large_for_memory_fails_before_it_allocates(monkeypatch):
     assert build_adjoint(p, n).nbytes == nbytes
 
 
+@pytest.mark.parametrize("field, mib", [("real", 16), ("complex", 32)])
+@pytest.mark.parametrize("mode", ["generic", "nilpotent"])
+def test_generate_sizes_the_adjoint_before_it_draws(field, mib, mode, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a parameter matrix before sizing the adjoint stack")
+
+    monkeypatch.setattr(sampler_module, "_available_memory", lambda: 0)
+    monkeypatch.setattr(sampler_module, "sample_parameter_matrix", no_draw)
+    with pytest.raises(SystemSizeError, match=f"the N=128 adjoint stack needs {mib} MiB"):
+        generate(128, 1, field=field, mode=mode)
+
+
 def test_the_memory_check_is_skipped_without_meminfo(monkeypatch):
     def no_file(*args, **kwargs):
         raise FileNotFoundError("/proc/meminfo")

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lieforge.sampler as sampler_module
 from lieforge.errors import (
     ContractViolation,
     DegenerateParametersError,
     DocumentIntegrityError,
     FormatVersionError,
     NullFirstComponentError,
+    SystemSizeError,
 )
 from lieforge.linalg import rank_and_left_null
 from lieforge.sampler import (
@@ -388,6 +391,29 @@ def test_bad_adjoint_payload_is_rejected():
     doc["adjoint"][1][4] = OVERFLOW
     with pytest.raises(DocumentIntegrityError, match="finite"):
         read_sample(_edited(json.dumps(doc)))
+
+
+def test_a_structure_tensor_too_large_for_memory_fails_before_it_allocates(monkeypatch):
+    dim = 160
+    sample = generate(dim, 1)
+    doc = json.loads(write_sample(sample, include_structure=False))
+    # a short payload, so that parsing the document costs little next to N^3
+    doc["structure_constants"] = [
+        [0, 1, k, value] for k, value in enumerate(sample.structure[0, 1].tolist()) if value
+    ]
+    text = json.dumps(doc)
+    nbytes = dim**3 * 8
+    monkeypatch.setattr(sampler_module, "_available_memory", lambda: nbytes - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemSizeError, match=f"N={dim} adjoint stack needs"):
+            read_sample(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < nbytes // 10
+    monkeypatch.setattr(sampler_module, "_available_memory", lambda: nbytes)
+    np.testing.assert_array_equal(read_sample(text).structure[0, 1], sample.structure[0, 1])
 
 
 # --- per-entry reference codec -----------------------------------------------
