@@ -13,34 +13,34 @@ above 2S, where S = max_k ||A_k||_inf is the largest row sum; since
 tau_ver * (2S)^(L+2). A NaN anywhere in a check's evaluation becomes its
 residual, so the check fails.
 
-Each identity has one evaluation. Closure is not a kernel of its own: its
-entries are the Jacobi residuals of the tensor the adjoint stack spells, so
-it runs the Jacobi kernel on that view. The transfer-matrix identity is
-evaluated in closed form, without forming any T_k. Each bilinear kernel
-evaluates every index tuple that shares a leading index (one "slab") with a
-few array products, one row of its second index at a time. One scanner,
-_scan, decides which tuples run, under one policy, the (cap, budget) table
-_SAMPLING: up to its cap a check runs every slab ("full"); above it the
-check runs the same kernel on a seeded subset of slabs ("sampled"): leading
-indices are taken in a SplitMix64(seed) order until their tuple counts cover
-the budget, and the last one is cut after the row that covers it. The
-checked subset is a pure function of (seed, N), picked slabs run in
-ascending order, and every reported count is the number of tuples actually
-checked. Rows are taken in linalg._row_chunks, so temporaries stay under
-_SLAB_CHUNK entries.
+Each bilinear identity is a multilinear form in the basis elements, so it
+is checked by one evaluation on a few seeded random vectors instead of on
+every index tuple. A nonzero multilinear form vanishes on Gaussian vectors
+with probability zero (Schwartz, J. ACM 27(4), 1980; the argument of
+Freivalds' matrix-product check, IFIP Congress 1977), and every entry of
+the tensor enters every probe. A check contracts the tensor with all its
+probes in one GEMM, one pass over its N^3 entries, and evaluates the
+identity on the resulting N x N matrices: O(N^3) in all, at every N.
+Each check draws _PROBE_SETS sets of unit-norm real Gaussian vectors from a
+NormalStream seeded by (seed, check name), so a report is a pure function of
+(sample, seed) and a check run alone gives its value in a full run. Closure
+is not a kernel of its own: it is the Jacobi probe on the tensor the
+adjoint stack spells. The transfer-matrix identity is evaluated in closed
+form, without forming any T_k.
 """
 
 from __future__ import annotations
 
 import math
 import time
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation
 from .linalg import EPS, _row_chunks, inf_norm
-from .rng import SplitMix64
+from .rng import NormalStream, SplitMix64
 from .sampler import LieAlgebraSample, adjoint_rows
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "VerifyConfig",
     "bracket_factorization",
     "jacobi_residual",
-    "jacobi_residual_at",
     "closure_residual",
     "derived_abelian_residual",
     "cartan_residual",
@@ -71,17 +70,8 @@ CHECK_NAMES = ("payload", "jacobi", "closure", "derived", "killing", "series", "
 # lose digits and then underflow into a false termination
 _LIFT_BELOW = 2.0**-500
 
-# (cap, budget) per check, in tuples of the commented kind. Up to cap (the
-# dimension N) a check scans every slab; above it, seeded slabs until they
-# hold budget tuples, the last one cut after the row that reaches it. closure
-# runs the jacobi kernel, so it shares that entry.
-# These values keep verify_all interactive up to N = 100.
-_SAMPLING = {
-    "jacobi": (30, 1_000_000),  # quadruples (i < j < k, m)
-    "derived": (14, 256),  # pair-pairs (p < q)
-    "killing": (60, 128),  # triples (i, j < k)
-    "tproduct": (64, 128),  # pairs (j, k)
-}
+# probe sets per bilinear check, each the few vectors its identity takes
+_PROBE_SETS = 4
 # the series check runs min(N, _SERIES_MAX_LEVELS) levels per path
 _SERIES_MAX_LEVELS = 64
 
@@ -101,45 +91,31 @@ def _check_cubic(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def _budget(check: str, dim: int) -> int | None:
-    """The check's tuple budget at dimension dim, or None to scan every slab."""
-    cap, budget = _SAMPLING[check]
-    return None if dim <= cap else budget
+def _probe(t: np.ndarray, seed: int, check: str, arity: int) -> tuple[np.ndarray, np.ndarray]:
+    """The probes a check evaluates its identity on, and their matrices in t.
 
-
-def _pick_slabs(sizes: np.ndarray, budget: int | None, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leading indices to scan, ascending, and the tuples to check in each.
-
-    sizes[s] is the tuple count of slab s. budget=None takes every nonempty
-    slab whole. Otherwise nonempty slabs are taken in a SplitMix64(seed)
-    order while the budget has tuples left, each whole but the last, whose
-    limit is what the budget has left.
+    Draws arity * _PROBE_SETS unit-norm real Gaussian vectors of length N
+    from a NormalStream seeded by (seed, check), so each check has probes of
+    its own and a run of one check reproduces its value in a run of all.
+    Returns them as (arity, _PROBE_SETS, N) and the matrices
+    M_u = sum_i u_i t[i] as (arity, _PROBE_SETS, N, N), all from one GEMM,
+    which is one pass over t. A (0, 2, 1) view of a contiguous stack, as
+    sample.structure is of sample.adjoint, is read in place; any other
+    non-contiguous layout is copied once.
     """
-    live = np.flatnonzero(sizes)
-    if budget is None:
-        return live, sizes[live]
-    order = live[np.argsort(SplitMix64(seed).uint64s(live.size), kind="stable")]
-    whole = sizes[order]
-    left = budget - (np.cumsum(whole) - whole)  # the budget left as each slab comes up
-    picked, limits = order[left > 0], np.minimum(whole, left)[left > 0]
-    ascending = np.argsort(picked)
-    return picked[ascending], limits[ascending]
-
-
-def _scan(check: str, dim: int, sizes: np.ndarray, seed: int, kernel) -> tuple[float, object, int]:
-    """Worst kernel value over the check's slabs, where it lies, and the tuples checked.
-
-    kernel(s, limit) evaluates whole rows of slab s's second index until
-    they hold at least limit tuples and returns (value, where, checked).
-    The slabs and limits come from _pick_slabs under the check's _SAMPLING
-    entry at dimension dim, and run in ascending order; the first worst
-    value is kept, NaN ranked above every number.
-    """
-    slabs, limits = _pick_slabs(sizes, _budget(check, dim), seed)
-    results = [kernel(int(s), int(limit)) for s, limit in zip(slabs, limits)]
-    # max keeps the first of equal values
-    worst, where, _ = max(results, key=lambda r: _nan_last(r[0]), default=(0.0, None, 0))
-    return float(worst), where, sum(r[2] for r in results)
+    dim = t.shape[0]
+    count = arity * _PROBE_SETS
+    stream = NormalStream(SplitMix64(seed ^ zlib.crc32(check.encode())).next_uint64())
+    probes = stream.normals(count * dim).reshape(count, dim)
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    swapped = t.transpose(0, 2, 1)
+    if swapped.flags.c_contiguous and not t.flags.c_contiguous:
+        mats = (probes @ swapped.reshape(dim, dim * dim)).reshape(count, dim, dim)
+        mats = mats.transpose(0, 2, 1)
+    else:
+        mats = (probes @ t.reshape(dim, dim * dim)).reshape(count, dim, dim)
+    shape = (arity, _PROBE_SETS, dim)
+    return probes.reshape(shape), mats.reshape(*shape, dim)
 
 
 def _power_of_two_above(x: float) -> float:
@@ -162,20 +138,13 @@ def _nan_last(value: float) -> tuple[bool, float]:
 
 @dataclass(frozen=True)
 class JacobiReport:
-    """Outcome of a Jacobi-identity scan.
+    """Outcome of a Jacobi-identity probe.
 
-    worst_indices is the zero-based (i, j, k, m) quadruple realizing
-    max_residual, the lexicographically smallest on ties, or None when no
-    quadruple exists (N < 3 or a zero sample budget). max_residual is
-    recomputed at that quadruple with the scalar formula, so
-    ``jacobi_residual_at(f, *worst_indices)`` reproduces it exactly.
-    checked_count is the number of quadruples checked.
+    max_residual is the largest |entry| of the Jacobiator J(x, y, z) over
+    the seeded probe sets; see jacobi_residual.
     """
 
     max_residual: float
-    worst_indices: tuple[int, int, int, int] | None
-    checked_count: int
-    sampled: bool
 
 
 @dataclass(frozen=True)
@@ -297,12 +266,12 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """What verify_all runs: the band, the sampling seed and the checks.
+    """What verify_all runs: the band, the probe seed and the checks.
 
     tau_ver is the bilinear and series band factor; None means "use the
     tolerance stored with the sample", and a given value must be finite and
-    positive. seed picks the slabs of every check above its cap in _SAMPLING
-    and the series check's random path. checks is a subset of CHECK_NAMES;
+    positive. seed picks every bilinear check's probe vectors, each check's
+    own, and the series check's random path. checks is a subset of CHECK_NAMES;
     they always run in CHECK_NAMES order.
     """
 
@@ -321,149 +290,78 @@ class VerifyConfig:
 
 
 # ---------------------------------------------------------------------------
-# jacobi identity
+# jacobi identity, closure
 
 
-def jacobi_residual_at(f: np.ndarray, i: int, j: int, k: int, m: int) -> float:
-    """|J^A + J^B + J^C| at one index quadruple, scalar arithmetic."""
-    total = f[i, j, :] @ f[k, :, m] + f[k, i, :] @ f[j, :, m] + f[j, k, :] @ f[i, :, m]
-    return float(abs(total))
+def _jacobiator(f: np.ndarray, seed: int, check: str) -> float:
+    """Largest |entry| of J(x, y, z) over the check's probe sets x, y, z.
 
-
-def _jacobi_slab(f: np.ndarray, i: int, limit: int) -> tuple[float, tuple[int, int, int, int], int]:
-    """Largest |J| over (i, j > i, k > j, m), on rows j until they hold limit quadruples.
-
-    Returns (value, quadruple, checked), the quadruple first in (j, k, m)
-    order on ties. For fixed i the three terms over every (j, k, m) are
-    stacked products: f[i, j, :] @ f[k], f[k, i, :] @ f[j] and
-    f[j, k, :] @ f[i]. Rows j are taken in chunks; each chunk evaluates
-    every k after its first row and masks the pairs with k <= j.
+    With M_u = sum_i u_i f[i], the bracket is [u, v] = v @ M_u, so
+    J = [z, [x, y]] + [y, [z, x]] + [x, [y, z]]
+      = (y @ M_x) @ M_z + (z @ M_y) @ M_x + (x @ M_z) @ M_y,
+    which is sum_ijk x_i y_j z_k J(i, j, k, :) for the scalar J of every
+    index quadruple (i, j, k, m).
     """
-    dim = f.shape[0]
-    left = np.ascontiguousarray(f[:, i, :])  # (k; l), too strided for BLAS as a view
-    checked, stop = 0, i + 1
-    while checked < limit:  # whole rows j, of dim * (dim - 1 - j) quadruples each
-        checked += dim * (dim - 1 - stop)
-        stop += 1
-    best = (-1.0, (i, i + 1, i + 2, 0))
-    for js in _row_chunks(i + 1, stop, dim * dim):
-        ks = slice(js.start + 1, dim)
-        total = (f[i, js] @ f[ks]).transpose(1, 0, 2) + left[ks] @ f[js]
-        total += f[js, ks] @ f[i]
-        vals = np.abs(total)
-        vals[np.arange(ks.start, dim) <= np.arange(js.start, js.stop)[:, None]] = -1.0
-        pos = np.unravel_index(int(np.argmax(vals)), vals.shape)  # a NaN wins argmax
-        if _nan_last(vals[pos]) > _nan_last(best[0]):
-            best = (float(vals[pos]), (i, js.start + int(pos[0]), ks.start + int(pos[1]), int(pos[2])))
-    return best[0], best[1], checked
+    (x, y, z), (mx, my, mz) = _probe(f, seed, check, 3)
+    x, y, z = x[:, None], y[:, None], z[:, None]
+    return inf_norm((y @ mx) @ mz + (z @ my) @ mx + (x @ mz) @ my)
 
 
 def jacobi_residual(f: np.ndarray, seed: int = 0) -> JacobiReport:
-    """Scan |J^A + J^B + J^C| over quadruples (i < j < k, m).
+    """Jacobi identity of the structure tensor f on seeded probe vectors.
 
-    Up to the jacobi cap in _SAMPLING every leading index i runs (O(N^5) work
-    in BLAS products); above it, leading indices run in a SplitMix64(seed)
-    order until their quadruples cover the budget, the last one cut after
-    the row j that reaches it, and checked_count says how many that was. The
-    reported maximum is recomputed at the winning quadruple with scalar dot
-    products; ties go to the lexicographically smallest quadruple checked.
+    J(x, y, z) = [z, [x, y]] + [y, [z, x]] + [x, [y, z]] is trilinear, so
+    each probe set weighs every index quadruple; see _jacobiator.
     """
     f = _check_cubic(f, "structure tensor")
-    dim = f.shape[0]
-    rest = dim - 1 - np.arange(dim)
-    sizes = dim * rest * (rest - 1) // 2  # quadruples with leading index i
-    _, quad, checked = _scan("jacobi", dim, sizes, seed, lambda i, limit: _jacobi_slab(f, i, limit))
-    sampled = _budget("jacobi", dim) is not None
-    if quad is None:
-        return JacobiReport(0.0, None, 0, sampled)
-    return JacobiReport(jacobi_residual_at(f, *quad), quad, checked, sampled)
-
-
-# ---------------------------------------------------------------------------
-# closure, derived subalgebra, Killing form / Cartan criterion
+    return JacobiReport(_jacobiator(f, seed, "jacobi"))
 
 
 def closure_residual(adj: np.ndarray, seed: int = 0) -> float:
-    """max over pairs i < j of ||[A_i, A_j] - sum_k A_i{k,j} A_k||_inf.
+    """Closure [A_x, A_y] = sum_k [x, y]_k A_k of the adjoint stack on probe vectors.
 
-    Entry (a, b) of the pair (i, j) is the Jacobi residual J(i, j, b, a) of
-    the tensor f{i,j,k} = A_i{k,j} (ad is a representation iff Jacobi holds),
-    so this is jacobi_residual on that view, under Jacobi's cap and budget in
-    _SAMPLING. For f antisymmetric in its first two indices, J is
-    antisymmetric in its first three and vanishes when two of them meet, so
-    Jacobi's i < j < k domain covers every pair and entry.
+    Entry (a, b) of [A_i, A_j] - sum_k A_i{k,j} A_k is the Jacobi residual
+    J(i, j, b, a) of the tensor f{i,j,k} = A_i{k,j} (ad is a representation
+    iff Jacobi holds), so this is the Jacobi probe on that view, with
+    probes of its own.
     """
     adj = _check_cubic(adj, "adjoint stack")
-    return jacobi_residual(adj.transpose(0, 2, 1), seed).max_residual
+    return _jacobiator(adj.transpose(0, 2, 1), seed, "closure")
 
 
-def _derived(adj, seed) -> tuple[float, None, int]:
-    adj = _check_cubic(adj, "adjoint stack")
-    dim = adj.shape[0]
-    first, second = np.triu_indices(dim, 1)  # pair p = (first[p], second[p])
-
-    def slab(p: int, limit: int):
-        a, b = adj[first[p]], adj[second[p]]
-        b_p = a @ b - b @ a
-        worst = 0.0
-        for qs in _row_chunks(p + 1, p + 1 + limit, dim * dim):  # a row q is one pair-pair
-            a, b = adj[first[qs]], adj[second[qs]]
-            b_q = a @ b
-            b_q -= b @ a
-            cross = b_p @ b_q
-            cross -= b_q @ b_p
-            worst = np.maximum(worst, inf_norm(cross))
-        return worst, None, limit
-
-    sizes = first.size - 1 - np.arange(first.size)  # pair-pairs (p, q > p)
-    return _scan("derived", dim, sizes, seed, slab)
+# ---------------------------------------------------------------------------
+# derived subalgebra, Killing form / Cartan criterion
 
 
 def derived_abelian_residual(adj: np.ndarray, seed: int = 0) -> float:
-    """max over pair-pairs p < q of ||[[A_i,A_j],[A_k,A_l]]||_inf.
+    """Largest ||[[A_x, A_y], [A_z, A_w]]||_inf over the probe sets.
 
-    A slab is every pair-pair whose first pair is p = (i < j), and a row one
-    second pair q. All slabs up to the derived cap in _SAMPLING; beyond it,
-    seeded slabs until they hold the budget, the last one cut at the budget.
-    [B_q, B_p] = -[B_p, B_q] and [B_p, B_p] = 0 exactly, so q > p covers
-    every pair-pair.
+    A_u = sum_i u_i A_i, so each probe set weighs every pair of pairs
+    [[A_i, A_j], [A_k, A_l]].
     """
-    return _derived(adj, seed)[0]
-
-
-def _cartan(adj, seed) -> tuple[float, None, int]:
     adj = _check_cubic(adj, "adjoint stack")
-    dim = adj.shape[0]
-    flat = adj.reshape(dim, dim * dim)
+    _, (ax, ay, az, aw) = _probe(adj, seed, "derived", 4)
+    left, right = ax @ ay - ay @ ax, az @ aw - aw @ az
+    return inf_norm(left @ right - right @ left)
 
-    def slab(j: int, limit: int):
-        stop = j + 1 + -(-limit // dim)  # a row k holds the dim triples (i, j, k)
-        worst = 0.0
-        for ks in _row_chunks(j + 1, stop, dim * dim):
-            rest = adj[ks]
-            brackets = adj[j] @ rest - rest @ adj[j]
-            # trace(A_i B) = sum_ab A_i{a,b} B{b,a}, for every i at once
-            traces = flat @ brackets.transpose(0, 2, 1).reshape(rest.shape[0], -1).T
-            worst = np.maximum(worst, inf_norm(traces))
-        return worst, None, dim * (stop - j - 1)
 
-    sizes = dim * (dim - 1 - np.arange(dim))  # triples (i, j, k > j)
-    return _scan("killing", dim, sizes, seed, slab)
+def _cartan(adj: np.ndarray, seed: int) -> float:
+    """Largest |trace(A_x [A_y, A_z])| over the probe sets."""
+    _, (ax, ay, az) = _probe(adj, seed, "killing", 3)
+    return inf_norm(np.einsum("sab,sba->s", ax, ay @ az - az @ ay))
 
 
 def cartan_residual(adj: np.ndarray, seed: int = 0) -> KillingReport:
-    """Killing form and max |trace(A_i [A_j, A_k])| (zero for solvable algebras).
+    """Killing form and the Cartan traces trace(A_x [A_y, A_z]) on probe vectors.
 
-    A slab is every triple (i, j, k > j) with pair leading index j, and a row
-    the N triples of one k. All slabs up to the killing cap in _SAMPLING;
-    beyond it, seeded slabs until they hold the budget, the last one cut
-    after the row that reaches it.
+    The traces are trilinear, so each probe set weighs every triple
+    trace(A_i [A_j, A_k]); they vanish for solvable algebras.
     """
     adj = _check_cubic(adj, "adjoint stack")
     dim = adj.shape[0]
     killing = adj.reshape(dim, -1) @ adj.transpose(0, 2, 1).reshape(dim, -1).T
     killing.setflags(write=False)
-    return KillingReport(matrix=killing, max_cartan_residual=_cartan(adj, seed)[0])
+    return KillingReport(matrix=killing, max_cartan_residual=_cartan(adj, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -656,37 +554,21 @@ def nilpotency_check(p, tau_ver: float = 1e-9) -> bool:
 # transfer-matrix products
 
 
-def _tproduct(null, adj, seed) -> tuple[float, None, int]:
+def t_product_residual(null, adj: np.ndarray, seed: int = 0) -> float:
+    """||A_j T_k - n{j} A_k||_inf on probe vectors, with T_k = n{k} I - e_k (x) n.
+
+    A_j T_k = n{k} A_j - A_j[:, k] (x) n, so no T_k is formed, and the sum
+    over (j, k) weighted by x_j y_k is (n.y) A_x - (A_x y) (x) n - (n.x) A_y.
+    The companion T_j T_k = n{j} T_k holds for every n, so it is not checked.
+    """
     adj = _check_cubic(adj, "adjoint stack")
     n = _vector_of(null)
-    dim = adj.shape[0]
-    if n.shape != (dim,):
+    if n.shape != (adj.shape[0],):
         raise ContractViolation("null vector length must match adjoint dimension")
-
-    def slab(j: int, limit: int):
-        worst = 0.0
-        for ks in _row_chunks(0, limit, dim * dim):  # a row k is one pair
-            # A_j T_k - n{j} A_k = n{k} A_j - A_j[:, k] (x) n - n{j} A_k, for every k at once
-            residual = n[ks, None, None] * adj[j]
-            residual -= adj[j][:, ks].T[:, :, None] * n
-            residual -= n[j] * adj[ks]
-            worst = np.maximum(worst, inf_norm(residual))
-        return worst, None, limit
-
-    sizes = np.full(dim, dim)  # pairs (j, k) with leading index j
-    return _scan("tproduct", dim, sizes, seed, slab)
-
-
-def t_product_residual(null, adj: np.ndarray, seed: int = 0) -> float:
-    """max over pairs (j, k) of ||A_j T_k - n{j} A_k||_inf, with T_k = n{k} I - e_k (x) n.
-
-    A_j T_k = n{k} A_j - A_j[:, k] (x) n, so no T_k is formed. The companion
-    T_j T_k = n{j} T_k holds for every n, so it is not checked. A slab is
-    every pair with leading index j. All slabs up to the tproduct cap in
-    _SAMPLING; beyond it, seeded slabs until they hold the budget, the last
-    one cut at the budget.
-    """
-    return _tproduct(null, adj, seed)[0]
+    (x, y), (ax, ay) = _probe(adj, seed, "tproduct", 2)
+    residual = (y @ n)[:, None, None] * ax - (ax @ y[:, :, None]) * n
+    residual -= (x @ n)[:, None, None] * ay
+    return inf_norm(residual)
 
 
 # ---------------------------------------------------------------------------
@@ -736,10 +618,11 @@ def verify_all(sample: LieAlgebraSample, config: VerifyConfig | None = None) -> 
     Check failures become report entries; nothing raises. The payload check
     passes at the rounding bound 8 * eps * ||P||_inf * ||n||_inf of
     A_k = n{k} P - p_k (x) n, which no tau_ver moves. The bilinear checks
-    (jacobi, closure, derived, killing, tproduct) pass at tau_ver * scale^2;
-    closure is Jacobi on the adjoint stack's view and counts its quadruples;
-    killing is the Cartan traces trace(A_i [A_j, A_k]) alone, since
-    trace(A_i A_j) = trace(A_j A_i) holds for any matrices. The series check
+    (jacobi, closure, derived, killing, tproduct) pass at tau_ver * scale^2
+    and each evaluates its identity on _PROBE_SETS seeded probe sets; closure
+    is the Jacobi probe on the adjoint stack's view; killing is the Cartan
+    traces trace(A_x [A_y, A_z]) alone, since trace(A_i A_j) = trace(A_j A_i)
+    holds for any matrices. The series check
     requires per-level closed-form agreement within tau_ver * (2S)^(L+2),
     S = max_k ||A_k||_inf the largest row sum, on the canonical path and one
     seeded random path, plus the mode-appropriate termination behavior
@@ -781,21 +664,12 @@ def verify_all(sample: LieAlgebraSample, config: VerifyConfig | None = None) -> 
         )
         return residual, band, residual <= band, detail
 
-    def bilinear(name: str, policy: str, unit: str, scan) -> None:
-        """Run a bilinear check; scan() gives (residual, where, checked) under policy."""
-
+    def bilinear(name: str, residual) -> None:
         def check():
-            res, where, count = scan()
-            detail = f"{'full' if _budget(policy, dim) is None else 'sampled'}, {count} {unit}"
-            if where is not None:
-                detail += f", worst at {where}"
-            return res, band2, res <= band2, detail
+            res = residual()
+            return res, band2, res <= band2, f"{_PROBE_SETS} probe sets"
 
         run(name, check)
-
-    def jacobi(f):
-        rep = jacobi_residual(f, seed=cfg.seed)
-        return rep.max_residual, rep.worst_indices, rep.checked_count
 
     def check_series():
         depth = min(dim, _SERIES_MAX_LEVELS)
@@ -821,13 +695,12 @@ def verify_all(sample: LieAlgebraSample, config: VerifyConfig | None = None) -> 
         return ratio * tau, tau, bool(ok), detail
 
     run("payload", check_payload)
-    bilinear("jacobi", "jacobi", "quadruples", lambda: jacobi(sample.structure))
-    # closure is Jacobi on the tensor the adjoint payload spells, f{i,j,k} = A_i{k,j}
-    bilinear("closure", "jacobi", "quadruples", lambda: jacobi(sample.adjoint.transpose(0, 2, 1)))
-    bilinear("derived", "derived", "pair-pairs", lambda: _derived(sample.adjoint, cfg.seed))
-    bilinear("killing", "killing", "triples", lambda: _cartan(sample.adjoint, cfg.seed))
+    bilinear("jacobi", lambda: jacobi_residual(sample.structure, cfg.seed).max_residual)
+    bilinear("closure", lambda: closure_residual(sample.adjoint, cfg.seed))
+    bilinear("derived", lambda: derived_abelian_residual(sample.adjoint, cfg.seed))
+    bilinear("killing", lambda: _cartan(sample.adjoint, cfg.seed))
     run("series", check_series)
-    bilinear("tproduct", "tproduct", "pairs", lambda: _tproduct(sample.null, sample.adjoint, cfg.seed))
+    bilinear("tproduct", lambda: t_product_residual(sample.null, sample.adjoint, cfg.seed))
 
     return VerificationReport(
         dim=dim,

@@ -132,7 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="verification tolerance (default: the tau_ver stored in the document)",
     )
     ver.add_argument(
-        "--seed", type=_uint64, default=0, help="seed for sampled checks (default 0)"
+        "--seed",
+        type=_uint64,
+        default=0,
+        help="seed of the checks' probe vectors and the series check's random path (default 0)",
     )
     ver.add_argument("--format", choices=("text", "json"), default="text")
     ver.set_defaults(func=cmd_verify, _parser=ver)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
+import posixpath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -264,21 +265,76 @@ _THREAD_MIN_BYTES = 128 << 20
 _MAX_THREADS = 2
 
 
+# a cgroup memory limit at or above this many bytes means none: cgroup v1
+# reports "unlimited" as 2^63 rounded down to a page
+_UNLIMITED = 1 << 62
+
+
+def _read_int(path: str) -> int | None:
+    """The integer a one-line file holds; None where it is absent or not an integer ("max")."""
+    try:
+        with open(path, "rb") as fh:
+            return int(fh.read())
+    except (OSError, ValueError):
+        return None
+
+
+def _cgroup_headroom(proc: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> int | None:
+    """Bytes the process's memory cgroups still let it allocate; None under no limit.
+
+    proc lists the process's cgroups. A v2 line "0::<path>" is limited by
+    memory.max - memory.current under root/<path>; a v1 line whose
+    controllers include memory by memory.limit_in_bytes -
+    memory.usage_in_bytes under root/memory/<path>. Every ancestor of the
+    path limits too, so the smallest headroom over them counts. A missing
+    file, "max" or a limit of at least _UNLIMITED is no limit; a missing
+    usage file counts as no usage.
+    """
+    try:
+        with open(proc, "rb") as fh:
+            lines = fh.read().decode("ascii", "replace").splitlines()
+    except OSError:
+        return None
+    rooms = []
+    for line in lines:
+        parts = line.split(":", 2)
+        if len(parts) != 3:
+            continue
+        if parts[:2] == ["0", ""]:
+            base, limit_file, usage_file = root, "memory.max", "memory.current"
+        elif "memory" in parts[1].split(","):
+            base = posixpath.join(root, "memory")
+            limit_file, usage_file = "memory.limit_in_bytes", "memory.usage_in_bytes"
+        else:
+            continue
+        names = [name for name in parts[2].split("/") if name]
+        for depth in range(len(names), -1, -1):  # the cgroup, then each ancestor
+            directory = posixpath.join(base, *names[:depth])
+            limit = _read_int(posixpath.join(directory, limit_file))
+            if limit is not None and limit < _UNLIMITED:
+                usage = _read_int(posixpath.join(directory, usage_file)) or 0
+                rooms.append(max(limit - usage, 0))
+    return min(rooms, default=None)
+
+
 def _available_memory() -> int | None:
-    """MemAvailable from /proc/meminfo in bytes; None where the file is absent."""
+    """Bytes this process can still allocate: the smaller of MemAvailable in
+    /proc/meminfo and its cgroup headroom; None where neither is known."""
+    meminfo = None
     try:
         with open("/proc/meminfo", "rb") as fh:
             for line in fh:
                 if line.startswith(b"MemAvailable:"):
-                    return int(line.split()[1]) * 1024
+                    meminfo = int(line.split()[1]) * 1024
+                    break
     except OSError:
         pass
-    return None
+    return min((m for m in (meminfo, _cgroup_headroom()) if m is not None), default=None)
 
 
 def _check_stack_fits(dim: int, dtype) -> None:
-    """Raise SystemSizeError when an N^3 stack of dtype exceeds the memory the
-    OS reports available; no check where /proc/meminfo is absent."""
+    """Raise SystemSizeError when an N^3 stack of dtype exceeds _available_memory();
+    no check where that is unknown."""
     nbytes = dim**3 * np.dtype(dtype).itemsize
     available = _available_memory()
     if available is not None and nbytes > available:

@@ -168,7 +168,6 @@ def _parse_structure(entries, dim: int, complex_field: bool) -> np.ndarray:
     ):
         if bad.any():
             raise _fail(f"{where}[{int(np.argmax(bad))}]: {message}")
-    _check_stack_fits(dim, values.dtype)
     dense = np.zeros((dim, dim, dim), dtype=values.dtype)
     dense[i, j, k] = values
     dense[j, i, k] = -values
@@ -185,8 +184,9 @@ def read_sample(source: str | bytes) -> LieAlgebraSample:
     Absent adjoint/structure fields are rebuilt from p_matrix and
     null_vector through the same code path the generator uses, so a
     rebuilt sample is bitwise identical to the one that was written. A
-    structure payload whose dense N^3 tensor would not fit in available
-    memory raises SystemSizeError before the tensor is allocated.
+    document whose N^3 adjoint stack would not fit in available memory
+    raises SystemSizeError as soon as dim and field are read, before P is
+    decoded or any payload is stacked.
     """
     if isinstance(source, bytes):
         try:
@@ -222,6 +222,10 @@ def read_sample(source: str | bytes) -> LieAlgebraSample:
     field = data["field"]
     if field not in FIELDS:
         raise _fail(f"field must be one of {FIELDS}, got {field!r}")
+    # every sample holds an N^3 adjoint stack, stored or rebuilt, so it is
+    # sized before P is decoded and validated or any payload is stacked
+    cx = field == "complex"
+    _check_stack_fits(dim, np.complex128 if cx else np.float64)
     seed = data["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise _fail(f"seed must be a uint64, got {seed!r}")
@@ -241,7 +245,6 @@ def read_sample(source: str | bytes) -> LieAlgebraSample:
     except ContractViolation as err:
         raise _fail(str(err)) from err
 
-    cx = field == "complex"
     p = _numbers(data["p_matrix"], (dim, dim), cx, "p_matrix")
     try:
         pm = ParameterMatrix(matrix=p, mode=data["mode"])

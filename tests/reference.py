@@ -50,3 +50,85 @@ def equation_position(j: int, k: int, m: int, dim: int) -> int:
     if not (1 <= j < k <= dim - 1 and 0 <= m < dim):
         raise ContractViolation(f"({j}, {k}, {m}) is not a valid equation for dim {dim}")
     return _pair_rank(j, k, dim) * dim + m
+
+
+# --- exhaustive identity kernels ------------------------------------------
+# Each evaluates its identity at every index tuple, as the library did before
+# its checks became seeded probes; tests compare the probes' verdicts with
+# these. A NaN anywhere in the input becomes the result.
+
+
+def jacobi_residual_at(f: np.ndarray, i: int, j: int, k: int, m: int) -> float:
+    """|J(i, j, k, m)| at one index quadruple, scalar arithmetic."""
+    total = f[i, j, :] @ f[k, :, m] + f[k, i, :] @ f[j, :, m] + f[j, k, :] @ f[i, :, m]
+    return float(abs(total))
+
+
+def jacobi_tensor(f: np.ndarray) -> np.ndarray:
+    """J(i, j, k, m) of jacobi_residual_at at every quadruple, as an (N, N, N, N) array."""
+    a = np.einsum("ijl,klm->ijkm", f, f)  # a[i, j, k, m] = f[i, j, :] @ f[k, :, m]
+    return a + np.einsum("kijm->ijkm", a) + np.einsum("jkim->ijkm", a)
+
+
+def exhaustive_jacobi(f: np.ndarray) -> float:
+    """max |J(i, j, k, m)| over every quadruple with i < j < k; 0 below N = 3."""
+    i, j, k = np.indices(f.shape)
+    return float(np.abs(jacobi_tensor(f)[(i < j) & (j < k)]).max(initial=0.0))
+
+
+def exhaustive_closure(adj: np.ndarray) -> float:
+    """max over pairs i < j of ||[A_i, A_j] - sum_k A_i{k,j} A_k||_inf."""
+    dim = adj.shape[0]
+    flat = adj.reshape(dim, dim * dim)
+    worst = 0.0
+    for i in range(dim):
+        rest = adj[i + 1 :]
+        residual = adj[i] @ rest - rest @ adj[i]
+        residual -= (adj[i][:, i + 1 :].T @ flat).reshape(rest.shape)  # sum_k A_i{k,j} A_k
+        worst = np.max([worst, np.abs(residual).max(initial=0.0)])
+    return float(worst)
+
+
+def exhaustive_derived(adj: np.ndarray) -> float:
+    """max over pairs of pairs p < q of ||[B_p, B_q]||_inf, B_p = [A_i, A_j] for i < j.
+
+    For each p, the products B_p B_q and B_q B_p for every q > p come out of
+    two GEMMs.
+    """
+    dim = adj.shape[0]
+    first, second = np.triu_indices(dim, 1)
+    a, c = adj[first], adj[second]
+    b = a @ c - c @ a
+    pairs = len(b)
+    rows = b.reshape(pairs * dim, dim)  # row (q, a) is row a of B_q
+    cols = np.ascontiguousarray(b.transpose(1, 0, 2)).reshape(dim, pairs * dim)  # column (q, c)
+    worst = 0.0
+    for p in range(pairs - 1):
+        later = pairs - p - 1
+        brackets = (b[p] @ cols[:, (p + 1) * dim :]).reshape(dim, later, dim)  # [a, q, c]
+        brackets -= (rows[(p + 1) * dim :] @ b[p]).reshape(later, dim, dim).transpose(1, 0, 2)
+        worst = np.max([worst, np.abs(brackets).max()])
+    return float(worst)
+
+
+def exhaustive_cartan(adj: np.ndarray) -> float:
+    """max |trace(A_i [A_j, A_k])| over every triple."""
+    dim = adj.shape[0]
+    # products[j, a, k, c] = (A_j A_k)[a, c]
+    products = adj.reshape(dim * dim, dim) @ adj.transpose(1, 0, 2).reshape(dim, dim * dim)
+    products = products.reshape(dim, dim, dim, dim)
+    brackets = products - products.transpose(2, 1, 0, 3)
+    return float(np.abs(np.einsum("ica,jakc->ijk", adj, brackets)).max(initial=0.0))
+
+
+def exhaustive_tproduct(null_vector: np.ndarray, adj: np.ndarray) -> float:
+    """max over pairs (j, k) of ||A_j T_k - n{j} A_k||_inf, every T_k materialized."""
+    n = np.asarray(null_vector)
+    dim = adj.shape[0]
+    t = np.stack([transfer_matrix(n, k) for k in range(dim)])
+    # products[j, a, k, c] = (A_j T_k)[a, c]
+    products = adj.reshape(dim * dim, dim) @ t.transpose(1, 0, 2).reshape(dim, dim * dim)
+    residual = products.reshape(dim, dim, dim, dim)
+    residual -= n[:, None, None, None] * adj.transpose(1, 0, 2)
+    return float(np.abs(residual).max(initial=0.0))
+

@@ -1,7 +1,7 @@
 """Identity checks, series behavior, and the aggregate verifier."""
 
-import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieforge import analysis, linalg
+from lieforge import analysis
 from lieforge.analysis import (
     CHECK_NAMES,
     VerifyConfig,
@@ -19,7 +19,6 @@ from lieforge.analysis import (
     closure_residual,
     derived_abelian_residual,
     jacobi_residual,
-    jacobi_residual_at,
     lower_central_series,
     nilpotency_check,
     t_product_residual,
@@ -35,7 +34,17 @@ from lieforge.sampler import (
     validate_parameter_matrix,
 )
 from lieforge.serialize import read_sample, write_sample
-from reference import commutator, transfer_matrix
+from reference import (
+    commutator,
+    exhaustive_cartan,
+    exhaustive_closure,
+    exhaustive_derived,
+    exhaustive_jacobi,
+    exhaustive_tproduct,
+    jacobi_residual_at,
+    jacobi_tensor,
+    transfer_matrix,
+)
 
 HEISENBERG_P = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
 
@@ -55,14 +64,33 @@ def _rescaled(s, factor):
     return assemble_sample(pm, validate_parameter_matrix(pm, Tolerances()), seed=s.seed)
 
 
+# --- probes ---------------------------------------------------------------
+
+BILINEAR = ("jacobi", "closure", "derived", "killing", "tproduct")
+
+
+def _probe_vectors(check, arity, dim, seed=0):
+    """The probe vectors check draws at dimension dim, as (arity, sets, dim)."""
+    return analysis._probe(np.zeros((dim, dim, dim)), seed, check, arity)[0]
+
+
+def _ulps(f, dim):
+    """A rounding allowance for one Jacobi evaluation with unit probes on f."""
+    return 8 * dim**2 * np.finfo(float).eps * float(np.abs(f).max()) ** 2
+
+
 # --- jacobi ---------------------------------------------------------------
 
 
 def test_jacobi_no_quadruples_below_three_dims():
-    rep = jacobi_residual(np.zeros((2, 2, 2)))
-    assert rep.checked_count == 0
-    assert rep.max_residual == 0.0
-    assert rep.worst_indices is None
+    """Below N = 3 no quadruple i < j < k exists, so the exhaustive scan reads
+    0, and the probe of an antisymmetric tensor there is rounding alone."""
+    rng = np.random.default_rng(2)
+    for dim in (1, 2):
+        f = rng.standard_normal((dim, dim, dim))
+        f -= f.transpose(1, 0, 2)
+        assert exhaustive_jacobi(f) == 0.0
+        assert jacobi_residual(f).max_residual <= _ulps(f, dim)
 
 
 def test_jacobi_zero_tensor_passes():
@@ -70,59 +98,18 @@ def test_jacobi_zero_tensor_passes():
     assert rep.max_residual == 0.0
 
 
-def test_jacobi_full_quadruple_count():
-    dim = 6
-    rep = jacobi_residual(np.zeros((dim, dim, dim)))
-    assert rep.checked_count == dim * math.comb(dim, 3)
-
-
-def test_jacobi_max_is_reproducible_at_worst_indices():
-    s = generate(7, 13)
-    rep = jacobi_residual(s.structure)
-    assert rep.max_residual == jacobi_residual_at(s.structure, *rep.worst_indices)
-
-
-def _one_row_per_chunk(monkeypatch, dim, chunk):
-    """Set the chunk size that linalg._row_chunks reads, and check that it
-    gives the bilinear kernels, whose rows hold N^2 entries, one row a chunk."""
-    monkeypatch.setattr(linalg, "_SLAB_CHUNK", chunk)
-    assert linalg._row_chunks(0, dim, dim * dim) == [slice(r, r + 1) for r in range(dim)]
-
-
-def _set_sampling(monkeypatch, cap, budget, names=("jacobi",)):
-    """Set the named checks' sampling policy to (cap, budget); each must have an entry."""
-    for name in names:
-        assert name in analysis._SAMPLING, name
-        monkeypatch.setitem(analysis._SAMPLING, name, (cap, budget))
-
-
-def test_jacobi_sampled_agrees_with_full_on_verdict(monkeypatch):
+def test_jacobi_sampled_agrees_with_full_on_verdict():
+    """The probe, on sampled vectors, and the exhaustive scan, over every
+    quadruple, agree on a clean tensor and on one with an entry moved."""
     s = generate(6, 4)
     band = _band(s)
     broken = s.structure.copy()
     broken[1, 2, 3] += 0.5
     broken[2, 1, 3] -= 0.5
-    full = jacobi_residual(s.structure)
-    assert not full.sampled and full.max_residual <= band
-    assert jacobi_residual(broken).max_residual > band
-
-    _set_sampling(monkeypatch, 0, 20_000)
-    sampled = jacobi_residual(s.structure, seed=1)
-    assert sampled.sampled and sampled.max_residual <= band
-    assert jacobi_residual(broken, seed=1).max_residual > band
-
-
-def _brute_jacobi(f, quads=None):
-    """Scalar scan of quads (every i < j < k by default); the first maximum in lexicographic order."""
-    dim = f.shape[0]
-    if quads is None:
-        quads = [q for q in itertools.product(range(dim), repeat=4) if q[0] < q[1] < q[2]]
-    best, where = -1.0, None
-    for quad in sorted(quads):
-        value = jacobi_residual_at(f, *quad)
-        if value > best:
-            best, where = value, quad
-    return best, where
+    for f, fails in ((s.structure, False), (broken, True)):
+        assert (exhaustive_jacobi(f) > band) is fails
+        for seed in range(4):
+            assert (jacobi_residual(f, seed).max_residual > band) is fails, seed
 
 
 def _jacobi_inputs(kind, dim):
@@ -131,71 +118,37 @@ def _jacobi_inputs(kind, dim):
         return generate(dim, 40 + dim).structure
     if kind == "complex":
         return generate(dim, 40 + dim, field="complex").structure
-    if kind in ("random", "chunked"):
+    if kind == "random":
         return rng.standard_normal((dim, dim, dim))
     # every other entry of a larger random tensor: a layout BLAS cannot take as is
     return rng.standard_normal((2 * dim, 2 * dim, 2 * dim))[::2, ::-2, ::2]
 
 
-@pytest.mark.parametrize("kind", ["real", "complex", "random", "strided", "chunked"])
+@pytest.mark.parametrize("kind", ["real", "complex", "random", "strided"])
 @pytest.mark.parametrize("dim", [5, 6, 7, 8])
-def test_jacobi_matches_scalar_reference(kind, dim, monkeypatch):
-    if kind == "chunked":
-        _one_row_per_chunk(monkeypatch, dim, dim * dim)
+def test_jacobi_matches_scalar_reference(kind, dim):
+    """The probe is sum_ijk x_i y_j z_k J(i, j, k, :) for the scalar J of every
+    quadruple. A sample's structure is a (0, 2, 1) view of its adjoint stack,
+    which the probe reads in place."""
     f = _jacobi_inputs(kind, dim)
-    best, where = _brute_jacobi(f)
-    rep = jacobi_residual(f)
-    assert rep.checked_count == dim * math.comb(dim, 3)
-    assert rep.max_residual == jacobi_residual_at(f, *rep.worst_indices)
-    # a few ulps of the largest product term that enters a residual
-    ulps = 4 * 3 * dim * np.finfo(float).eps * float(np.abs(f).max()) ** 2
-    assert abs(rep.max_residual - best) <= ulps
-    if kind in ("random", "strided", "chunked"):
-        assert rep.worst_indices == where
+    jac = jacobi_tensor(f)
+    for quad in itertools.product(range(dim), repeat=4):
+        assert math.isclose(abs(jac[quad]), jacobi_residual_at(f, *quad), abs_tol=_ulps(f, dim))
+    x, y, z = _probe_vectors("jacobi", 3, dim)
+    want = inf_norm(np.einsum("si,sj,sk,ijkm->sm", x, y, z, jac))
+    got = jacobi_residual(f).max_residual
+    assert abs(got - want) <= _ulps(f, dim) + 1e-12 * want
 
 
-@pytest.mark.parametrize("chunk", [None, 1])
-def test_jacobi_ties_go_to_smallest_quadruple(chunk, monkeypatch):
-    if chunk is not None:  # one row j per chunk, so ties also span chunks
-        _one_row_per_chunk(monkeypatch, 7, chunk)
-    # small integers: every product and sum is exact, so ties are exact
-    f = np.random.default_rng(3).integers(-1, 2, size=(7, 7, 7)).astype(float)
-    best, where = _brute_jacobi(f)
-    rep = jacobi_residual(f)
-    assert (rep.max_residual, rep.worst_indices) == (best, where)
-    _set_sampling(monkeypatch, 0, 10**9)
-    assert jacobi_residual(f).worst_indices == where
-
-
-@pytest.mark.parametrize("chunk", [None, 1])
-def test_jacobi_zero_tensor_reports_first_valid_quadruple(chunk, monkeypatch):
-    if chunk is not None:
-        _one_row_per_chunk(monkeypatch, 5, chunk)
-    for cap in (5, 4):  # full, then sampled
-        _set_sampling(monkeypatch, cap, 10**6)
-        rep = jacobi_residual(np.zeros((5, 5, 5)))
-        assert rep.worst_indices == (0, 1, 2, 0) and rep.sampled == (cap == 4)
-
-
-def test_jacobi_sampled_is_a_pure_function_of_seed(monkeypatch):
+def test_jacobi_sampled_is_a_pure_function_of_seed():
     f = generate(12, 5).structure
-    total = 12 * math.comb(12, 3)
-    full = jacobi_residual(f)
-
-    def sampled(budget, seed):
-        _set_sampling(monkeypatch, 0, budget)
-        return jacobi_residual(f, seed=seed)
-
-    first = sampled(500, 9)
-    assert first == sampled(500, 9)
-    assert first.sampled and 500 <= first.checked_count < total
-    picks = {sampled(500, s).checked_count for s in range(8)}
-    assert len(picks) > 1  # different seeds pick different slabs
-    for budget in (total, total + 1, 10**9):
-        rep = sampled(budget, 9)
-        assert rep.checked_count == total
-        assert rep == dataclasses.replace(full, sampled=True)
-    assert sampled(0, 0).checked_count == 0
+    first = jacobi_residual(f, seed=9)
+    assert first == jacobi_residual(f, seed=9)
+    assert len({jacobi_residual(f, seed=s).max_residual for s in range(8)}) > 1
+    probes = _probe_vectors("jacobi", 3, 12, seed=9)
+    np.testing.assert_allclose(np.linalg.norm(probes, axis=-1), 1.0, rtol=1e-15)
+    # each check draws probes of its own from (seed, check name)
+    assert not np.array_equal(probes, _probe_vectors("closure", 3, 12, seed=9))
 
 
 # --- bilinear identity residuals -----------------------------------------
@@ -221,37 +174,6 @@ def test_closure_detects_broken_adjoint():
     assert closure_residual(adj) > _band(s)
 
 
-def _closure_reference(adj, quads=None):
-    """The pair-slab closure kernel closure_residual replaced, over every pair i < j.
-
-    Entry (m, k) of pair (i, j) is the Jacobi residual J(i, j, k, m) of the
-    tensor the adjoint stack spells, so quads, if given, picks those entries.
-    """
-    dim = adj.shape[0]
-    flat = adj.reshape(dim, dim * dim)
-    pair = {}
-    for i in range(dim):
-        rest = adj[i + 1 :]
-        residual = adj[i] @ rest - rest @ adj[i]
-        # sum_k A_i{k,j} A_k for every j > i
-        residual -= (adj[i][:, i + 1 :].T @ flat).reshape(rest.shape)
-        pair.update({(i, j): residual[j - i - 1] for j in range(i + 1, dim)})
-    if quads is None:
-        return max((inf_norm(r) for r in pair.values()), default=0.0)
-    return max(abs(pair[i, j][m, k]) for i, j, k, m in quads)
-
-
-def _tproduct_reference(n, adj, pairs=None):
-    """The transfer-matrix GEMM form t_product_residual replaced, over pairs (j, k), all by default."""
-    dim = adj.shape[0]
-    t = np.stack([transfer_matrix(n, k) for k in range(dim)])
-    if pairs is None:
-        pairs = itertools.product(range(dim), repeat=2)
-    return max(
-        inf_norm(left[j] @ t[k] - n[j] * left[k]) for j, k in pairs for left in (t, adj)
-    )
-
-
 def _random_bilinear_inputs(dim, field, seed):
     """An antisymmetric tensor that satisfies no identity, as an adjoint stack, and a random n."""
     rng = np.random.default_rng(seed)
@@ -268,13 +190,23 @@ def _random_bilinear_inputs(dim, field, seed):
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("dim", range(3, 13))
 def test_rewritten_kernels_match_their_references(dim, field):
-    eps = np.finfo(float).eps
+    """The closure, killing and tproduct probes equal the exhaustive residuals
+    of every index tuple contracted with the same probe vectors."""
     for seed in range(3):
         adj, n = _random_bilinear_inputs(dim, field, seed)
-        want = _closure_reference(adj)
-        assert abs(closure_residual(adj) - want) <= 8 * eps * want, (seed, want)
-        want = _tproduct_reference(n, adj)
-        assert abs(t_product_residual(n, adj) - want) <= 8 * eps * want, (seed, want)
+        x, y, z = _probe_vectors("closure", 3, dim, seed)
+        jac = jacobi_tensor(adj.transpose(0, 2, 1))
+        want = inf_norm(np.einsum("si,sj,sk,ijkm->sm", x, y, z, jac))
+        assert math.isclose(closure_residual(adj, seed), want, rel_tol=1e-10), seed
+        x, y, z = _probe_vectors("killing", 3, dim, seed)
+        traces = np.einsum("iab,jbc,kca->ijk", adj, adj, adj)  # trace(A_i A_j A_k)
+        want = inf_norm(np.einsum("si,sj,sk,ijk->s", x, y, z, traces - traces.transpose(0, 2, 1)))
+        assert math.isclose(cartan_residual(adj, seed).max_cartan_residual, want, rel_tol=1e-10)
+        x, y = _probe_vectors("tproduct", 2, dim, seed)
+        t = np.stack([transfer_matrix(n, k) for k in range(dim)])
+        pairs = np.einsum("jab,kbc->jkac", adj, t) - n[:, None, None, None] * adj
+        want = inf_norm(np.einsum("sj,sk,jkac->sac", x, y, pairs))
+        assert math.isclose(t_product_residual(n, adj, seed), want, rel_tol=1e-10), seed
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -285,18 +217,17 @@ def test_one_moved_adjoint_entry_fails_closure_and_tproduct(field):
     assert max(closure_residual(s.adjoint), t_product_residual(n, s.adjoint)) <= band
     adj = s.adjoint.copy()
     adj[3, 1, 4] += 1.0
-    for residual in (closure_residual(adj), _closure_reference(adj)):
+    for residual in (closure_residual(adj), exhaustive_closure(adj)):
         assert residual > band
-    for residual in (t_product_residual(n, adj), _tproduct_reference(n, adj)):
+    for residual in (t_product_residual(n, adj), exhaustive_tproduct(n, adj)):
         assert residual > band
 
 
 def test_jacobi_reports_a_nan_entry():
     f = np.array(generate(6, 1).structure)
     f[1, 2, 3] = np.nan
-    rep = jacobi_residual(f)
-    assert math.isnan(rep.max_residual)
-    assert math.isnan(jacobi_residual_at(f, *rep.worst_indices))
+    assert math.isnan(jacobi_residual(f).max_residual)
+    assert math.isnan(exhaustive_jacobi(f))
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -311,6 +242,20 @@ def test_a_nan_adjoint_entry_becomes_the_residual(field):
         t_product_residual(s.null, adj),
     )
     assert all(math.isnan(r) for r in residuals), residuals
+
+
+@pytest.mark.parametrize("payload", ["structure", "adjoint"])
+def test_a_nan_entry_fails_its_probe_checks_in_verify_all(payload):
+    s = generate(7, 3, field="complex")
+    stored = {"structure": np.array(s.structure), "adjoint": np.array(s.adjoint)}
+    stored[payload][2, 4, 1] = np.nan
+    sample = assemble_sample(s.p, s.null, seed=s.seed, **stored)
+    checks = {c.name: c for c in verify_all(sample, VerifyConfig(checks=BILINEAR)).checks}
+    hit = ("jacobi",) if payload == "structure" else BILINEAR[1:]
+    for name, check in checks.items():
+        assert math.isnan(check.residual) is (name in hit), check
+        # scale is the largest adjoint entry, so a NaN there fails every band
+        assert check.passed is (name not in hit and payload == "structure"), check
 
 
 def _overflowing_sample():
@@ -336,44 +281,47 @@ def test_killing_check_is_the_cartan_traces():
     s = generate(9, 4, field="complex")
     (check,) = verify_all(s, VerifyConfig(checks=("killing",))).checks
     assert check.residual == cartan_residual(s.adjoint).max_cartan_residual
-    assert check.detail == "full, 324 triples"
+    assert check.detail == "4 probe sets"
 
 
-# closure has no _SAMPLING entry of its own: it runs under jacobi's
-BILINEAR = ("jacobi", "derived", "killing", "tproduct")
+def _probe_verdicts(sample, seed=0):
+    """Pass/fail of each bilinear check's probe, through verify_all."""
+    report = verify_all(sample, VerifyConfig(seed=seed, checks=BILINEAR))
+    return {c.name: c.passed for c in report.checks}
 
 
-def _bilinear_residuals(s, seed=3):
-    return (
-        closure_residual(s.adjoint, seed=seed),
-        derived_abelian_residual(s.adjoint, seed=seed),
-        cartan_residual(s.adjoint, seed=seed).max_cartan_residual,
-        t_product_residual(s.null, s.adjoint, seed=seed),
-    )
+def _exhaustive_verdicts(sample):
+    """Pass/fail of each bilinear identity at every index tuple, at the same band."""
+    band = sample.tolerances.tau_ver * sample.scale**2
+    adj = sample.adjoint
+    residuals = {
+        "jacobi": exhaustive_jacobi(sample.structure),
+        "closure": exhaustive_closure(adj),
+        "derived": exhaustive_derived(adj),
+        "killing": exhaustive_cartan(adj),
+        "tproduct": exhaustive_tproduct(sample.null.vector, adj),
+    }
+    return {name: value <= band for name, value in residuals.items()}
 
 
-def test_sampled_paths_match_full_verdicts(monkeypatch):
+def test_sampled_paths_match_full_verdicts():
+    """Probe verdicts equal the exhaustive verdicts on a clean sample and on
+    copies with one adjoint entry moved, under several seeds."""
     s = generate(9, 2)
-    band = _band(s)
-    _set_sampling(monkeypatch, 4, 64, BILINEAR)
-    assert all(res <= band for res in _bilinear_residuals(s))
+    assert _probe_verdicts(s) == _exhaustive_verdicts(s) == dict.fromkeys(BILINEAR, True)
+    for where in ((0, 0, 0), (3, 1, 4), (8, 8, 2)):
+        adj = np.array(s.adjoint)
+        adj[where] += 1.0
+        moved = assemble_sample(s.p, s.null, seed=s.seed, adjoint=adj, structure=s.structure)
+        want = _exhaustive_verdicts(moved)
+        assert not all(want.values()), where
+        for seed in range(3):
+            assert _probe_verdicts(moved, seed) == want, (where, seed)
 
 
-def test_sampled_slabs_cover_the_full_scan_when_the_budget_does(monkeypatch):
-    s = generate(9, 2)
-    full = _bilinear_residuals(s)
-    _set_sampling(monkeypatch, 4, 10**6, BILINEAR)
-    assert _bilinear_residuals(s) == full
-
-
-def test_verify_all_reports_checked_counts(monkeypatch):
-    for name, budget in (
-        ("jacobi", 100),
-        ("derived", 50),
-        ("killing", 30),
-        ("tproduct", 20),
-    ):
-        _set_sampling(monkeypatch, 4, budget, (name,))
+def test_verify_all_reports_checked_counts():
+    """Each bilinear detail says how many probe sets it checked, and a report
+    is a pure function of (sample, seed)."""
     cfg = VerifyConfig(seed=5)
     sample = generate(9, 2)
     report = verify_all(sample, cfg)
@@ -382,132 +330,71 @@ def test_verify_all_reports_checked_counts(monkeypatch):
     assert [(c.residual, c.detail) for c in report.checks] == [
         (c.residual, c.detail) for c in again.checks
     ]
-    detail = {c.name: c.detail.split(",") for c in report.checks}
-    assert detail["derived"] == ["sampled", " 50 pair-pairs"]
-    # closure runs the jacobi kernel under jacobi's policy, so it picks the same slabs
-    assert detail["closure"][:2] == detail["jacobi"][:2]
-    for name, budget, whole in (
-        ("jacobi", 100, 9 * math.comb(9, 3)),
-        ("closure", 100, 9 * math.comb(9, 3)),
-        ("killing", 30, 9 * 36),
-        ("tproduct", 20, 81),
-    ):
-        mode, count = detail[name][0], int(detail[name][1].split()[0])
-        assert mode == "sampled" and budget <= count < whole, name
-
-
-def test_default_policy_samples_above_each_cap():
-    for name, (cap, budget) in analysis._SAMPLING.items():
-        assert analysis._budget(name, cap) is None and analysis._budget(name, cap + 1) == budget
-    dim = 65
-    policy = {**analysis._SAMPLING, "closure": analysis._SAMPLING["jacobi"]}
-    report = verify_all(generate(dim, 3), VerifyConfig(checks=tuple(policy)))
-    assert {c.name for c in report.checks} == set(policy)
     for check in report.checks:
-        cap, budget = policy[check.name]
-        mode, count = check.detail.split(",")[:2]
-        count = int(count.split()[0])
-        assert check.passed, check
-        if cap < dim:
-            assert mode == "sampled" and count >= budget, check
-        else:
-            assert mode == "full", check
+        if check.name in BILINEAR:
+            assert check.detail == f"{analysis._PROBE_SETS} probe sets", check
 
 
+@pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_sampled_counts_stop_within_one_row_of_the_budget(field):
-    """Above every cap each count lies in [budget, budget + row), where a row
-    is the tuples of one second index: at most N(N-2) for jacobi and closure."""
-    dim = 65
-    quads = dim * (dim - 2)
-    rows = {"jacobi": quads, "closure": quads, "derived": 1, "killing": dim, "tproduct": 1}
-    report = verify_all(generate(dim, 3, field=field), VerifyConfig(checks=tuple(rows)))
-    assert [c.name for c in report.checks] == list(rows)
-    for check in report.checks:
-        _, budget = analysis._SAMPLING["jacobi" if check.name == "closure" else check.name]
-        mode, count = check.detail.split(",")[:2]
-        count = int(count.split()[0])
-        assert check.passed and mode == "sampled", check
-        assert budget <= count < budget + rows[check.name], check
+def test_a_check_run_alone_gives_its_full_run_residual(field, seed):
+    s = generate(11, 6, field=field)
+    full = {c.name: c.residual for c in verify_all(s, VerifyConfig(seed=seed)).checks}
+    for name in CHECK_NAMES:
+        (check,) = verify_all(s, VerifyConfig(seed=seed, checks=(name,))).checks
+        assert check.residual == full[name], name
 
 
-def _counted_tuples(rows_of, slabs, budget, seed):
-    """The tuples a sampled check evaluates: whole rows of each picked slab until its limit.
-
-    rows_of(s) lists slab s's rows, each a list of tuples. Also says whether
-    some slab was cut.
-    """
-    sizes = np.array([sum(map(len, rows_of(s))) for s in range(slabs)])
-    tuples, cut = [], False
-    for s, limit in zip(*analysis._pick_slabs(sizes, budget, seed)):
-        held = 0
-        for row in rows_of(int(s)):
-            if held >= limit:
-                break
-            tuples += row
-            held += len(row)
-        cut |= held < sizes[s]
-    return tuples, cut
+def test_probe_verdicts_match_the_exhaustive_references_on_the_grid():
+    """Acceptance 2's grid: N = 2-20, seeds 1-10, both fields and both modes."""
+    disagree = []
+    for dim in range(2, 21):
+        for seed in range(1, 11):
+            for field in ("real", "complex"):
+                for mode in ("generic", "nilpotent"):
+                    s = generate(dim, seed, field=field, mode=mode)
+                    probe, want = _probe_verdicts(s), _exhaustive_verdicts(s)
+                    if probe != want:
+                        disagree.append((dim, seed, field, mode, probe, want))
+    assert not disagree, disagree[:3]
 
 
+def _moved(leaf):
+    """A JSON leaf, real or [re, im], with its real part moved by 1.0."""
+    return [leaf[0] + 1.0, leaf[1]] if isinstance(leaf, list) else leaf + 1.0
+
+
+def _tampered(doc, kind, other):
+    """doc with its structure payload moved (one entry by 1.0), doubled or
+    swapped for other's, or with one entry of its adjoint payload moved."""
+    data = json.loads(doc)
+    entries = data["structure_constants"]
+    if kind == "perturbed":
+        entry = entries[len(entries) // 2]
+        entry[3] = _moved(entry[3])
+    elif kind == "doubled":
+        for entry in entries:
+            entry[3] = [2 * x for x in entry[3]] if isinstance(entry[3], list) else 2 * entry[3]
+    elif kind == "swapped":
+        data["structure_constants"] = json.loads(other)["structure_constants"]
+    else:
+        leaves = data["adjoint"][1]
+        leaves[len(leaves) // 3] = _moved(leaves[len(leaves) // 3])
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("kind", ["perturbed", "doubled", "swapped", "moved-adjoint"])
 @pytest.mark.parametrize("field", ["real", "complex"])
-@pytest.mark.parametrize(
-    "budgets",
-    [
-        # each cuts the first slab it picks
-        {"jacobi": 40, "derived": 5, "killing": 5, "tproduct": 3},
-        # each takes a few slabs and cuts the last
-        {"jacobi": 100, "derived": 30, "killing": 50, "tproduct": 20},
-    ],
-    ids=["one-slab", "several-slabs"],
-)
-def test_a_cut_slab_checks_exactly_the_tuples_it_counts(budgets, field, monkeypatch):
-    """Each residual is the brute-force maximum over the tuples its detail counts."""
-    dim, seed = 7, 2
-    s = generate(dim, 4, field=field)
-    adj, _ = _random_bilinear_inputs(dim, field, 5)
-    n, f = s.null.vector, adj.transpose(0, 2, 1)
-    pairs = list(zip(*np.triu_indices(dim, 1)))
-    policy = {  # check: (slabs, rows of a slab)
-        "jacobi": (dim, lambda i: [
-            [(i, j, k, m) for k in range(j + 1, dim) for m in range(dim)]
-            for j in range(i + 1, dim - 1)
-        ]),
-        "derived": (len(pairs), lambda p: [[(p, q)] for q in range(p + 1, len(pairs))]),
-        "killing": (dim, lambda j: [[(i, j, k) for i in range(dim)] for k in range(j + 1, dim)]),
-        "tproduct": (dim, lambda j: [[(j, k)] for k in range(dim)]),
-    }
-    tuples = {}
-    for name, (slabs, rows_of) in policy.items():
-        budget = budgets[name]
-        _set_sampling(monkeypatch, 0, budget, (name,))
-        tuples[name], cut = _counted_tuples(rows_of, slabs, budget, seed)
-        assert cut, name
-    tuples["closure"] = tuples["jacobi"]
-    sample = assemble_sample(s.p, s.null, seed=s.seed, adjoint=adj, structure=f)
-    report = verify_all(sample, VerifyConfig(seed=seed, checks=tuple(tuples)))
-    checks = {c.name: c for c in report.checks}
-
-    best, where = _brute_jacobi(f, tuples["jacobi"])
-    for name in ("jacobi", "closure"):
-        assert checks[name].detail == f"sampled, {len(tuples[name])} quadruples, worst at {where}"
-    assert checks["jacobi"].residual == best
-
-    def bracket(p):
-        return commutator(adj[pairs[p][0]], adj[pairs[p][1]])
-
-    want = {
-        "closure": _closure_reference(adj, tuples["closure"]),
-        "derived": max(inf_norm(commutator(bracket(p), bracket(q))) for p, q in tuples["derived"]),
-        "killing": max(
-            abs(np.trace(adj[i] @ commutator(adj[j], adj[k]))) for i, j, k in tuples["killing"]
-        ),
-        "tproduct": _tproduct_reference(n, adj, tuples["tproduct"]),
-    }
-    for name, unit in (("derived", "pair-pairs"), ("killing", "triples"), ("tproduct", "pairs")):
-        assert checks[name].detail == f"sampled, {len(tuples[name])} {unit}"
-    for name, value in want.items():
-        assert math.isclose(checks[name].residual, value, rel_tol=1e-12), (name, value)
+def test_probe_verdicts_match_the_exhaustive_references_on_tampered_documents(kind, field):
+    for dim in (5, 12, 20):
+        s, other = generate(dim, 3, field=field), generate(dim, 4, field=field)
+        doc = write_sample(s, include_adjoint=kind == "moved-adjoint")
+        sample = read_sample(_tampered(doc, kind, write_sample(other)))
+        report = verify_all(sample)
+        assert not report.passed and not {c.name: c for c in report.checks}["payload"].passed
+        want = _exhaustive_verdicts(sample)
+        for seed in range(3):
+            assert _probe_verdicts(sample, seed) == want, (dim, seed)
 
 
 def test_killing_form_of_affine_line():

@@ -415,6 +415,67 @@ def test_the_memory_check_is_skipped_without_meminfo(monkeypatch):
     np.testing.assert_array_equal(build_adjoint(p, n), _earlier_build_adjoint(p, n))
 
 
+def _cgroup_tree(tmp_path, lines, files):
+    """A fake /proc/self/cgroup holding lines, and a /sys/fs/cgroup tree of files."""
+    proc = tmp_path / "cgroup"
+    proc.write_text("".join(f"{line}\n" for line in lines))
+    root = tmp_path / "sys"
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(f"{text}\n")
+    return str(proc), str(root)
+
+
+@pytest.mark.parametrize(
+    "lines, files, headroom",
+    [
+        # v2: memory.max - memory.current of the process's cgroup
+        (["0::/a/b"], {"a/b/memory.max": 1000, "a/b/memory.current": 400}, 600),
+        # v2: an ancestor's tighter limit counts; "max" is no limit
+        (
+            ["0::/a/b"],
+            {"a/b/memory.max": "max", "a/b/memory.current": 400, "a/memory.max": 900,
+             "a/memory.current": 500},
+            400,
+        ),
+        (["0::/a"], {"a/memory.max": "max", "a/memory.current": 400}, None),
+        # v1: the line whose controllers include memory
+        (
+            ["5:cpu,cpuacct:/x", "4:memory:/x/y"],
+            {"memory/x/y/memory.limit_in_bytes": 2000, "memory/x/y/memory.usage_in_bytes": 1500},
+            500,
+        ),
+        # v1 reports "unlimited" as 2^63 rounded down to a page
+        (
+            ["4:memory:/x"],
+            {"memory/x/memory.limit_in_bytes": 9223372036854771712,
+             "memory/x/memory.usage_in_bytes": 1500},
+            None,
+        ),
+        # usage above the limit leaves no room; a cgroup without files has no limit
+        (["0::/a"], {"a/memory.max": 100, "a/memory.current": 300}, 0),
+        (["0::/", "4:memory:/"], {}, None),
+    ],
+)
+def test_cgroup_headroom_reads_the_process_cgroups(tmp_path, lines, files, headroom):
+    proc, root = _cgroup_tree(tmp_path, lines, files)
+    assert sampler_module._cgroup_headroom(proc, root) == headroom
+
+
+def test_available_memory_is_the_smaller_of_meminfo_and_the_cgroup(monkeypatch):
+    meminfo = sampler_module._available_memory()
+    if meminfo is None:
+        pytest.skip("no /proc/meminfo")
+    monkeypatch.setattr(sampler_module, "_cgroup_headroom", lambda: 12345)
+    assert sampler_module._available_memory() == 12345
+    monkeypatch.setattr(sampler_module, "_cgroup_headroom", lambda: 1 << 60)
+    assert 12345 < sampler_module._available_memory() < 1 << 60
+    # a cgroup limit below MemAvailable refuses a stack that MemAvailable would hold
+    monkeypatch.setattr(sampler_module, "_cgroup_headroom", lambda: 96**3 * 8 - 1)
+    with pytest.raises(SystemSizeError, match="N=96"):
+        sampler_module._check_stack_fits(96, np.float64)
+
+
 # (dim, field, mode, seed): each build has several chunks
 _MULTI_CHUNK_BUILDS = [
     (130, "real", "generic", 2), (96, "complex", "generic", 2), (64, "real", "nilpotent", 2),

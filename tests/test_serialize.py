@@ -416,6 +416,37 @@ def test_a_structure_tensor_too_large_for_memory_fails_before_it_allocates(monke
     np.testing.assert_array_equal(read_sample(text).structure[0, 1], sample.structure[0, 1])
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("payload", ["structure", "adjoint"])
+def test_the_stack_is_sized_before_the_parameter_matrix_is_decoded(
+    payload, field, monkeypatch, tmp_path, capsys
+):
+    """Every sample holds an N^3 adjoint, stored or rebuilt, so a document
+    too large for memory fails on dim and field alone, before P is validated
+    or a stored adjoint payload is stacked."""
+    import lieforge.serialize as serialize_module
+    from lieforge.cli import main
+
+    def no_validation(*args, **kwargs):
+        raise AssertionError("validated P before sizing the adjoint stack")
+
+    doc = write_sample(
+        generate(12, 2, field=field),
+        include_adjoint=payload == "adjoint",
+        include_structure=payload == "structure",
+    )
+    mib = 12**3 * (16 if field == "complex" else 8) / 2**20
+    monkeypatch.setattr(sampler_module, "_available_memory", lambda: 0)
+    monkeypatch.setattr(serialize_module, "validate_parameter_matrix", no_validation)
+    with pytest.raises(SystemSizeError, match=f"the N=12 adjoint stack needs {mib:.0f} MiB"):
+        read_sample(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(doc, encoding="utf-8")
+    assert main(["verify", str(path)]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("lieforge verify: the N=12 adjoint stack needs") and err.count("\n") == 1
+
+
 # --- per-entry reference codec -----------------------------------------------
 # The element-at-a-time encoder and decoder that the array codec replaced. The
 # array codec must give the same bytes and the same bits; round trips alone
