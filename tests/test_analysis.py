@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieforge import analysis
+from lieforge import analysis, linalg
 from lieforge.analysis import (
     CHECK_NAMES,
     VerifyConfig,
@@ -118,19 +118,27 @@ def _jacobi_inputs(kind, dim):
         return generate(dim, 40 + dim).structure
     if kind == "complex":
         return generate(dim, 40 + dim, field="complex").structure
-    if kind == "random":
+    if kind in ("random", "chunked"):
         return rng.standard_normal((dim, dim, dim))
     # every other entry of a larger random tensor: a layout BLAS cannot take as is
     return rng.standard_normal((2 * dim, 2 * dim, 2 * dim))[::2, ::-2, ::2]
 
 
-@pytest.mark.parametrize("kind", ["real", "complex", "random", "strided"])
+@pytest.mark.parametrize("kind", ["real", "complex", "random", "strided", "chunked"])
 @pytest.mark.parametrize("dim", [5, 6, 7, 8])
-def test_jacobi_matches_scalar_reference(kind, dim):
+def test_jacobi_matches_scalar_reference(kind, dim, monkeypatch):
     """The probe is sum_ijk x_i y_j z_k J(i, j, k, :) for the scalar J of every
     quadruple. A sample's structure is a (0, 2, 1) view of its adjoint stack,
-    which the probe reads in place."""
+    which the probe reads in place. The chunked kind reads the residual of
+    the probe sets one set per chunk, and gets the unchunked value exactly."""
     f = _jacobi_inputs(kind, dim)
+    if kind == "chunked":
+        whole = jacobi_residual(f).max_residual
+        # the residual holds one row of N entries per probe set
+        monkeypatch.setattr(linalg, "_SLAB_CHUNK", dim)
+        sets = analysis._PROBE_SETS
+        assert linalg._row_chunks(0, sets, dim) == [slice(s, s + 1) for s in range(sets)]
+        assert jacobi_residual(f).max_residual == whole
     jac = jacobi_tensor(f)
     for quad in itertools.product(range(dim), repeat=4):
         assert math.isclose(abs(jac[quad]), jacobi_residual_at(f, *quad), abs_tol=_ulps(f, dim))
