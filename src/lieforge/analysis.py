@@ -46,13 +46,11 @@ from .sampler import LieAlgebraSample, adjoint_rows
 __all__ = [
     "CHECK_NAMES",
     "JacobiReport",
-    "BracketFactorization",
     "KillingReport",
     "SeriesReport",
     "CheckResult",
     "VerificationReport",
     "VerifyConfig",
-    "bracket_factorization",
     "jacobi_residual",
     "closure_residual",
     "derived_abelian_residual",
@@ -101,7 +99,9 @@ def _probe(t: np.ndarray, seed: int, check: str, arity: int) -> tuple[np.ndarray
     M_u = sum_i u_i t[i] as (arity, _PROBE_SETS, N, N), all from one GEMM,
     which is one pass over t. A (0, 2, 1) view of a contiguous stack, as
     sample.structure is of sample.adjoint, is read in place; any other
-    non-contiguous layout is copied once.
+    non-contiguous layout is copied once. A complex128 t is contracted as
+    its float64 (re, im) view, one real GEMM, since a complex GEMM would
+    cast the real probes to complex and do twice the multiplications.
     """
     dim = t.shape[0]
     count = arity * _PROBE_SETS
@@ -109,11 +109,15 @@ def _probe(t: np.ndarray, seed: int, check: str, arity: int) -> tuple[np.ndarray
     probes = stream.normals(count * dim).reshape(count, dim)
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
     swapped = t.transpose(0, 2, 1)
-    if swapped.flags.c_contiguous and not t.flags.c_contiguous:
-        mats = (probes @ swapped.reshape(dim, dim * dim)).reshape(count, dim, dim)
-        mats = mats.transpose(0, 2, 1)
+    flipped = swapped.flags.c_contiguous and not t.flags.c_contiguous
+    flat = (swapped if flipped else t).reshape(dim, dim * dim)
+    if flat.dtype == np.complex128:
+        mats = (probes @ np.ascontiguousarray(flat).view(np.float64)).view(np.complex128)
     else:
-        mats = (probes @ t.reshape(dim, dim * dim)).reshape(count, dim, dim)
+        mats = probes @ flat
+    mats = mats.reshape(count, dim, dim)
+    if flipped:
+        mats = mats.transpose(0, 2, 1)
     shape = (arity, _PROBE_SETS, dim)
     return probes.reshape(shape), mats.reshape(*shape, dim)
 
@@ -127,9 +131,16 @@ def _power_of_two_above(x: float) -> float:
     return math.ldexp(1.0, exponent - (mantissa == 0.5))
 
 
-def _nan_last(value: float) -> tuple[bool, float]:
-    """Sort key that ranks NaN above every number, so a max keeps it."""
-    return math.isnan(value), value
+def _lift(size: float) -> int:
+    """The up with size * 2^up in [1/2, 1) once 0 < size < _LIFT_BELOW, else 0."""
+    return -math.frexp(size)[1] if 0.0 < size < _LIFT_BELOW else 0
+
+
+def _ldexp(m: np.ndarray, up: int) -> np.ndarray:
+    """m * 2^up, exact barring over- or underflow; a complex m scales on its float64 view."""
+    if m.dtype.kind == "c":
+        return np.ldexp(m.view(np.float64), up).view(m.dtype)
+    return np.ldexp(m, up)
 
 
 # ---------------------------------------------------------------------------
@@ -145,21 +156,6 @@ class JacobiReport:
     """
 
     max_residual: float
-
-
-@dataclass(frozen=True)
-class BracketFactorization:
-    """Rank-one factorization of one adjoint bracket.
-
-    For the pair (i, j), m_vector is the column with n{j} at position i and
-    -n{i} at position j, and value = P^2 @ m_vector (x) n equals
-    [A_i, A_j] = A_i A_j - A_j A_i up to rounding.
-    """
-
-    i: int
-    j: int
-    m_vector: np.ndarray
-    value: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -206,7 +202,7 @@ class SeriesReport:
             d / b if b > 0.0 else (0.0 if d == 0.0 else math.inf)
             for d, b in zip(self.discrepancy_per_level, self._bands(tau_ver, scale))
         ]
-        level = max(range(len(ratios)), key=lambda lv: _nan_last(ratios[lv]))
+        level = int(np.argmax(ratios))  # the first maximum, or the first NaN
         return level, ratios[level]
 
 
@@ -368,20 +364,6 @@ def cartan_residual(adj: np.ndarray, seed: int = 0) -> KillingReport:
 # series
 
 
-def bracket_factorization(p, null, i: int, j: int) -> BracketFactorization:
-    """Closed form of [A_i, A_j] as P^2 @ m (x) n, indices zero-based."""
-    pm = _matrix_of(p)
-    n = _vector_of(null)
-    dim = pm.shape[0]
-    if not (0 <= i < dim and 0 <= j < dim):
-        raise ContractViolation(f"pair ({i}, {j}) out of range for dimension {dim}")
-    m_vector = np.zeros(dim, dtype=n.dtype)
-    m_vector[i] = n[j]
-    m_vector[j] = m_vector[j] - n[i]  # j == i leaves an exact zero
-    value = np.outer(pm @ (pm @ m_vector), n)
-    return BracketFactorization(i=i, j=j, m_vector=m_vector, value=value)
-
-
 def canonical_series_path(dim: int, depth: int) -> tuple[tuple[int, int], tuple[int, ...]]:
     """Fixed path: base pair (2,3) (or (1,2) at N=2), every inner index 1, one-based."""
     base = (1, 2) if dim >= 3 else (0, 1)
@@ -407,15 +389,15 @@ def lower_central_series(
 
     Level 0 is D_0 = [A_j, A_k] for the base pair; level L is
     D_L = [A_{i_L}, D_{L-1}] along the inner index path. The closed form is
-    C_0 = P^2 @ m_{k,j} (x) n and C_L = n{i_L} * (P @ C_{L-1}); it stays
-    rank one, so only its column P^(L+2) @ m times the n{i} is carried. Both
-    run on A/sigma and P/sigma, sigma the smallest power of two at or above
-    2 max_k ||A_k||_inf, scaling only the adjoint slices the path touches.
-    Scaling by a power of two is exact, and since
-    ||[A, D]||_inf <= 2 ||A||_inf ||D||_inf no level can grow, so nothing
-    overflows. Against underflow, the iterates are lifted by an exact power
-    of two once their peak falls below _LIFT_BELOW, and the lift is divided
-    out of the reported values.
+    C_0 = P^2 @ m (x) n, m = n{k} e_j - n{j} e_k, and
+    C_L = n{i_L} * (P @ C_{L-1}); it stays rank one, so only its column
+    P^(L+2) @ m times the n{i} is carried. Both run on A/sigma and P/sigma,
+    sigma the smallest power of two at or above 2 max_k ||A_k||_inf, scaling
+    only the adjoint slices the path touches. Scaling by a power of two is
+    exact, and since ||[A, D]||_inf <= 2 ||A||_inf ||D||_inf no level can
+    grow, so nothing overflows. Against underflow, the iterates are lifted by
+    an exact power of two (_lift) once their peak falls below _LIFT_BELOW,
+    and the lift is divided out of the reported values.
 
     The default path is the canonical one. Termination is decided on the
     closed-form iterate, which is free of the direct path's cancellation
@@ -460,7 +442,10 @@ def _series(adj, p, null, depth, base_pair, inner_indices, row_sum: float) -> Se
     a, b = adj[j] * unit, adj[k] * unit
     direct = a @ b - b @ a
     # the closed form stays rank one, C_L = column (x) n
-    column = pm @ (pm @ bracket_factorization(pm, n, j, k).m_vector)
+    m = np.zeros(dim, dtype=n.dtype)
+    m[j] = n[k]
+    m[k] -= n[j]  # j == k leaves an exact zero
+    column = pm @ (pm @ m)
     lift = 0  # both iterates carry an exact factor 2^lift
 
     norms: list[float] = []
@@ -478,11 +463,9 @@ def _series(adj, p, null, depth, base_pair, inner_indices, row_sum: float) -> Se
         discs.append(math.ldexp(inf_norm(direct - closed), -lift))
         if termination_level is None and closed_norm == 0.0:
             termination_level = level
-        peak = max(direct_norm, closed_norm)
-        if 0.0 < peak < _LIFT_BELOW:
-            up = -math.frexp(peak)[1]
-            direct, column = _times_power_of_two(direct, up), _times_power_of_two(column, up)
-            lift += up
+        up = _lift(max(direct_norm, closed_norm))
+        if up:
+            direct, column, lift = _ldexp(direct, up), _ldexp(column, up), lift + up
 
     return SeriesReport(
         terminated=termination_level is not None,
@@ -496,21 +479,10 @@ def _series(adj, p, null, depth, base_pair, inner_indices, row_sum: float) -> Se
     )
 
 
-def _times_power_of_two(m: np.ndarray, up: int) -> np.ndarray:
-    """m * 2^up as two exact factors, since 2.0**up alone overflows once up > 1023."""
-    return m * 2.0 ** (up // 2) * 2.0 ** (up - up // 2)
-
-
 def _lifted(m: np.ndarray, lift: int) -> tuple[np.ndarray, int]:
-    """(m * 2^up, lift + up) once m's largest row sum is below _LIFT_BELOW, else (m, lift).
-
-    up is the integer that brings that row sum into [1/2, 1).
-    """
-    rows = float(np.abs(m).sum(axis=1).max())
-    if not 0.0 < rows < _LIFT_BELOW:
-        return m, lift
-    up = -math.frexp(rows)[1]
-    return _times_power_of_two(m, up), lift + up
+    """(m * 2^up, lift + up), up = _lift of m's largest row sum."""
+    up = _lift(float(np.abs(m).sum(axis=1).max()))
+    return (_ldexp(m, up), lift + up) if up else (m, lift)
 
 
 def nilpotency_check(p, tau_ver: float = 1e-9) -> bool:
@@ -600,16 +572,16 @@ def _payload_diffs(sample: LieAlgebraSample) -> dict:
     dim = sample.dim
     # adjoint[a, r, c] == structure[a, c, r]; both are compared in adjoint layout
     stored = {"structure": sample.structure.transpose(0, 2, 1), "adjoint": sample.adjoint}
-    best = {name: (0.0, (0, 0, 0)) for name in stored}
+    found: dict[str, list] = {name: [] for name in stored}
     for rows in _row_chunks(0, dim, dim * dim):
         rebuilt = adjoint_rows(p, n, rows)
         for name, arr in stored.items():
             diff = np.abs(arr[:, rows, :] - rebuilt)
             a, r, c = np.unravel_index(int(np.argmax(diff)), diff.shape)
-            if _nan_last(diff[a, r, c]) > _nan_last(best[name][0]):  # a NaN wins argmax
-                where = (a, rows.start + r, c) if name == "adjoint" else (a, c, rows.start + r)
-                best[name] = (float(diff[a, r, c]), tuple(int(x) for x in where))
-    return best
+            where = (a, rows.start + r, c) if name == "adjoint" else (a, c, rows.start + r)
+            found[name].append((float(diff[a, r, c]), tuple(int(x) for x in where)))
+    # np.argmax keeps the first maximum and the first NaN, across chunks as within one
+    return {name: hits[int(np.argmax([d for d, _ in hits]))] for name, hits in found.items()}
 
 
 def verify_all(sample: LieAlgebraSample, config: VerifyConfig | None = None) -> VerificationReport:
@@ -656,7 +628,7 @@ def verify_all(sample: LieAlgebraSample, config: VerifyConfig | None = None) -> 
 
     def check_payload():
         diffs = _payload_diffs(sample)
-        residual = max((d for d, _ in diffs.values()), key=_nan_last)
+        residual = float(np.max([d for d, _ in diffs.values()]))
         band = 8 * EPS * inf_norm(sample.p.matrix) * inf_norm(sample.null.vector)
         detail = "max |stored - rebuilt|: " + ", ".join(
             f"{name} {d:.3e}" + (f" at {where}" if d > 0.0 else "")
@@ -684,11 +656,9 @@ def verify_all(sample: LieAlgebraSample, config: VerifyConfig | None = None) -> 
         ok = all(ends) if sample.mode == "nilpotent" else not any(ends)
         # ||[A_i, D]||_inf <= 2S ||D||_inf, so level L is banded by tau * (2S)^(L+2)
         two_s = 2.0 * paths["canonical"].S
-        worst = (0, 0.0)
-        for rep in paths.values():
-            ok &= rep.discrepancies_within(tau, two_s)
-            worst = max(worst, rep.binding_level(tau, two_s), key=lambda t: _nan_last(t[1]))
-        level, ratio = worst
+        ok &= all(rep.discrepancies_within(tau, two_s) for rep in paths.values())
+        levels = [rep.binding_level(tau, two_s) for rep in paths.values()]
+        level, ratio = levels[int(np.argmax([r for _, r in levels]))]
         detail = f"depth {depth}, binding level {level}, S {two_s / 2:.3e}; " + "; ".join(
             f"{label}: terminated={rep.terminated}" for label, rep in paths.items()
         )

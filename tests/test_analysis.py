@@ -13,7 +13,6 @@ from lieforge import analysis, linalg
 from lieforge.analysis import (
     CHECK_NAMES,
     VerifyConfig,
-    bracket_factorization,
     canonical_series_path,
     cartan_residual,
     closure_residual,
@@ -35,7 +34,6 @@ from lieforge.sampler import (
 )
 from lieforge.serialize import read_sample, write_sample
 from reference import (
-    commutator,
     exhaustive_cartan,
     exhaustive_closure,
     exhaustive_derived,
@@ -157,6 +155,35 @@ def test_jacobi_sampled_is_a_pure_function_of_seed():
     np.testing.assert_allclose(np.linalg.norm(probes, axis=-1), 1.0, rtol=1e-15)
     # each check draws probes of its own from (seed, check name)
     assert not np.array_equal(probes, _probe_vectors("closure", 3, 12, seed=9))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_probes_read_other_dtypes_as_their_float64_cast(dtype):
+    """Only complex128 takes the (re, im) view; reinterpreting int64 bits as
+    float64 would read a 3x3x3 tensor of ones as about 1e38."""
+    f = (generate(5, 3).structure * 7).astype(dtype)
+    want = jacobi_residual(f.astype(np.float64)).max_residual
+    assert jacobi_residual(f).max_residual == want
+    ones = np.ones((3, 3, 3), dtype=dtype)
+    assert jacobi_residual(ones).max_residual == jacobi_residual(ones.astype(float)).max_residual
+
+
+@pytest.mark.parametrize("layout", ["adjoint", "structure", "strided"])
+def test_complex_probe_matrices_match_the_complex_gemm(layout):
+    """A complex stack runs as one real GEMM over its (re, im) view, in each
+    layout _probe reads: contiguous, its (0, 2, 1) view, and a copied one."""
+    s = generate(9, 4, field="complex")
+    t = {
+        "adjoint": s.adjoint,
+        "structure": s.structure,
+        "strided": np.repeat(s.adjoint, 2, axis=2)[:, :, ::2],
+    }[layout]
+    probes, mats = analysis._probe(t, 5, "derived", 4)
+    dim = t.shape[0]
+    flat = probes.reshape(-1, dim).astype(np.complex128)
+    want = (flat @ np.ascontiguousarray(t).reshape(dim, dim * dim)).reshape(mats.shape)
+    assert mats.dtype == np.complex128
+    assert inf_norm(mats - want) <= 1e-12 * inf_norm(want)
 
 
 # --- bilinear identity residuals -----------------------------------------
@@ -424,22 +451,14 @@ def test_abelian_tensor_passes_everything():
 
 
 def test_bracket_factorization_matches_commutator():
+    """Level 0 of the series is [A_i, A_j] against its closed form P^2 m (x) n."""
     s = generate(6, 30)
     for i, j in ((0, 1), (2, 5), (1, 4)):
-        fact = bracket_factorization(s.p, s.null, i, j)
-        direct = commutator(s.adjoint[i], s.adjoint[j])
-        assert inf_norm(fact.value - direct) <= _band(s)
-        assert (fact.i, fact.j) == (i, j)
-
-
-def test_bracket_factorization_m_vector_pattern():
-    s = generate(5, 12)
-    n = s.null.vector
-    fact = bracket_factorization(s.p, s.null, 1, 3)
-    expected = np.zeros(5)
-    expected[1] = n[3]
-    expected[3] = -n[1]
-    np.testing.assert_array_equal(fact.m_vector, expected)
+        rep = lower_central_series(s.adjoint, s.p, s.null, depth=0, base_pair=(i, j))
+        assert rep.base_pair == (i, j) and rep.inner_indices == ()
+        (disc,) = rep.discrepancy_per_level
+        assert disc * rep.sigma**2 <= _band(s)
+        assert rep.norm_per_level[0] > 0.0
 
 
 # --- series ---------------------------------------------------------------
@@ -504,6 +523,12 @@ def test_series_custom_path_validated():
     with pytest.raises(ContractViolation):
         lower_central_series(
             s.adjoint, s.p, s.null, depth=2, base_pair=(0, 1), inner_indices=(0,)
+        )
+    with pytest.raises(ContractViolation, match="depth must be nonnegative"):
+        lower_central_series(s.adjoint, s.p, s.null, depth=-1)
+    with pytest.raises(ContractViolation, match="inner index 4 out of range"):
+        lower_central_series(
+            s.adjoint, s.p, s.null, depth=2, base_pair=(0, 1), inner_indices=(0, 4)
         )
 
 
@@ -614,10 +639,18 @@ def test_series_lifts_a_subnormal_level_without_overflow():
 # --- aggregate verifier ---------------------------------------------------
 
 
-@pytest.mark.parametrize("field", ["real", "complex"])
-@pytest.mark.parametrize("mode", ["generic", "nilpotent"])
-def test_verify_all_passes_fresh_samples(field, mode):
-    report = verify_all(generate(7, 19, field=field, mode=mode))
+@pytest.mark.parametrize(
+    "mode, field, dim",
+    [
+        # the N=7 cases keep their plain ids; N=2 takes the fixed random series path (0, 1)
+        pytest.param(mode, field, dim, id=f"{mode}-{field}" + ("-N2" if dim == 2 else ""))
+        for dim in (7, 2)
+        for mode in ("generic", "nilpotent")
+        for field in ("complex", "real")
+    ],
+)
+def test_verify_all_passes_fresh_samples(mode, field, dim):
+    report = verify_all(generate(dim, 19, field=field, mode=mode))
     assert report.passed, [(c.name, c.residual, c.tolerance) for c in report.checks]
     assert tuple(c.name for c in report.checks) == CHECK_NAMES
 

@@ -83,6 +83,7 @@ def test_generate_nilpotent_three_dim_single_entry(capsys):
         ["generate", "--dim", "3", "--seed", "-1"],
         ["generate", "--dim", "3", "--seed", str(2**64)],
         ["generate"],
+        ["generate", "--dim", "3", "--seed", "abc"],
     ],
 )
 def test_generate_usage_errors(argv, capsys):
