@@ -232,6 +232,15 @@ def _format_text_report(report: VerificationReport) -> str:
 
 
 def cmd_verify(args) -> int:
+    checks = CHECK_NAMES
+    if args.checks is not None:
+        checks = tuple(name.strip() for name in args.checks.split(",") if name.strip())
+        if not checks:
+            args._parser.error("--checks must name at least one check")
+    try:
+        config = VerifyConfig(tau_ver=args.tol, seed=args.seed, checks=checks)
+    except ContractViolation as err:
+        args._parser.error(str(err))
     try:
         with open(args.file, "rb") as fh:
             raw = fh.read()
@@ -243,16 +252,6 @@ def cmd_verify(args) -> int:
     except SystemSizeError as err:
         # a document too large to hold is bad input here, not a usage error
         raise DocumentIntegrityError(str(err)) from err
-
-    checks = CHECK_NAMES
-    if args.checks is not None:
-        checks = tuple(name.strip() for name in args.checks.split(",") if name.strip())
-        if not checks:
-            args._parser.error("--checks must name at least one check")
-    try:
-        config = VerifyConfig(tau_ver=args.tol, seed=args.seed, checks=checks)
-    except ContractViolation as err:
-        args._parser.error(str(err))
     report = verify_all(sample, config)
 
     if args.format == "json":

@@ -23,10 +23,10 @@ __all__ = [
 
 EPS = float(np.finfo(np.float64).eps)
 
-# entries per temporary in every chunked kernel (build_adjoint, the payload
-# check and the series' row sums, inf_norm through _row_chunks; a pass of
-# normal draws): 1 MB of complex128, so a chunk works in cache; _chunk_map
-# splits it among its threads
+# entries per temporary in every chunked kernel (build_adjoint and the
+# payload check's rebuild, one block of adjoint matrices a chunk; the series'
+# row sums, inf_norm through _row_chunks; a pass of normal draws): 1 MB of
+# complex128, so a chunk works in cache; _chunk_map splits it among its threads
 _SLAB_CHUNK = 1 << 16
 
 # components smaller than this are never used as the sign/phase anchor;

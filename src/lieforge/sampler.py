@@ -46,7 +46,6 @@ __all__ = [
     "sample_parameter_matrix",
     "validate_parameter_matrix",
     "build_adjoint",
-    "adjoint_rows",
     "adjoint_to_structure",
     "assemble_sample",
     "generate",
@@ -349,27 +348,19 @@ def build_adjoint(p: np.ndarray, null_vector: np.ndarray) -> np.ndarray:
 
     Equals P @ T_k for each k but runs in O(N^3) total. Raises
     SystemSizeError, before it allocates, when the N^3 stack exceeds the
-    memory the OS reports available. See _adjoint_and_scale for the kernels.
+    memory the OS reports available. See _adjoint_block for the kernel.
     """
     return _adjoint_and_scale(p, null_vector)[0]
 
 
 def _adjoint_and_scale(p: np.ndarray, null_vector: np.ndarray) -> tuple[np.ndarray, float]:
-    """build_adjoint(p, null_vector) and its inf_norm, in chunks of _chunk_map.
+    """build_adjoint(p, null_vector) and its inf_norm, in one pass of _chunk_map.
 
-    A stack above _THREAD_MIN_BYTES runs its chunks on up to _MAX_THREADS
-    threads, which hold at most max(_SLAB_CHUNK, _MAX_THREADS * N^2) entries
-    of temporaries in flight; neither the thread count nor the split changes
-    a bit. The kernels differ by field (timings in ROADMAP aim 1):
-      real: chunk rows a, out[a] = n{a} * P - P[:, a] (x) n as contiguous
-        blocks, each taking its max |entry| while it is in cache; a correctly
-        rounded real product commutes, so each entry n{a} P{r,c} - n{c} P{r,a}
-        has the same bits as adjoint_rows gives;
-      complex: chunk rows r through adjoint_rows, whose shared products keep
-        the structure tensor's antisymmetry bitwise exact, since numpy's
-        complex multiply loops can disagree in the last ulp; a second pass
-        then reads contiguous rows a, because |entry| taken on the strided
-        rows r in the first pass cost more than that whole pass.
+    Each chunk of rows a is built by _adjoint_block straight into the stack
+    and gives its max |entry| while it is in cache. A stack above
+    _THREAD_MIN_BYTES runs its chunks on up to _MAX_THREADS threads, which
+    hold at most max(_SLAB_CHUNK, _MAX_THREADS * N^2) entries of temporaries
+    in flight; neither the thread count nor the split changes a bit.
     """
     p = np.asarray(p)
     n = np.asarray(null_vector)
@@ -380,45 +371,28 @@ def _adjoint_and_scale(p: np.ndarray, null_vector: np.ndarray) -> tuple[np.ndarr
     _check_stack_fits(dim, dtype)
     out = np.empty((dim, dim, dim), dtype=dtype)
     threads = _MAX_THREADS if out.nbytes > _THREAD_MIN_BYTES else 1
-
-    if dtype.kind == "c":
-
-        def build(rows: slice) -> None:
-            adjoint_rows(p, n, rows, out=out[:, rows, :])
-
-        _chunk_map(build, dim, dim * dim, threads)
-        maxima = _chunk_map(lambda rows: np.abs(out[rows]).max(), dim, dim * dim, threads)
-    else:
-
-        def chunk(rows: slice):
-            block = np.multiply(n[rows, None, None], p, out=out[rows])
-            # outer[a, r, c] = P{r, a} * n{c}, laid out like block, not like p.T
-            outer = np.multiply(p.T[rows, :, None], n, order="C")
-            np.subtract(block, outer, out=block)
-            return np.abs(block, out=outer).max()
-
-        maxima = _chunk_map(chunk, dim, dim * dim, threads)
+    maxima = _chunk_map(
+        lambda rows: np.abs(_adjoint_block(p, n, rows, out=out[rows])).max(),
+        dim, dim * dim, threads,
+    )
     # np.max, unlike builtin max, propagates NaN
     return out, float(np.max(maxima))
 
 
-def adjoint_rows(
-    p: np.ndarray, null_vector: np.ndarray, rows: slice, out: np.ndarray | None = None
+def _adjoint_block(
+    p: np.ndarray, n: np.ndarray, rows: slice, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """build_adjoint(p, null_vector)[:, rows, :], bit for bit.
+    """build_adjoint(p, n)[rows], bit for bit: adj[a] = n{a} * P - P[:, a] (x) n.
 
-    The products are laid out as prod[r, a, c] = n{a} * P{r, c}, so row r's
-    N x N block is contiguous and adj[a, r, c] = prod[r, a, c] - prod[r, c, a]
-    transposes within that block. The difference is written through a
-    (1, 0, 2) view of `out` (a fresh array when `out` is None), whose shape is
-    that of adj[:, rows, :].
+    The block is written to `out` (a fresh array when `out` is None). Both
+    products put n first, so entry (a, r, c) is n{a} * P{r, c} - n{c} * P{r, a}:
+    numpy's complex multiply rounds by operand order, and the same order on
+    both sides keeps the structure tensor's antisymmetry bitwise exact.
     """
-    n = np.asarray(null_vector)
-    prod = n[None, :, None] * np.asarray(p)[rows, None, :]
-    if out is None:
-        out = np.empty_like(prod.transpose(1, 0, 2), order="C")
-    np.subtract(prod, prod.transpose(0, 2, 1), out=out.transpose(1, 0, 2))
-    return out
+    block = np.multiply(n[rows, None, None], p, out=out)
+    # outer[a, r, c] = n{c} * P{r, a}, laid out like block, not like p.T
+    outer = np.multiply(n, p.T[rows, :, None], order="C")
+    return np.subtract(block, outer, out=block)
 
 
 def adjoint_to_structure(adjoint: np.ndarray) -> np.ndarray:

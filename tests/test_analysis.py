@@ -279,18 +279,29 @@ def test_a_nan_adjoint_entry_becomes_the_residual(field):
     assert all(math.isnan(r) for r in residuals), residuals
 
 
-@pytest.mark.parametrize("payload", ["structure", "adjoint"])
-def test_a_nan_entry_fails_its_probe_checks_in_verify_all(payload):
+@pytest.mark.parametrize(
+    "payload, value",
+    [
+        pytest.param("structure", np.nan, id="structure"),
+        pytest.param("adjoint", np.nan, id="adjoint"),
+        # inf - inf warns "invalid value"; verify_all reports its NaN instead
+        pytest.param("structure", np.inf, id="structure-inf"),
+        pytest.param("adjoint", np.inf, id="adjoint-inf"),
+    ],
+)
+def test_a_nan_entry_fails_its_probe_checks_in_verify_all(payload, value):
     s = generate(7, 3, field="complex")
     stored = {"structure": np.array(s.structure), "adjoint": np.array(s.adjoint)}
-    stored[payload][2, 4, 1] = np.nan
+    stored[payload][2, 4, 1] = value
     sample = assemble_sample(s.p, s.null, seed=s.seed, **stored)
     checks = {c.name: c for c in verify_all(sample, VerifyConfig(checks=BILINEAR)).checks}
     hit = ("jacobi",) if payload == "structure" else BILINEAR[1:]
     for name, check in checks.items():
         assert math.isnan(check.residual) is (name in hit), check
-        # scale is the largest adjoint entry, so a NaN there fails every band
-        assert check.passed is (name not in hit and payload == "structure"), check
+        # scale is the largest adjoint entry: a NaN there fails every band,
+        # an inf one passes every finite residual
+        spared = payload == "structure" or value == np.inf
+        assert check.passed is (name not in hit and spared), check
 
 
 def _overflowing_sample():
@@ -691,10 +702,19 @@ def test_verify_all_flags_corrupted_structure():
     assert "jacobi" in failed or "closure" in failed
 
 
-@pytest.mark.parametrize("field", ["real", "complex"])
-def test_payload_check_binds_stored_tensors_to_p_and_n(field):
-    s = generate(6, 14, field=field)
-    other = generate(6, 15, field=field)
+@pytest.mark.parametrize(
+    "field, dim",
+    [
+        pytest.param("real", 6, id="real"),
+        pytest.param("complex", 6, id="complex"),
+        # _row_chunks splits N=48 into rows [0, 28) and [28, 48)
+        pytest.param("real", 48, id="real-48"),
+        pytest.param("complex", 48, id="complex-48"),
+    ],
+)
+def test_payload_check_binds_stored_tensors_to_p_and_n(field, dim):
+    s = generate(dim, 14, field=field)
+    other = generate(dim, 15, field=field)
 
     def payload(tau_ver=None, **stored):
         sample = assemble_sample(s.p, s.null, seed=s.seed, attempts=s.attempts, **stored)
@@ -711,14 +731,16 @@ def test_payload_check_binds_stored_tensors_to_p_and_n(field):
     assert not loose.passed and loose.tolerance == doubled.tolerance
     swapped = payload(structure=other.structure)
     assert not swapped.passed and "structure" in swapped.detail
+    a = 1 if dim == 6 else 40  # in the last chunk at N=48
     moved_f = np.array(s.structure)
-    moved_f[1, 2, 3] += 1.0
-    assert "structure 1.000e+00 at (1, 2, 3)" in payload(structure=moved_f).detail
+    moved_f[a, 2, 3] += 1.0
+    assert f"structure 1.000e+00 at ({a}, 2, 3)" in payload(structure=moved_f).detail
+    a = 4 if dim == 6 else 40
     moved = np.array(s.adjoint)
-    moved[4, 1, 3] += 1.0
+    moved[a, 1, 3] += 1.0
     bad_adjoint = payload(adjoint=moved, structure=s.structure)
     assert bad_adjoint.residual == 1.0
-    assert "adjoint 1.000e+00 at (4, 1, 3)" in bad_adjoint.detail
+    assert f"adjoint 1.000e+00 at ({a}, 1, 3)" in bad_adjoint.detail
     scaled = payload(adjoint=1e12 * s.adjoint)
     assert not scaled.passed and scaled.tolerance == clean.tolerance
 

@@ -134,15 +134,16 @@ def test_verify_check_subset_and_json(tmp_path, capsys):
 
 
 def test_verify_rejects_unknown_check(tmp_path, capsys):
-    path = _generate_doc(tmp_path)
-    assert main(["verify", str(path), "--checks", "jacobi,unitarity"]) == 64
-    assert "unitarity" in capsys.readouterr().err
+    # the usage error comes before the document is read, so a missing one is 64 too
+    for path in (_generate_doc(tmp_path), tmp_path / "missing.json"):
+        assert main(["verify", str(path), "--checks", "jacobi,unitarity"]) == 64
+        assert "unitarity" in capsys.readouterr().err
 
 
 def test_verify_rejects_empty_check_list(tmp_path, capsys):
-    path = _generate_doc(tmp_path)
-    assert main(["verify", str(path), "--checks", " , "]) == 64
-    capsys.readouterr()
+    for path in (_generate_doc(tmp_path), tmp_path / "missing.json"):
+        assert main(["verify", str(path), "--checks", " , "]) == 64
+        capsys.readouterr()
 
 
 def test_verify_flags_corrupted_constants(tmp_path, capsys):

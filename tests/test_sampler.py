@@ -25,7 +25,6 @@ from lieforge.sampler import (
     NullData,
     ParameterMatrix,
     Tolerances,
-    adjoint_rows,
     adjoint_to_structure,
     assemble_sample,
     build_adjoint,
@@ -302,21 +301,23 @@ def test_build_adjoint_matches_earlier_kernel_bitwise(dim, field):
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_adjoint_rows_matches_earlier_kernel_on_any_slice(field):
+    """The build's block kernel gives build_adjoint's rows a on any slice."""
     dim = 11
     p, n = _random_pn(dim, field)
+    whole = _bits(_earlier_build_adjoint(p, n))
     slices = [
         slice(0, 1), slice(3, 4), slice(2, 9), slice(0, dim), slice(5, None),
         slice(1, 10, 3), slice(None, None, -2), slice(4, 4),
     ]
     for rows in slices:
-        expect = _bits(_earlier_adjoint_rows(p, n, rows))
-        assert np.array_equal(_bits(adjoint_rows(p, n, rows)), expect)
-        fresh = np.empty((dim, len(range(dim)[rows]), dim), dtype=p.dtype)
-        assert adjoint_rows(p, n, rows, out=fresh) is fresh
+        expect = whole[rows]
+        assert np.array_equal(_bits(sampler_module._adjoint_block(p, n, rows)), expect)
+        fresh = np.empty((len(range(dim)[rows]), dim, dim), dtype=p.dtype)
+        assert sampler_module._adjoint_block(p, n, rows, out=fresh) is fresh
         assert np.array_equal(_bits(fresh), expect)
-        whole = np.zeros((dim, dim, dim), dtype=p.dtype)
-        adjoint_rows(p, n, rows, out=whole[:, rows, :])
-        assert np.array_equal(_bits(whole[:, rows, :]), expect)
+        stack = np.zeros((dim, dim, dim), dtype=p.dtype)
+        sampler_module._adjoint_block(p, n, rows, out=stack[rows])
+        assert np.array_equal(_bits(stack[rows]), expect)
 
 
 def test_adjoint_build_and_scale_stay_within_one_chunk_of_memory():
@@ -341,7 +342,7 @@ def test_a_threaded_build_stays_within_one_chunk_of_memory_on_many_cpus(monkeypa
     """The tracemalloc peak sees only the threads this box runs at once, so
     the bound is also checked on what the threads may hold together: one
     slice each, of a complex product and its float abs (at most 24 bytes an
-    entry)."""
+    entry), in the build's one pass."""
     monkeypatch.setattr(linalg, "_cpus", lambda: cpus)
     monkeypatch.setattr(sampler_module, "_THREAD_MIN_BYTES", 0)
     in_flight = []
@@ -362,7 +363,7 @@ def test_a_threaded_build_stays_within_one_chunk_of_memory_on_many_cpus(monkeypa
         _, build_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(in_flight) == 2  # the build, then its |entry| pass
+    assert len(in_flight) == 1  # the build takes |entry| in the same pass
     assert all(threads > 1 and nbytes <= budget for threads, nbytes in in_flight)
     assert build_peak <= adj.nbytes + budget
 
@@ -535,10 +536,10 @@ def test_a_nan_adjoint_gives_a_nan_scale(dim):
     assert np.isnan(assemble_sample(s.p, s.null, seed=1, adjoint=adj).scale)
 
 
-@pytest.mark.parametrize("field, passes", [("real", 1), ("complex", 2)])
-def test_scale_comes_from_the_build(monkeypatch, field, passes):
-    """A real build takes scale in its one pass; a complex build in a second
-    pass of its own. Reading scale never reads the adjoint again."""
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_scale_comes_from_the_build(monkeypatch, field):
+    """A build of either field takes scale in its one pass. Reading scale
+    never reads the adjoint again."""
     calls = Counter()
 
     def spy(name):
@@ -554,7 +555,7 @@ def test_scale_comes_from_the_build(monkeypatch, field, passes):
     spy("inf_norm")
     s = generate(70, 3, field=field)
     assert s.scale == s.scale
-    assert calls == {"_chunk_map": passes}
+    assert calls == {"_chunk_map": 1}
     stored = assemble_sample(s.p, s.null, seed=3, adjoint=s.adjoint)
     assert stored.scale == stored.scale == s.scale
-    assert calls == {"_chunk_map": passes, "inf_norm": 1}  # read once, then cached
+    assert calls == {"_chunk_map": 1, "inf_norm": 1}  # read once, then cached
