@@ -34,18 +34,17 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ContractViolation
 from .linalg import EPS, _row_chunks, inf_norm
-from .rng import NormalStream, SplitMix64
+from .rng import NormalStream, SplitMix64, _check_seed
 from .sampler import LieAlgebraSample, _adjoint_block
 
 __all__ = [
     "CHECK_NAMES",
-    "JacobiReport",
     "KillingReport",
     "SeriesReport",
     "CheckResult",
@@ -89,6 +88,11 @@ def _check_cubic(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
+def _check_tau_ver(tau_ver: float) -> None:
+    if not (math.isfinite(tau_ver) and tau_ver > 0):
+        raise ContractViolation(f"tau_ver must be finite and positive, got {tau_ver!r}")
+
+
 def _probe(t: np.ndarray, seed: int, check: str, arity: int) -> tuple[np.ndarray, np.ndarray]:
     """The probes a check evaluates its identity on, and their matrices in t.
 
@@ -105,7 +109,7 @@ def _probe(t: np.ndarray, seed: int, check: str, arity: int) -> tuple[np.ndarray
     """
     dim = t.shape[0]
     count = arity * _PROBE_SETS
-    stream = NormalStream(SplitMix64(seed ^ zlib.crc32(check.encode())).next_uint64())
+    stream = NormalStream(SplitMix64(_check_seed(seed) ^ zlib.crc32(check.encode())).next_uint64())
     probes = stream.normals(count * dim).reshape(count, dim)
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
     swapped = t.transpose(0, 2, 1)
@@ -145,17 +149,6 @@ def _ldexp(m: np.ndarray, up: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # report types
-
-
-@dataclass(frozen=True)
-class JacobiReport:
-    """Outcome of a Jacobi-identity probe.
-
-    max_residual is the largest |entry| of the Jacobiator J(x, y, z) over
-    the seeded probe sets; see jacobi_residual.
-    """
-
-    max_residual: float
 
 
 @dataclass(frozen=True)
@@ -234,30 +227,14 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def as_dict(self) -> dict:
-        def num(x: float):
-            return x if math.isfinite(x) else repr(x)
+        """The fields, passed before checks, with non-finite floats as their repr."""
+        fields = asdict(self, dict_factory=_json_ready)
+        checks = fields.pop("checks")
+        return {**fields, "passed": self.passed, "checks": list(checks)}
 
-        return {
-            "dim": self.dim,
-            "field": self.field,
-            "mode": self.mode,
-            "seed": self.seed,
-            "rng_id": self.rng_id,
-            "scale": num(self.scale),
-            "tau_ver": self.tau_ver,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "residual": num(c.residual),
-                    "tolerance": num(c.tolerance),
-                    "passed": c.passed,
-                    "seconds": c.seconds,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
+
+def _json_ready(pairs: list[tuple[str, object]]) -> dict:
+    return {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v for k, v in pairs}
 
 
 @dataclass(frozen=True)
@@ -266,9 +243,9 @@ class VerifyConfig:
 
     tau_ver is the bilinear and series band factor; None means "use the
     tolerance stored with the sample", and a given value must be finite and
-    positive. seed picks every bilinear check's probe vectors, each check's
-    own, and the series check's random path. checks is a subset of CHECK_NAMES;
-    they always run in CHECK_NAMES order.
+    positive. seed, a uint64, picks every bilinear check's probe vectors, each
+    check's own, and the series check's random path. checks is a nonempty
+    subset of CHECK_NAMES; they always run in CHECK_NAMES order.
     """
 
     tau_ver: float | None = None
@@ -276,8 +253,11 @@ class VerifyConfig:
     checks: tuple[str, ...] = CHECK_NAMES
 
     def __post_init__(self):
-        if self.tau_ver is not None and not (math.isfinite(self.tau_ver) and self.tau_ver > 0):
-            raise ContractViolation(f"tau_ver must be finite and positive, got {self.tau_ver!r}")
+        if self.tau_ver is not None:
+            _check_tau_ver(self.tau_ver)
+        _check_seed(self.seed)
+        if not self.checks:
+            raise ContractViolation("checks must name at least one check")
         unknown = set(self.checks) - set(CHECK_NAMES)
         if unknown:
             raise ContractViolation(
@@ -303,14 +283,14 @@ def _jacobiator(f: np.ndarray, seed: int, check: str) -> float:
     return inf_norm((y @ mx) @ mz + (z @ my) @ mx + (x @ mz) @ my)
 
 
-def jacobi_residual(f: np.ndarray, seed: int = 0) -> JacobiReport:
+def jacobi_residual(f: np.ndarray, seed: int = 0) -> float:
     """Jacobi identity of the structure tensor f on seeded probe vectors.
 
     J(x, y, z) = [z, [x, y]] + [y, [z, x]] + [x, [y, z]] is trilinear, so
     each probe set weighs every index quadruple; see _jacobiator.
     """
     f = _check_cubic(f, "structure tensor")
-    return JacobiReport(_jacobiator(f, seed, "jacobi"))
+    return _jacobiator(f, seed, "jacobi")
 
 
 def closure_residual(adj: np.ndarray, seed: int = 0) -> float:
@@ -494,8 +474,9 @@ def nilpotency_check(p, tau_ver: float = 1e-9) -> bool:
     largest row sum falls below _LIFT_BELOW it is lifted by an exact power
     of two (_lifted). Both sides of the bound are compared in base-2
     logarithms, so the answer is meaningful where ||P||^N leaves the
-    float64 range.
+    float64 range. tau_ver must be finite and positive.
     """
+    _check_tau_ver(tau_ver)
     pm = _matrix_of(p)
     if not pm.any():
         return True
@@ -667,7 +648,7 @@ def verify_all(sample: LieAlgebraSample, config: VerifyConfig | None = None) -> 
         return ratio * tau, tau, bool(ok), detail
 
     run("payload", check_payload)
-    bilinear("jacobi", lambda: jacobi_residual(sample.structure, cfg.seed).max_residual)
+    bilinear("jacobi", lambda: jacobi_residual(sample.structure, cfg.seed))
     bilinear("closure", lambda: closure_residual(sample.adjoint, cfg.seed))
     bilinear("derived", lambda: derived_abelian_residual(sample.adjoint, cfg.seed))
     bilinear("killing", lambda: _cartan(sample.adjoint, cfg.seed))

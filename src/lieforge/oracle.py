@@ -292,13 +292,12 @@ def extract_unknowns(f: np.ndarray) -> np.ndarray:
     return f[1:, 1:][p, q].reshape(-1)
 
 
-def oracle_structure_constants(
-    sample: LieAlgebraSample, return_diagnostics: bool = False
-):
+def oracle_structure_constants(sample: LieAlgebraSample) -> tuple[np.ndarray, SolveDiagnostics]:
     """Full structure tensor recovered from the sample's a-priori slice alone.
 
     Assembles and solves the Sylvester equation, then scatters the solution
-    back with antisymmetry (f{j,i,k} = -f{i,j,k}, zero diagonal). Raises
+    back with antisymmetry (f{j,i,k} = -f{i,j,k}, zero diagonal). Returns the
+    tensor and the solve's diagnostics. Raises
     SystemSizeError when the system would exceed MAX_SYSTEM_DIM unknowns and
     SingularSystemError when K and -a share an eigenvalue (as they must for
     an all-zero a-priori slice, e.g. nilpotent samples with A_1 = 0).
@@ -318,9 +317,7 @@ def oracle_structure_constants(
     vals = u.reshape(-1, dim)
     out[1:, 1:][p, q] = vals
     out[1:, 1:][q, p] = -vals
-    if return_diagnostics:
-        return out, diagnostics
-    return out
+    return out, diagnostics
 
 
 def compare_tensors(fa: np.ndarray, fb: np.ndarray, tol: float) -> ComparisonReport:

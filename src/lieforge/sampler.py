@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 import posixpath
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -88,7 +88,7 @@ class Tolerances:
             )
 
     def as_dict(self) -> dict:
-        return {"tol_rank": self.tol_rank, "tau_n1": self.tau_n1, "tau_ver": self.tau_ver}
+        return asdict(self)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

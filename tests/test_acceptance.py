@@ -49,7 +49,7 @@ def test_acceptance_1_oracle_agreement(announce):
     failures = []
     for dim, seed in cells:
         sample = generate(dim, seed)
-        tensor, diag = oracle_structure_constants(sample, return_diagnostics=True)
+        tensor, diag = oracle_structure_constants(sample)
         if diag.condition_estimate > 1e8:
             skipped.append((dim, seed, diag.condition_estimate))
             continue
@@ -87,7 +87,7 @@ def test_acceptance_2_identity_residuals(announce):
                     band = 1e-9 * s.scale**2
                     killing = cartan_residual(s.adjoint)
                     residuals = {
-                        "jacobi": jacobi_residual(s.structure).max_residual,
+                        "jacobi": jacobi_residual(s.structure),
                         "closure": closure_residual(s.adjoint),
                         "derived": derived_abelian_residual(s.adjoint),
                         "killing": max(

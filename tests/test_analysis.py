@@ -88,12 +88,11 @@ def test_jacobi_no_quadruples_below_three_dims():
         f = rng.standard_normal((dim, dim, dim))
         f -= f.transpose(1, 0, 2)
         assert exhaustive_jacobi(f) == 0.0
-        assert jacobi_residual(f).max_residual <= _ulps(f, dim)
+        assert jacobi_residual(f) <= _ulps(f, dim)
 
 
 def test_jacobi_zero_tensor_passes():
-    rep = jacobi_residual(np.zeros((5, 5, 5)))
-    assert rep.max_residual == 0.0
+    assert jacobi_residual(np.zeros((5, 5, 5))) == 0.0
 
 
 def test_jacobi_sampled_agrees_with_full_on_verdict():
@@ -107,7 +106,7 @@ def test_jacobi_sampled_agrees_with_full_on_verdict():
     for f, fails in ((s.structure, False), (broken, True)):
         assert (exhaustive_jacobi(f) > band) is fails
         for seed in range(4):
-            assert (jacobi_residual(f, seed).max_residual > band) is fails, seed
+            assert (jacobi_residual(f, seed) > band) is fails, seed
 
 
 def _jacobi_inputs(kind, dim):
@@ -131,18 +130,18 @@ def test_jacobi_matches_scalar_reference(kind, dim, monkeypatch):
     the probe sets one set per chunk, and gets the unchunked value exactly."""
     f = _jacobi_inputs(kind, dim)
     if kind == "chunked":
-        whole = jacobi_residual(f).max_residual
+        whole = jacobi_residual(f)
         # the residual holds one row of N entries per probe set
         monkeypatch.setattr(linalg, "_SLAB_CHUNK", dim)
         sets = analysis._PROBE_SETS
         assert linalg._row_chunks(0, sets, dim) == [slice(s, s + 1) for s in range(sets)]
-        assert jacobi_residual(f).max_residual == whole
+        assert jacobi_residual(f) == whole
     jac = jacobi_tensor(f)
     for quad in itertools.product(range(dim), repeat=4):
         assert math.isclose(abs(jac[quad]), jacobi_residual_at(f, *quad), abs_tol=_ulps(f, dim))
     x, y, z = _probe_vectors("jacobi", 3, dim)
     want = inf_norm(np.einsum("si,sj,sk,ijkm->sm", x, y, z, jac))
-    got = jacobi_residual(f).max_residual
+    got = jacobi_residual(f)
     assert abs(got - want) <= _ulps(f, dim) + 1e-12 * want
 
 
@@ -150,7 +149,7 @@ def test_jacobi_sampled_is_a_pure_function_of_seed():
     f = generate(12, 5).structure
     first = jacobi_residual(f, seed=9)
     assert first == jacobi_residual(f, seed=9)
-    assert len({jacobi_residual(f, seed=s).max_residual for s in range(8)}) > 1
+    assert len({jacobi_residual(f, seed=s) for s in range(8)}) > 1
     probes = _probe_vectors("jacobi", 3, 12, seed=9)
     np.testing.assert_allclose(np.linalg.norm(probes, axis=-1), 1.0, rtol=1e-15)
     # each check draws probes of its own from (seed, check name)
@@ -162,10 +161,10 @@ def test_probes_read_other_dtypes_as_their_float64_cast(dtype):
     """Only complex128 takes the (re, im) view; reinterpreting int64 bits as
     float64 would read a 3x3x3 tensor of ones as about 1e38."""
     f = (generate(5, 3).structure * 7).astype(dtype)
-    want = jacobi_residual(f.astype(np.float64)).max_residual
-    assert jacobi_residual(f).max_residual == want
+    want = jacobi_residual(f.astype(np.float64))
+    assert jacobi_residual(f) == want
     ones = np.ones((3, 3, 3), dtype=dtype)
-    assert jacobi_residual(ones).max_residual == jacobi_residual(ones.astype(float)).max_residual
+    assert jacobi_residual(ones) == jacobi_residual(ones.astype(float))
 
 
 @pytest.mark.parametrize("layout", ["adjoint", "structure", "strided"])
@@ -193,7 +192,7 @@ def test_complex_probe_matrices_match_the_complex_gemm(layout):
 def test_identity_residuals_small_on_fresh_samples(field):
     s = generate(8, 21, field=field)
     band = _band(s)
-    assert jacobi_residual(s.structure).max_residual <= band
+    assert jacobi_residual(s.structure) <= band
     assert closure_residual(s.adjoint) <= band
     assert derived_abelian_residual(s.adjoint) <= band
     rep = cartan_residual(s.adjoint)
@@ -261,7 +260,7 @@ def test_one_moved_adjoint_entry_fails_closure_and_tproduct(field):
 def test_jacobi_reports_a_nan_entry():
     f = np.array(generate(6, 1).structure)
     f[1, 2, 3] = np.nan
-    assert math.isnan(jacobi_residual(f).max_residual)
+    assert math.isnan(jacobi_residual(f))
     assert math.isnan(exhaustive_jacobi(f))
 
 
@@ -746,11 +745,28 @@ def test_payload_check_binds_stored_tensors_to_p_and_n(field, dim):
 
 
 def test_verify_report_as_dict_is_json_ready():
-    import json
-
     report = verify_all(generate(4, 9))
-    text = json.dumps(report.as_dict())
+    fields = report.as_dict()
+    text = json.dumps(fields)
     assert '"passed": true' in text
+    assert list(fields) == [
+        "dim", "field", "mode", "seed", "rng_id", "scale", "tau_ver", "passed", "checks"
+    ]
+    assert [c["name"] for c in fields["checks"]] == list(CHECK_NAMES)
+    for check in fields["checks"]:
+        assert list(check) == ["name", "residual", "tolerance", "passed", "seconds", "detail"]
+    # a NaN adjoint entry: non-finite floats are written as their repr
+    s = generate(6, 14)
+    adj = np.array(s.adjoint)
+    adj[3, 1, 4] = np.nan
+    sample = assemble_sample(s.p, s.null, seed=s.seed, adjoint=adj, structure=s.structure)
+    fields = json.loads(json.dumps(verify_all(sample).as_dict(), allow_nan=False))
+    assert fields["scale"] == "nan" and fields["passed"] is False
+    checks = {c["name"]: c for c in fields["checks"]}
+    assert checks["payload"]["residual"] == "nan"
+    assert checks["series"]["residual"] == "inf"
+    for name in BILINEAR[1:]:
+        assert checks[name]["residual"] == checks[name]["tolerance"] == "nan", checks[name]
 
 
 def test_verify_report_seconds_are_recorded():
@@ -763,7 +779,7 @@ def test_verify_report_seconds_are_recorded():
 def test_property_generic_samples_verify_clean(dim, seed):
     s = generate(dim, seed)
     band = _band(s)
-    assert jacobi_residual(s.structure).max_residual <= band
+    assert jacobi_residual(s.structure) <= band
     assert closure_residual(s.adjoint) <= band
     rep = lower_central_series(s.adjoint, s.p, s.null, depth=dim)
     assert not rep.terminated

@@ -5,17 +5,51 @@ import re
 import numpy as np
 import pytest
 
-from lieforge.analysis import jacobi_residual, t_product_residual
+from lieforge.analysis import VerifyConfig, jacobi_residual, nilpotency_check, t_product_residual
 from lieforge.errors import ContractViolation
 from lieforge.linalg import as_field_matrix, rank_and_left_null
 from lieforge.oracle import assemble_system
 from lieforge.rng import NormalStream, SplitMix64
 from lieforge.sampler import NullData, adjoint_to_structure, build_adjoint, sample_parameter_matrix
 
+NILPOTENT_P = np.array([[0.0, 1.0], [0.0, 0.0]])
+
 GUARDS = {
     "analysis-cubic": (
         lambda: jacobi_residual(np.zeros((2, 3, 3))),
         "structure tensor must have shape (N, N, N), got (2, 3, 3)",
+    ),
+    "analysis-probe-seed": (
+        lambda: jacobi_residual(np.zeros((3, 3, 3)), seed=-1),
+        "seed must fit in uint64, got -1",
+    ),
+    "analysis-config-no-checks": (
+        lambda: VerifyConfig(checks=()),
+        "checks must name at least one check",
+    ),
+    "analysis-config-seed-negative": (
+        lambda: VerifyConfig(seed=-1),
+        "seed must fit in uint64, got -1",
+    ),
+    "analysis-config-seed-2**64": (
+        lambda: VerifyConfig(seed=2**64),
+        "seed must fit in uint64, got 18446744073709551616",
+    ),
+    "analysis-config-seed-float": (
+        lambda: VerifyConfig(seed=1.5),
+        "seed must be an integer, got float",
+    ),
+    "analysis-nilpotency-tau-0": (
+        lambda: nilpotency_check(NILPOTENT_P, tau_ver=0),
+        "tau_ver must be finite and positive, got 0",
+    ),
+    "analysis-nilpotency-tau-negative": (
+        lambda: nilpotency_check(NILPOTENT_P, tau_ver=-1),
+        "tau_ver must be finite and positive, got -1",
+    ),
+    "analysis-nilpotency-tau-nan": (
+        lambda: nilpotency_check(NILPOTENT_P, tau_ver=float("nan")),
+        "tau_ver must be finite and positive, got nan",
     ),
     "analysis-tproduct-null": (
         lambda: t_product_residual(np.ones(2), np.zeros((3, 3, 3))),
