@@ -6,7 +6,7 @@ bracket closure of the adjoint matrices, commutativity of the derived
 subalgebra, vanishing of trace(A_i [A_j, A_k]) (Cartan), the closed form of
 the lower central series, and the transfer-matrix product identity.
 Residuals are therefore pure rounding noise. The bilinear identities are
-tested against tau_ver * scale^2, with scale = max_k ||A_k||_inf the largest
+tested against tau_ver * scale^2, with scale = max |A_k{r,c}| the largest
 entry. The series runs in units of sigma, the smallest power of two at or
 above 2S, where S = max_k ||A_k||_inf is the largest row sum; since
 ||[A, D]||_inf <= 2 ||A||_inf ||D||_inf, its depth-L level is tested against
@@ -543,7 +543,7 @@ def _random_series_path(
 
 
 def _payload_diffs(sample: LieAlgebraSample) -> dict:
-    """Max |stored - rebuilt| and its index per payload.
+    """Max |stored - rebuilt| and its index per payload in sample.stored.
 
     The rebuild runs the build's own kernel, _adjoint_block, one block of
     adjoint matrices at a time on the stored (P, n), so a payload written
@@ -552,7 +552,8 @@ def _payload_diffs(sample: LieAlgebraSample) -> dict:
     p, n = sample.p.matrix, sample.null.vector
     dim = sample.dim
     # adjoint[a, r, c] == structure[a, c, r]; both are compared in adjoint layout
-    stored = {"structure": sample.structure.transpose(0, 2, 1), "adjoint": sample.adjoint}
+    layouts = {"structure": sample.structure.transpose(0, 2, 1), "adjoint": sample.adjoint}
+    stored = {name: layouts[name] for name in sample.stored}
     found: dict[str, list] = {name: [] for name in stored}
     for rows in _row_chunks(0, dim, dim * dim):
         rebuilt = _adjoint_block(p, n, rows)
@@ -569,20 +570,21 @@ def verify_all(sample: LieAlgebraSample, config: VerifyConfig | None = None) -> 
     """Run the configured checks and collect residual/tolerance/time per check.
 
     Check failures become report entries; nothing raises. The payload check
-    passes at the rounding bound 8 * eps * ||P||_inf * ||n||_inf of
+    compares the payloads in sample.stored (no payload passes at 0) with
+    their rebuild, at the rounding bound 8 * eps * ||P||_inf * ||n||_inf of
     A_k = n{k} P - p_k (x) n, which no tau_ver moves. The bilinear checks
     (jacobi, closure, derived, killing, tproduct) pass at tau_ver * scale^2
     and each evaluates its identity on _PROBE_SETS seeded probe sets; closure
     is the Jacobi probe on the adjoint stack's view; killing is the Cartan
     traces trace(A_x [A_y, A_z]) alone, since trace(A_i A_j) = trace(A_j A_i)
-    holds for any matrices. The series check
-    requires per-level closed-form agreement within tau_ver * (2S)^(L+2),
-    S = max_k ||A_k||_inf the largest row sum, on the canonical path and one
-    seeded random path, plus the mode-appropriate termination behavior
-    (generic: none within the tested depth; nilpotent: termination). Its
-    residual is the binding level's |direct - closed| / (2S)^(L+2) and its
-    tolerance tau_ver. A nilpotent-mode P is strictly upper triangular, so
-    P^N is exactly zero and needs no check of its own.
+    holds for any matrices. The series check requires per-level closed-form
+    agreement within tau_ver * (2S)^(L+2), S = max_k ||A_k||_inf the largest
+    row sum, on the canonical path and one seeded random path, plus the
+    mode-appropriate termination behavior (generic: none within the tested
+    depth; nilpotent: termination). Its residual is the binding level's
+    |direct - closed| / (2S)^(L+2) and its tolerance tau_ver. A nilpotent-mode
+    P is strictly upper triangular, so P^N is exactly zero and needs no check
+    of its own.
     """
     cfg = config or VerifyConfig()
     tau = cfg.tau_ver if cfg.tau_ver is not None else sample.tolerances.tau_ver
@@ -610,9 +612,11 @@ def verify_all(sample: LieAlgebraSample, config: VerifyConfig | None = None) -> 
         )
 
     def check_payload():
+        band = 8 * EPS * inf_norm(sample.p.matrix) * inf_norm(sample.null.vector)
+        if not sample.stored:
+            return 0.0, band, True, "no stored payload"
         diffs = _payload_diffs(sample)
         residual = float(np.max([d for d, _ in diffs.values()]))
-        band = 8 * EPS * inf_norm(sample.p.matrix) * inf_norm(sample.null.vector)
         detail = "max |stored - rebuilt|: " + ", ".join(
             f"{name} {d:.3e}" + (f" at {where}" if d > 0.0 else "")
             for name, (d, where) in diffs.items()

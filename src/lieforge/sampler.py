@@ -151,7 +151,8 @@ class LieAlgebraSample:
 
     adjoint[k] is the k-th adjoint matrix A_k; structure[i, j, k] is the
     coefficient of g_k in [g_i, g_j] (indices zero-based). The arrays are
-    read-only; structure is a transposed view of adjoint.
+    read-only; structure is a transposed view of adjoint unless both were
+    given. stored names the payloads given, in ("structure", "adjoint") order.
     """
 
     dim: int
@@ -165,13 +166,14 @@ class LieAlgebraSample:
     null: NullData
     adjoint: np.ndarray = field(repr=False)
     structure: np.ndarray = field(repr=False)
+    stored: tuple[str, ...] = ()
     # the build's own max |entry|, set by assemble_sample; None until first
-    # read for a stored adjoint
+    # read for a stored payload
     _scale: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def scale(self) -> float:
-        """max_k ||A_k||_inf; the magnitude all verification bands scale with.
+        """max |A_k{r,c}|, the largest entry; the magnitude all bands scale with.
 
         Equals inf_norm(adjoint) bit for bit. A built adjoint brings it from
         its build; a stored one is read once, on first use.
@@ -412,9 +414,16 @@ def assemble_sample(
     adjoint: np.ndarray | None = None,
     structure: np.ndarray | None = None,
 ) -> LieAlgebraSample:
-    """Bundle validated pieces into a sample, rebuilding anything absent."""
+    """Bundle validated pieces into a sample that holds the payloads it is given.
+
+    A missing adjoint is the given structure's (0, 2, 1) transpose, with no
+    copy for the reader's view, and is built from (P, n) only with neither.
+    """
+    stored = tuple(k for k, v in (("structure", structure), ("adjoint", adjoint)) if v is not None)
     scale = None
-    if adjoint is None:
+    if adjoint is None and structure is not None:
+        adjoint, structure = adjoint_to_structure(structure), None  # its own inverse
+    elif adjoint is None:
         adjoint, scale = _adjoint_and_scale(pm.matrix, null.vector)
     adjoint = _freeze(np.ascontiguousarray(adjoint))
     if structure is None:
@@ -431,6 +440,7 @@ def assemble_sample(
         null=null,
         adjoint=adjoint,
         structure=structure,
+        stored=stored,
     )
     object.__setattr__(sample, "_scale", scale)
     return sample

@@ -168,10 +168,11 @@ def _parse_structure(entries, dim: int, complex_field: bool) -> np.ndarray:
     ):
         if bad.any():
             raise _fail(f"{where}[{int(np.argmax(bad))}]: {message}")
-    dense = np.zeros((dim, dim, dim), dtype=values.dtype)
-    dense[i, j, k] = values
-    dense[j, i, k] = -values
-    return dense
+    # adjoint layout, adj[i, k, j] = f[i, j, k]: the sample's adjoint is adj itself
+    adj = np.zeros((dim, dim, dim), dtype=values.dtype)
+    adj[i, k, j] = values
+    adj[j, k, i] = -values
+    return adj.transpose(0, 2, 1)
 
 
 def read_sample(source: str | bytes) -> LieAlgebraSample:
@@ -181,12 +182,12 @@ def read_sample(source: str | bytes) -> LieAlgebraSample:
     so the reader accepts exactly the matrices generate accepts; the stored
     null_vector and c are then checked against that verdict.
 
-    Absent adjoint/structure fields are rebuilt from p_matrix and
-    null_vector through the same code path the generator uses, so a
-    rebuilt sample is bitwise identical to the one that was written. A
-    document whose N^3 adjoint stack would not fit in available memory
-    raises SystemSizeError as soon as dim and field are read, before P is
-    decoded or any payload is stacked.
+    A structure payload is parsed in adjoint layout, and without an adjoint
+    payload it is the sample's one N^3 array, so every check reads what the
+    document stored; only a document with no payload is built from (P, n).
+    A document whose N^3 stack would not fit in available memory raises
+    SystemSizeError as soon as dim and field are read, before P is decoded
+    or any payload is stacked.
     """
     if isinstance(source, bytes):
         try:
@@ -222,8 +223,8 @@ def read_sample(source: str | bytes) -> LieAlgebraSample:
     field = data["field"]
     if field not in FIELDS:
         raise _fail(f"field must be one of {FIELDS}, got {field!r}")
-    # every sample holds an N^3 adjoint stack, stored or rebuilt, so it is
-    # sized before P is decoded and validated or any payload is stacked
+    # every sample holds an N^3 stack, parsed or built, so it is sized
+    # before P is decoded and validated or any payload is stacked
     cx = field == "complex"
     _check_stack_fits(dim, np.complex128 if cx else np.float64)
     seed = data["seed"]

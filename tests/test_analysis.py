@@ -744,6 +744,21 @@ def test_payload_check_binds_stored_tensors_to_p_and_n(field, dim):
     assert not scaled.passed and scaled.tolerance == clean.tolerance
 
 
+def test_payload_check_passes_a_sample_with_no_stored_payload(monkeypatch):
+    """A built sample stores no payload, so the check has nothing to compare
+    and rebuilds nothing."""
+
+    def no_rebuild(*args):
+        raise AssertionError("rebuilt an adjoint with no stored payload")
+
+    monkeypatch.setattr(analysis, "_adjoint_block", no_rebuild)
+    for s in (generate(6, 14), read_sample(write_sample(generate(6, 14), False, False))):
+        assert s.stored == ()
+        (check,) = verify_all(s, VerifyConfig(checks=("payload",))).checks
+        assert check.passed and check.residual == 0.0
+        assert check.detail == "no stored payload"
+
+
 def test_verify_report_as_dict_is_json_ready():
     report = verify_all(generate(4, 9))
     fields = report.as_dict()

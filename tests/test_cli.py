@@ -155,6 +155,24 @@ def test_verify_flags_corrupted_constants(tmp_path, capsys):
     assert "FAIL" in [line.split()[3] for line in out.splitlines() if line.startswith("jacobi")][0]
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [10, 40])
+def test_every_check_reads_the_stored_structure(dim, field, tmp_path, capsys):
+    """A default document stores only the structure; scaling one of its
+    entries by 1.5 fails each check run alone. The entry f{0,1,k} sits in A_0,
+    which the series check's canonical path brackets with at every level."""
+    path = tmp_path / "doc.json"
+    argv = ["generate", "--dim", str(dim), "--seed", "1", "--field", field, "--out", str(path)]
+    assert main(argv) == 0
+    doc = json.loads(path.read_text())
+    entry = doc["structure_constants"][0]
+    entry[3] = [1.5 * x for x in entry[3]] if field == "complex" else 1.5 * entry[3]
+    path.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+    for name in ("jacobi", "closure", "derived", "killing", "series", "tproduct"):
+        assert main(["verify", "--checks", name, str(path)]) == 1, name
+        assert _check_line(capsys.readouterr().out, name)[3] == "FAIL", name
+
+
 def _check_line(out, name):
     return [line.split() for line in out.splitlines() if line.startswith(name)][0]
 

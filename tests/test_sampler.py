@@ -1,5 +1,6 @@
 """Generator contracts: draw order, validation, retry policy, closed form."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -167,6 +168,44 @@ def test_structure_antisymmetry_is_bitwise():
         f = s.structure
         assert np.array_equal(f, -f.transpose(1, 0, 2))
         assert not f[np.arange(6), np.arange(6), :].any()
+
+
+def _series_dims(f, central):
+    """Dimensions of the derived series of f, or with central=True of its
+    lower central series, until a term is 0 or repeats.
+
+    Each term is spanned by the brackets of an orthonormal basis of the last
+    term with itself (derived) or with every basis element (central); its
+    dimension is their rank at 1e-9 * max |f|.
+    """
+    dim = f.shape[0]
+    basis, dims = np.eye(dim, dtype=f.dtype), [dim]
+    while True:
+        left = np.eye(dim) if central else basis
+        brackets = np.einsum("ai,bj,ijk->abk", left, basis, f).reshape(-1, dim)
+        _, sv, vh = np.linalg.svd(brackets, full_matrices=False)
+        basis = vh[: np.count_nonzero(sv > 1e-9 * np.abs(f).max())]
+        dims.append(len(basis))
+        if dims[-1] in (0, dims[-2]):
+            return dims
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("mode", ["generic", "nilpotent"])
+def test_the_derived_algebra_is_abelian(field, mode):
+    """The paper's theorem as dimensions: g' is abelian, so g'' = 0. A generic
+    sample's g' is the whole abelian ideal ker n, of codimension 1, and its
+    lower central series stops there; a nilpotent sample is filiform, with
+    g' of codimension 2 and each further term one dimension smaller."""
+    for dim, seed in itertools.product(range(3, 13), (1, 2)):
+        f = generate(dim, seed, field=field, mode=mode).structure
+        derived, central = _series_dims(f, False), _series_dims(f, True)
+        if mode == "generic":
+            assert derived == [dim, dim - 1, 0], (dim, seed)
+            assert central == [dim, dim - 1, dim - 1], (dim, seed)
+        else:
+            assert derived == [dim, dim - 2, 0], (dim, seed)
+            assert central == [dim, *range(dim - 2, -1, -1)], (dim, seed)
 
 
 def test_generate_deterministic_and_metadata():
