@@ -55,16 +55,15 @@ __all__ = [
     "derived_abelian_residual",
     "cartan_residual",
     "lower_central_series",
-    "nilpotency_check",
     "t_product_residual",
     "verify_all",
 ]
 
 CHECK_NAMES = ("payload", "jacobi", "closure", "derived", "killing", "series", "tproduct")
 
-# series and power iterates whose size falls below this are lifted by an
-# exact power of two, far above the subnormal range where a closed form would
-# lose digits and then underflow into a false termination
+# series iterates whose size falls below this are lifted by an exact power
+# of two, far above the subnormal range where a closed form would lose
+# digits and then underflow into a false termination
 _LIFT_BELOW = 2.0**-500
 
 # probe sets per bilinear check, each the few vectors its identity takes
@@ -86,11 +85,6 @@ def _check_cubic(arr: np.ndarray, name: str) -> np.ndarray:
     if arr.ndim != 3 or len(set(arr.shape)) != 1:
         raise ContractViolation(f"{name} must have shape (N, N, N), got {arr.shape}")
     return arr
-
-
-def _check_tau_ver(tau_ver: float) -> None:
-    if not (math.isfinite(tau_ver) and tau_ver > 0):
-        raise ContractViolation(f"tau_ver must be finite and positive, got {tau_ver!r}")
 
 
 def _probe(t: np.ndarray, seed: int, check: str, arity: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +145,7 @@ def _ldexp(m: np.ndarray, up: int) -> np.ndarray:
 # report types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KillingReport:
     """Killing form K{i,j} = trace(A_i A_j) plus the Cartan-criterion residual."""
 
@@ -253,8 +247,9 @@ class VerifyConfig:
     checks: tuple[str, ...] = CHECK_NAMES
 
     def __post_init__(self):
-        if self.tau_ver is not None:
-            _check_tau_ver(self.tau_ver)
+        tau = self.tau_ver
+        if tau is not None and not (math.isfinite(tau) and tau > 0):
+            raise ContractViolation(f"tau_ver must be finite and positive, got {tau!r}")
         _check_seed(self.seed)
         if not self.checks:
             raise ContractViolation("checks must name at least one check")
@@ -457,50 +452,6 @@ def _series(adj, p, null, depth, base_pair, inner_indices, row_sum: float) -> Se
         sigma=sigma,
         S=row_sum,
     )
-
-
-def _lifted(m: np.ndarray, lift: int) -> tuple[np.ndarray, int]:
-    """(m * 2^up, lift + up), up = _lift of m's largest row sum."""
-    up = _lift(float(np.abs(m).sum(axis=1).max()))
-    return (_ldexp(m, up), lift + up) if up else (m, lift)
-
-
-def nilpotency_check(p, tau_ver: float = 1e-9) -> bool:
-    """True iff ||P^N||_inf <= tau_ver * ||P||_inf^N, by repeated squaring.
-
-    Runs on B = P/sigma, sigma the smallest power of two at or above the
-    largest row sum of P, so that no power of B has a row sum above 1 and
-    nothing overflows. Each iterate carries an integer exponent: once its
-    largest row sum falls below _LIFT_BELOW it is lifted by an exact power
-    of two (_lifted). Both sides of the bound are compared in base-2
-    logarithms, so the answer is meaningful where ||P||^N leaves the
-    float64 range. tau_ver must be finite and positive.
-    """
-    _check_tau_ver(tau_ver)
-    pm = _matrix_of(p)
-    if not pm.any():
-        return True
-    dim = pm.shape[0]
-    power = pm * (1.0 / _power_of_two_above(float(np.abs(pm).sum(axis=1).max())))
-    bound = math.log2(tau_ver) + dim * math.log2(inf_norm(power))
-    power_lift = 0  # power is B^(2^t) * 2^power_lift
-    result, result_lift = None, 0
-    bits = dim
-    while True:
-        if bits & 1:
-            if result is None:
-                result, result_lift = power, power_lift
-            else:
-                result, result_lift = _lifted(result @ power, result_lift + power_lift)
-            if not result.any():
-                return True
-        bits >>= 1
-        if not bits:
-            return math.log2(inf_norm(result)) - result_lift <= bound
-        power, power_lift = _lifted(power @ power, 2 * power_lift)
-        if not power.any():
-            # the leading bit still multiplies this zero into the result
-            return True
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def count_equations(dim: int) -> int:
     return dim * (dim - 1) * (dim - 2) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssembledSystem:
     """K X + X a = R: K comes from a, and R is flattened in pair-major order as rhs."""
 

@@ -96,7 +96,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParameterMatrix:
     """Square parameter matrix plus the sampling mode it must conform to."""
 
@@ -124,7 +124,7 @@ class ParameterMatrix:
         return "complex" if self.matrix.dtype.kind == "c" else "real"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NullData:
     """Unit left null vector of P with derived quantities.
 
@@ -145,14 +145,16 @@ class NullData:
         object.__setattr__(self, "vector", _freeze(v.copy()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieAlgebraSample:
     """A generated algebra: parameters, null data, and both representations.
 
     adjoint[k] is the k-th adjoint matrix A_k; structure[i, j, k] is the
     coefficient of g_k in [g_i, g_j] (indices zero-based). The arrays are
     read-only; structure is a transposed view of adjoint unless both were
-    given. stored names the payloads given, in ("structure", "adjoint") order.
+    given. scale is max |A_k{r,c}|, the largest entry and the magnitude all
+    bands scale with; it equals inf_norm(adjoint) bit for bit. stored names
+    the payloads given, in ("structure", "adjoint") order.
     """
 
     dim: int
@@ -166,21 +168,8 @@ class LieAlgebraSample:
     null: NullData
     adjoint: np.ndarray = field(repr=False)
     structure: np.ndarray = field(repr=False)
+    scale: float
     stored: tuple[str, ...] = ()
-    # the build's own max |entry|, set by assemble_sample; None until first
-    # read for a stored payload
-    _scale: float | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def scale(self) -> float:
-        """max |A_k{r,c}|, the largest entry; the magnitude all bands scale with.
-
-        Equals inf_norm(adjoint) bit for bit. A built adjoint brings it from
-        its build; a stored one is read once, on first use.
-        """
-        if self._scale is None:
-            object.__setattr__(self, "_scale", inf_norm(self.adjoint))
-        return self._scale
 
 
 def sample_parameter_matrix(
@@ -345,24 +334,17 @@ def _check_stack_fits(dim: int, dtype) -> None:
         )
 
 
-def build_adjoint(p: np.ndarray, null_vector: np.ndarray) -> np.ndarray:
-    """All adjoint matrices at once: adj[k] = n{k} * P - p_k (x) n.
+def build_adjoint(p: np.ndarray, null_vector: np.ndarray) -> tuple[np.ndarray, float]:
+    """All adjoint matrices at once, adj[k] = n{k} * P - p_k (x) n, and their inf_norm.
 
-    Equals P @ T_k for each k but runs in O(N^3) total. Raises
-    SystemSizeError, before it allocates, when the N^3 stack exceeds the
-    memory the OS reports available. See _adjoint_block for the kernel.
-    """
-    return _adjoint_and_scale(p, null_vector)[0]
-
-
-def _adjoint_and_scale(p: np.ndarray, null_vector: np.ndarray) -> tuple[np.ndarray, float]:
-    """build_adjoint(p, null_vector) and its inf_norm, in one pass of _chunk_map.
-
-    Each chunk of rows a is built by _adjoint_block straight into the stack
-    and gives its max |entry| while it is in cache. A stack above
+    Equals P @ T_k for each k but runs in O(N^3) total, in one pass of
+    _chunk_map: each chunk of rows a is built by _adjoint_block straight into
+    the stack and gives its max |entry| while it is in cache. A stack above
     _THREAD_MIN_BYTES runs its chunks on up to _MAX_THREADS threads, which
     hold at most max(_SLAB_CHUNK, _MAX_THREADS * N^2) entries of temporaries
-    in flight; neither the thread count nor the split changes a bit.
+    in flight; neither the thread count nor the split changes a bit. Raises
+    SystemSizeError, before it allocates, when the N^3 stack exceeds the
+    memory the OS reports available.
     """
     p = np.asarray(p)
     n = np.asarray(null_vector)
@@ -384,7 +366,7 @@ def _adjoint_and_scale(p: np.ndarray, null_vector: np.ndarray) -> tuple[np.ndarr
 def _adjoint_block(
     p: np.ndarray, n: np.ndarray, rows: slice, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """build_adjoint(p, n)[rows], bit for bit: adj[a] = n{a} * P - P[:, a] (x) n.
+    """build_adjoint(p, n)[0][rows], bit for bit: adj[a] = n{a} * P - P[:, a] (x) n.
 
     The block is written to `out` (a fresh array when `out` is None). Both
     products put n first, so entry (a, r, c) is n{a} * P{r, c} - n{c} * P{r, a}:
@@ -418,17 +400,20 @@ def assemble_sample(
 
     A missing adjoint is the given structure's (0, 2, 1) transpose, with no
     copy for the reader's view, and is built from (P, n) only with neither.
+    Every array is frozen. scale comes from the build, or else from one
+    inf_norm of the payload given.
     """
     stored = tuple(k for k, v in (("structure", structure), ("adjoint", adjoint)) if v is not None)
-    scale = None
-    if adjoint is None and structure is not None:
-        adjoint, structure = adjoint_to_structure(structure), None  # its own inverse
-    elif adjoint is None:
-        adjoint, scale = _adjoint_and_scale(pm.matrix, null.vector)
-    adjoint = _freeze(np.ascontiguousarray(adjoint))
-    if structure is None:
-        structure = adjoint_to_structure(adjoint)
-    sample = LieAlgebraSample(
+    if adjoint is None and structure is None:
+        adjoint, scale = build_adjoint(pm.matrix, null.vector)
+    else:
+        if adjoint is None:
+            adjoint, structure = adjoint_to_structure(structure), None  # its own inverse
+        adjoint = np.ascontiguousarray(adjoint)
+        scale = inf_norm(adjoint)
+    adjoint = _freeze(adjoint)
+    structure = adjoint_to_structure(adjoint) if structure is None else _freeze(structure)
+    return LieAlgebraSample(
         dim=pm.dim,
         field=pm.field,
         mode=pm.mode,
@@ -440,10 +425,9 @@ def assemble_sample(
         null=null,
         adjoint=adjoint,
         structure=structure,
+        scale=scale,
         stored=stored,
     )
-    object.__setattr__(sample, "_scale", scale)
-    return sample
 
 
 def generate(

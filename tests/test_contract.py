@@ -1,0 +1,56 @@
+"""The behaviour-contract dump: the same bytes in any process, and a diff by kind."""
+
+import json
+import os
+import subprocess
+import sys
+
+import contract
+import lieforge
+
+DIMS, SEEDS = range(2, 9), (1,)
+
+
+def test_a_dump_has_the_same_bytes_in_a_child_process(tmp_path):
+    here, child = tmp_path / "here.jsonl", tmp_path / "child.jsonl"
+    contract.dump(str(here), DIMS, SEEDS)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lieforge.__file__)))
+    tests = os.path.dirname(os.path.abspath(contract.__file__))
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+    code = f"import contract; contract.dump({str(child)!r}, range(2, 9), (1,))"
+    subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, check=True
+    )
+    assert here.read_bytes() == child.read_bytes()
+    # every cell, with its scale, five reports on clean samples and one tampered
+    keys = list(contract._load(str(here)))
+    assert len(keys) == len(DIMS) * len(SEEDS) * 4 * 11 - 2  # N=2 nilpotent has no constant
+    assert contract.main(["diff", str(here), str(child)]) == 0
+
+
+def test_diff_groups_changes_by_kind(tmp_path, capsys):
+    path = tmp_path / "a.jsonl"
+    contract.dump(str(path), (3,), (1,))
+    a = contract._load(str(path))
+    b = json.loads(json.dumps(a))
+    cell = "N=3 seed=1 complex generic"
+    b[f"{cell} document both"]["sha256"] = "0" * 64
+    b[f"{cell} scale"]["scale"] = "0x1p+0"
+    tampered = b[f"{cell} report tampered"]
+    assert not tampered["passed"]
+    tampered["passed"] = True
+    tampered["checks"][0]["residual"] = 0.0
+    tampered["checks"][0]["detail"] = "moved"
+    del b[f"{cell} report built"]
+    found = contract.changes(a, b)
+    assert list(found) == ["document bytes", "scale", "residual", "verdict", "detail", "only in A"]
+    assert found["verdict"] == [f"{cell} report tampered: passed False -> True"]
+    assert contract.changes(a, a) == {}
+
+    other = tmp_path / "b.jsonl"
+    other.write_text("".join(json.dumps({"key": k, "value": v}) + "\n" for k, v in b.items()))
+    capsys.readouterr()
+    assert contract.main(["diff", str(path), str(other)]) == 1
+    assert capsys.readouterr().out.startswith("document bytes: 1\n")
+    assert contract.main(["diff", str(path), str(path)]) == 0
+    assert capsys.readouterr().out == ""

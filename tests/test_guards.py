@@ -5,14 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from lieforge.analysis import VerifyConfig, jacobi_residual, nilpotency_check, t_product_residual
+from lieforge.analysis import VerifyConfig, jacobi_residual, t_product_residual
 from lieforge.errors import ContractViolation
 from lieforge.linalg import as_field_matrix, rank_and_left_null
 from lieforge.oracle import assemble_system
 from lieforge.rng import NormalStream, SplitMix64
 from lieforge.sampler import NullData, adjoint_to_structure, build_adjoint, sample_parameter_matrix
-
-NILPOTENT_P = np.array([[0.0, 1.0], [0.0, 0.0]])
 
 GUARDS = {
     "analysis-cubic": (
@@ -39,16 +37,16 @@ GUARDS = {
         lambda: VerifyConfig(seed=1.5),
         "seed must be an integer, got float",
     ),
-    "analysis-nilpotency-tau-0": (
-        lambda: nilpotency_check(NILPOTENT_P, tau_ver=0),
+    "analysis-config-tau-0": (
+        lambda: VerifyConfig(tau_ver=0),
         "tau_ver must be finite and positive, got 0",
     ),
-    "analysis-nilpotency-tau-negative": (
-        lambda: nilpotency_check(NILPOTENT_P, tau_ver=-1),
+    "analysis-config-tau-negative": (
+        lambda: VerifyConfig(tau_ver=-1),
         "tau_ver must be finite and positive, got -1",
     ),
-    "analysis-nilpotency-tau-nan": (
-        lambda: nilpotency_check(NILPOTENT_P, tau_ver=float("nan")),
+    "analysis-config-tau-nan": (
+        lambda: VerifyConfig(tau_ver=float("nan")),
         "tau_ver must be finite and positive, got nan",
     ),
     "analysis-tproduct-null": (

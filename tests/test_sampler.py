@@ -279,13 +279,13 @@ def test_build_adjoint_chunking_is_invisible(monkeypatch):
     p = rng.standard_normal((9, 9))
     p[:, 0] = 0.0
     n = rng.standard_normal(9)
-    whole = build_adjoint(p, n)
+    whole, _ = build_adjoint(p, n)
     # reference without chunking: one product array, subtract its transpose
     prod = n[:, None, None] * p[None, :, :]
     np.testing.assert_array_equal(whole, prod - prod.transpose(2, 1, 0))
     monkeypatch.setattr(linalg, "_SLAB_CHUNK", 200)  # the name _row_chunks reads
     assert [s.stop - s.start for s in linalg._row_chunks(0, 9, 81)] == [2, 2, 2, 2, 1]
-    np.testing.assert_array_equal(build_adjoint(p, n), whole)
+    np.testing.assert_array_equal(build_adjoint(p, n)[0], whole)
 
 
 def _earlier_adjoint_rows(p, n, rows, out=None):
@@ -325,7 +325,7 @@ def _random_pn(dim, field, seed=0):
 def test_build_adjoint_matches_earlier_kernel_bitwise(dim, field):
     p, n = _random_pn(dim, field, seed=dim)
     for pm in (p, np.triu(p, 1)):  # generic and nilpotent shape
-        adj = build_adjoint(pm, n)
+        adj, _ = build_adjoint(pm, n)
         assert np.array_equal(_bits(adj), _bits(_earlier_build_adjoint(pm, n)))
         f = adjoint_to_structure(adj)
         for k in range(dim):
@@ -364,7 +364,7 @@ def test_adjoint_build_and_scale_stay_within_one_chunk_of_memory():
     budget = 2 * 1024 * 1024
     tracemalloc.start()
     try:
-        adj = build_adjoint(p, n)
+        adj, _ = build_adjoint(p, n)
         _, build_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         base, _ = tracemalloc.get_traced_memory()
@@ -398,7 +398,7 @@ def test_a_threaded_build_stays_within_one_chunk_of_memory_on_many_cpus(monkeypa
     budget = 2 * 1024 * 1024
     tracemalloc.start()
     try:
-        adj = build_adjoint(p, n)
+        adj, _ = build_adjoint(p, n)
         _, build_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -428,7 +428,7 @@ def test_an_adjoint_too_large_for_memory_fails_before_it_allocates(monkeypatch):
     with pytest.raises(SystemSizeError):
         generate(96, 2, field="complex")  # not a retryable draw: it ends the run
     monkeypatch.setattr(sampler_module, "_available_memory", lambda: nbytes)
-    assert build_adjoint(p, n).nbytes == nbytes
+    assert build_adjoint(p, n)[0].nbytes == nbytes
 
 
 @pytest.mark.parametrize("field, mib", [("real", 16), ("complex", 32)])
@@ -452,7 +452,7 @@ def test_the_memory_check_is_skipped_without_meminfo(monkeypatch):
     monkeypatch.setattr(sampler_module, "open", no_file, raising=False)
     assert sampler_module._available_memory() is None
     p, n = _random_pn(6, "real")
-    np.testing.assert_array_equal(build_adjoint(p, n), _earlier_build_adjoint(p, n))
+    np.testing.assert_array_equal(build_adjoint(p, n)[0], _earlier_build_adjoint(p, n))
 
 
 def _cgroup_tree(tmp_path, lines, files):
@@ -561,6 +561,8 @@ def test_scale_is_the_inf_norm_of_the_adjoint_bit_for_bit(field):
     for dim in (5, 41, 70):  # one chunk, then several
         s = generate(dim, 3, field=field)
         assert s.scale.hex() == inf_norm(s.adjoint).hex()
+        adj, scale = build_adjoint(s.p.matrix, s.null.vector)
+        assert scale.hex() == inf_norm(adj).hex() == s.scale.hex()
         for flags in ((False, True), (True, False), (True, True)):
             doc = write_sample(s, include_adjoint=flags[0], include_structure=flags[1])
             read = read_sample(doc)
@@ -577,8 +579,8 @@ def test_a_nan_adjoint_gives_a_nan_scale(dim):
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_scale_comes_from_the_build(monkeypatch, field):
-    """A build of either field takes scale in its one pass. Reading scale
-    never reads the adjoint again."""
+    """A build of either field takes scale in its one pass; a given payload
+    is read for it once, when the sample is made."""
     calls = Counter()
 
     def spy(name):
@@ -593,8 +595,7 @@ def test_scale_comes_from_the_build(monkeypatch, field):
     spy("_chunk_map")
     spy("inf_norm")
     s = generate(70, 3, field=field)
-    assert s.scale == s.scale
     assert calls == {"_chunk_map": 1}
     stored = assemble_sample(s.p, s.null, seed=3, adjoint=s.adjoint)
-    assert stored.scale == stored.scale == s.scale
-    assert calls == {"_chunk_map": 1, "inf_norm": 1}  # read once, then cached
+    assert stored.scale == s.scale
+    assert calls == {"_chunk_map": 1, "inf_norm": 1}

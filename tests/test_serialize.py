@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lieforge.sampler as sampler_module
-from lieforge.analysis import verify_all
+from lieforge.analysis import cartan_residual, verify_all
 from lieforge.errors import (
     ContractViolation,
     DegenerateParametersError,
@@ -21,6 +21,7 @@ from lieforge.errors import (
     SystemSizeError,
 )
 from lieforge.linalg import rank_and_left_null
+from lieforge.oracle import assemble_system
 from lieforge.sampler import (
     MODES,
     ParameterMatrix,
@@ -188,7 +189,8 @@ def test_a_read_document_reports_what_its_sample_reports(field, mode):
             assert back.stored == tuple(name for name, on in stored.items() if on)
             # one N^3 array unless the document stores both payloads
             assert np.shares_memory(back.adjoint, back.structure) is (emit != "both")
-            assert back.adjoint.flags.c_contiguous and not back.adjoint.flags.writeable
+            assert back.adjoint.flags.c_contiguous
+            assert not (back.adjoint.flags.writeable or back.structure.flags.writeable)
 
 
 @pytest.mark.parametrize("emit", ["structure", "adjoint", "both"])
@@ -199,10 +201,25 @@ def test_a_document_with_a_payload_is_never_rebuilt(emit, monkeypatch):
     def no_build(*args):
         raise AssertionError("built an adjoint the document stores")
 
-    monkeypatch.setattr(sampler_module, "_adjoint_and_scale", no_build)
+    monkeypatch.setattr(sampler_module, "build_adjoint", no_build)
     back = read_sample(doc)
     assert back.scale == s.scale
     np.testing.assert_array_equal(back.adjoint, s.adjoint)
+
+
+def test_samples_and_their_parts_compare_and_hash_by_identity():
+    doc = write_sample(generate(5, 1), include_adjoint=True, include_structure=True)
+    a, b = read_sample(doc), read_sample(doc)
+    pairs = [
+        (a, b),
+        (a.p, b.p),
+        (a.null, b.null),
+        (cartan_residual(a.adjoint), cartan_residual(b.adjoint)),
+        (assemble_system(a.structure[0]), assemble_system(b.structure[0])),
+    ]
+    for x, y in pairs:
+        assert x == x and x != y
+        assert len({x, y}) == 2
 
 
 def test_read_accepts_utf8_bytes():
