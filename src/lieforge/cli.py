@@ -1,10 +1,11 @@
 """Batch command line: generate, verify, oracle, bench.
 
 Exit codes: 0 success, 1 verification failure, 2 generation failure,
-3 oracle singular system, 64 usage (an unwritable output path and an adjoint
-too large for available memory included), 65 input integrity (a document
-whose structure tensor or adjoint would not fit included). main maps library
-errors to these codes through _EXIT_CODES.
+3 oracle singular system, 64 usage (an unwritable output path, and an adjoint
+stack or, for generate --emit none, a draw too large for available memory
+included), 65 input integrity (a document whose structure tensor or adjoint
+would not fit included). main maps library errors to these codes through
+_EXIT_CODES.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .oracle import MAX_SYSTEM_DIM, compare_tensors, count_equations, oracle_structure_constants
 from .rng import RNG_ID
-from .sampler import FIELDS, MODES, generate
+from .sampler import _DTYPES, FIELDS, MODES, _check_stack_fits, generate
 from .serialize import read_sample, write_sample
 
 __all__ = ["main", "CSV_HEADER"]
@@ -202,6 +203,9 @@ def cmd_generate(args) -> int:
         args._parser.error("--dim must be at least 2")
     if args.max_attempts < 1:
         args._parser.error("--max-attempts must be at least 1")
+    if args.emit != "none":
+        # a payload is written from the N^3 stack, so it is sized before the first draw
+        _check_stack_fits(args.dim, _DTYPES[args.field])
     seed = _resolve_seed(args)
     sample = generate(
         args.dim, seed, field=args.field, mode=args.mode, max_attempts=args.max_attempts
@@ -270,6 +274,7 @@ def cmd_oracle(args) -> int:
             f"oracle system size dim_sys = {dim_sys} exceeds the guard ({MAX_SYSTEM_DIM}); "
             "reduce --dim"
         )
+    _check_stack_fits(args.dim, _DTYPES[args.field])
     seed = _resolve_seed(args)
     sample = generate(args.dim, seed, field=args.field, mode=args.mode)
     tensor, diagnostics = oracle_structure_constants(sample)
@@ -307,6 +312,9 @@ def cmd_bench(args) -> int:
     if args.repeat < 3:
         args._parser.error("--repeat must be at least 3 for a meaningful median")
     dims = list(dict.fromkeys(dims))
+    for n in dims:
+        # each run times a full sample, its adjoint stack included
+        _check_stack_fits(n, _DTYPES[args.field])
 
     rows, notes = [CSV_HEADER], []
     for n in dims:
@@ -316,6 +324,7 @@ def cmd_bench(args) -> int:
             seed = (args.seed + run) % 2**64
             begin = time.perf_counter()
             sample = generate(n, seed, field=args.field, mode=args.mode)
+            sample.adjoint  # built on first use, so read here to time a full sample
             gen_times.append(time.perf_counter() - begin)
             if args.verify:
                 begin = time.perf_counter()

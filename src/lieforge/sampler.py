@@ -23,6 +23,7 @@ import logging
 import math
 import posixpath
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,8 @@ log = logging.getLogger(__name__)
 
 FIELDS = ("real", "complex")
 MODES = ("generic", "nilpotent")
+# the dtype of each field's arrays
+_DTYPES = {"real": np.dtype(np.float64), "complex": np.dtype(np.complex128)}
 
 
 @dataclass(frozen=True)
@@ -147,13 +150,17 @@ class NullData:
 
 @dataclass(frozen=True, eq=False)
 class LieAlgebraSample:
-    """A generated algebra: parameters, null data, and both representations.
+    """A generated algebra: parameters, null data, and the payloads it was given.
 
-    adjoint[k] is the k-th adjoint matrix A_k; structure[i, j, k] is the
-    coefficient of g_k in [g_i, g_j] (indices zero-based). The arrays are
-    read-only; structure is a transposed view of adjoint unless both were
-    given. scale is max |A_k{r,c}|, the largest entry and the magnitude all
-    bands scale with; it equals inf_norm(adjoint) bit for bit. stored names
+    The algebra is fixed by P and n; adjoint, structure and scale are derived
+    on first use and kept. adjoint[k] is the k-th adjoint matrix A_k: the
+    given adjoint, else the given structure's (0, 2, 1) transpose, else
+    build_adjoint(P, n), which is sized then and only then. structure[i, j, k]
+    is the coefficient of g_k in [g_i, g_j] (indices zero-based): the given
+    structure, else a transposed view of adjoint. Every array is read-only.
+    scale is max |A_k{r,c}|, the largest entry and the magnitude all bands
+    scale with; it equals inf_norm(adjoint) bit for bit, and without a
+    payload it is taken by _adjoint_scale, which holds no stack. stored names
     the payloads given, in ("structure", "adjoint") order.
     """
 
@@ -166,10 +173,34 @@ class LieAlgebraSample:
     tolerances: Tolerances
     p: ParameterMatrix
     null: NullData
-    adjoint: np.ndarray = field(repr=False)
-    structure: np.ndarray = field(repr=False)
-    scale: float
-    stored: tuple[str, ...] = ()
+    stored_structure: np.ndarray | None = field(default=None, repr=False)
+    stored_adjoint: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def stored(self) -> tuple[str, ...]:
+        given = (("structure", self.stored_structure), ("adjoint", self.stored_adjoint))
+        return tuple(name for name, arr in given if arr is not None)
+
+    @cached_property
+    def adjoint(self) -> np.ndarray:
+        if self.stored_adjoint is not None:
+            return self.stored_adjoint
+        if self.stored_structure is not None:
+            # its own inverse, with no copy for the reader's layout
+            return _freeze(np.ascontiguousarray(adjoint_to_structure(self.stored_structure)))
+        return _freeze(build_adjoint(self.p.matrix, self.null.vector))
+
+    @cached_property
+    def structure(self) -> np.ndarray:
+        if self.stored_structure is not None:
+            return self.stored_structure
+        return adjoint_to_structure(self.adjoint)
+
+    @cached_property
+    def scale(self) -> float:
+        if self.stored:
+            return inf_norm(self.adjoint)
+        return _adjoint_scale(self.p.matrix, self.null.vector)
 
 
 def sample_parameter_matrix(
@@ -246,11 +277,12 @@ def validate_parameter_matrix(
     )
 
 
-# a build runs its chunks on threads only when its stack exceeds this many
-# bytes, and then on at most _MAX_THREADS. Both are measured (ROADMAP aim 1):
-# right after the SVD that precedes every build, stacks up to 128 MiB gained
-# nothing from a second thread, larger ones gained, and no box with more
-# than two CPUs was measured
+# a pass over an adjoint stack (the build, or the scale pass that stands in
+# for it) runs its chunks on threads only when the stack exceeds this many
+# bytes, and then on at most _MAX_THREADS. Both are measured on the build
+# (ROADMAP aim 1): right after the SVD that precedes every build, stacks up
+# to 128 MiB gained nothing from a second thread, larger ones gained, and no
+# box with more than two CPUs was measured
 _THREAD_MIN_BYTES = 128 << 20
 _MAX_THREADS = 2
 
@@ -322,60 +354,101 @@ def _available_memory() -> int | None:
     return min((m for m in (meminfo, _cgroup_headroom()) if m is not None), default=None)
 
 
-def _check_stack_fits(dim: int, dtype) -> None:
-    """Raise SystemSizeError when an N^3 stack of dtype exceeds _available_memory();
-    no check where that is unknown."""
-    nbytes = dim**3 * np.dtype(dtype).itemsize
+def _check_fits(nbytes: int, what: str) -> None:
+    """Raise SystemSizeError when `what` needs more than _available_memory()
+    bytes; no check where that is unknown."""
     available = _available_memory()
     if available is not None and nbytes > available:
         raise SystemSizeError(
-            f"the N={dim} adjoint stack needs {nbytes / 2**20:.0f} MiB,"
+            f"{what} needs {nbytes / 2**20:.0f} MiB,"
             f" more than the {available / 2**20:.0f} MiB available"
         )
 
 
-def build_adjoint(p: np.ndarray, null_vector: np.ndarray) -> tuple[np.ndarray, float]:
-    """All adjoint matrices at once, adj[k] = n{k} * P - p_k (x) n, and their inf_norm.
+def _check_stack_fits(dim: int, dtype) -> None:
+    """Raise SystemSizeError when an N^3 stack of dtype exceeds _available_memory()."""
+    _check_fits(dim**3 * np.dtype(dtype).itemsize, f"the N={dim} adjoint stack")
+
+
+# a draw and its validation hold at most this many N x N arrays of the
+# field's dtype at once. Measured at N = 500-1500, both fields: the
+# tracemalloc peak of sample_parameter_matrix plus validate_parameter_matrix
+# is 3.0 of them, and the process's peak RSS grows by 8.7-10.2, the rest
+# being gesdd's workspace, which LAPACK allocates out of tracemalloc's sight
+_WORKING_SET_MATRICES = 11
+
+
+def _pn(p, null_vector) -> tuple[np.ndarray, np.ndarray, np.dtype]:
+    """P and n as arrays of matching length, and the dtype of their adjoint stack."""
+    p = np.asarray(p)
+    n = np.asarray(null_vector)
+    if n.shape != (p.shape[0],):
+        raise ContractViolation("null vector length must match matrix dimension")
+    return p, n, np.promote_types(p.dtype, n.dtype)
+
+
+def _threads(dim: int, dtype) -> int:
+    """Threads for a pass over an N^3 stack of dtype: see _THREAD_MIN_BYTES."""
+    return _MAX_THREADS if dim**3 * np.dtype(dtype).itemsize > _THREAD_MIN_BYTES else 1
+
+
+def build_adjoint(p: np.ndarray, null_vector: np.ndarray) -> np.ndarray:
+    """All adjoint matrices at once, adj[k] = n{k} * P - p_k (x) n.
 
     Equals P @ T_k for each k but runs in O(N^3) total, in one pass of
     _chunk_map: each chunk of rows a is built by _adjoint_block straight into
-    the stack and gives its max |entry| while it is in cache. A stack above
-    _THREAD_MIN_BYTES runs its chunks on up to _MAX_THREADS threads, which
-    hold at most max(_SLAB_CHUNK, _MAX_THREADS * N^2) entries of temporaries
-    in flight; neither the thread count nor the split changes a bit. Raises
-    SystemSizeError, before it allocates, when the N^3 stack exceeds the
-    memory the OS reports available.
+    the stack. A stack above _THREAD_MIN_BYTES runs its chunks on up to
+    _MAX_THREADS threads, which hold at most max(_SLAB_CHUNK, _MAX_THREADS *
+    N^2) entries of temporaries in flight; neither the thread count nor the
+    split changes a bit. Raises SystemSizeError, before it allocates, when
+    the N^3 stack exceeds the memory the OS reports available.
     """
-    p = np.asarray(p)
-    n = np.asarray(null_vector)
+    p, n, dtype = _pn(p, null_vector)
     dim = p.shape[0]
-    if n.shape != (dim,):
-        raise ContractViolation("null vector length must match matrix dimension")
-    dtype = np.promote_types(p.dtype, n.dtype)
     _check_stack_fits(dim, dtype)
     out = np.empty((dim, dim, dim), dtype=dtype)
-    threads = _MAX_THREADS if out.nbytes > _THREAD_MIN_BYTES else 1
+    _chunk_map(
+        lambda rows: _adjoint_block(p, n, rows, out=out[rows]),
+        dim, dim * dim, _threads(dim, dtype),
+    )
+    return out
+
+
+def _adjoint_scale(p: np.ndarray, null_vector: np.ndarray) -> float:
+    """inf_norm(build_adjoint(p, n)), bit for bit, in O(N^2) memory.
+
+    adj[a, r, c] = -adj[c, r, a] exactly, since both products put n first, so
+    each _chunk_map chunk of rows a takes its max |entry| over the columns
+    c >= rows.start alone: every pair {a, c} is met in the chunk of min(a, c).
+    That is half the build's arithmetic, with the build's threads.
+    """
+    p, n, dtype = _pn(p, null_vector)
+    dim = p.shape[0]
     maxima = _chunk_map(
-        lambda rows: np.abs(_adjoint_block(p, n, rows, out=out[rows])).max(),
-        dim, dim * dim, threads,
+        lambda rows: np.abs(_adjoint_block(p, n, rows, slice(rows.start, None))).max(),
+        dim, dim * dim, _threads(dim, dtype),
     )
     # np.max, unlike builtin max, propagates NaN
-    return out, float(np.max(maxima))
+    return float(np.max(maxima))
 
 
 def _adjoint_block(
-    p: np.ndarray, n: np.ndarray, rows: slice, out: np.ndarray | None = None
+    p: np.ndarray,
+    n: np.ndarray,
+    rows: slice,
+    cols: slice = slice(None),
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """build_adjoint(p, n)[0][rows], bit for bit: adj[a] = n{a} * P - P[:, a] (x) n.
+    """build_adjoint(p, n)[rows][:, :, cols], bit for bit: adj[a] = n{a} * P - P[:, a] (x) n.
 
     The block is written to `out` (a fresh array when `out` is None). Both
     products put n first, so entry (a, r, c) is n{a} * P{r, c} - n{c} * P{r, a}:
     numpy's complex multiply rounds by operand order, and the same order on
     both sides keeps the structure tensor's antisymmetry bitwise exact.
     """
-    block = np.multiply(n[rows, None, None], p, out=out)
+    block = np.multiply(n[rows, None, None], p[:, cols], out=out)
     # outer[a, r, c] = n{c} * P{r, a}, laid out like block, not like p.T
-    outer = np.multiply(n, p.T[rows, :, None], order="C")
+    outer = np.multiply(n[cols], p.T[rows, :, None], order="C")
     return np.subtract(block, outer, out=block)
 
 
@@ -398,21 +471,11 @@ def assemble_sample(
 ) -> LieAlgebraSample:
     """Bundle validated pieces into a sample that holds the payloads it is given.
 
-    A missing adjoint is the given structure's (0, 2, 1) transpose, with no
-    copy for the reader's view, and is built from (P, n) only with neither.
-    Every array is frozen. scale comes from the build, or else from one
-    inf_norm of the payload given.
+    Each payload is frozen; an adjoint is made C-contiguous first. Nothing is
+    built here: the sample derives adjoint, structure and scale on first use.
     """
-    stored = tuple(k for k, v in (("structure", structure), ("adjoint", adjoint)) if v is not None)
-    if adjoint is None and structure is None:
-        adjoint, scale = build_adjoint(pm.matrix, null.vector)
-    else:
-        if adjoint is None:
-            adjoint, structure = adjoint_to_structure(structure), None  # its own inverse
-        adjoint = np.ascontiguousarray(adjoint)
-        scale = inf_norm(adjoint)
-    adjoint = _freeze(adjoint)
-    structure = adjoint_to_structure(adjoint) if structure is None else _freeze(structure)
+    if adjoint is not None:
+        adjoint = _freeze(np.ascontiguousarray(adjoint))
     return LieAlgebraSample(
         dim=pm.dim,
         field=pm.field,
@@ -423,10 +486,8 @@ def assemble_sample(
         tolerances=tolerances or Tolerances(),
         p=pm,
         null=null,
-        adjoint=adjoint,
-        structure=structure,
-        scale=scale,
-        stored=stored,
+        stored_structure=None if structure is None else _freeze(structure),
+        stored_adjoint=adjoint,
     )
 
 
@@ -444,13 +505,19 @@ def generate(
     document produced for a given (dim, field, mode, seed) is unique even
     when early draws are rejected. Raises GenerationFailedError after
     `max_attempts` rejections, and SystemSizeError before the first draw
-    when the adjoint stack would not fit in memory.
+    when a draw and its SVD would not fit in memory. The N^3 adjoint stack
+    is neither sized nor built here: the sample builds it on first use.
     """
     if dim < 2:
         raise ContractViolation(f"dimension must be at least 2, got {dim}")
     if max_attempts < 1:
         raise ContractViolation("max_attempts must be at least 1")
-    _check_stack_fits(dim, np.complex128 if field == "complex" else np.float64)
+    if field not in FIELDS:
+        raise ContractViolation(f"field must be one of {FIELDS}, got {field!r}")
+    _check_fits(
+        _WORKING_SET_MATRICES * dim * dim * _DTYPES[field].itemsize,
+        f"the working set of the N={dim} draw",
+    )
     tol = tolerances or Tolerances()
     stream = NormalStream(seed)
     last_error: Exception | None = None

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .linalg import inf_norm, null_residual_tol
 from .sampler import (
+    _DTYPES,
     FIELDS,
     LieAlgebraSample,
     NullData,
@@ -184,7 +185,8 @@ def read_sample(source: str | bytes) -> LieAlgebraSample:
 
     A structure payload is parsed in adjoint layout, and without an adjoint
     payload it is the sample's one N^3 array, so every check reads what the
-    document stored; only a document with no payload is built from (P, n).
+    document stored; only a document with no payload has its adjoint built
+    from (P, n), on first use.
     A document whose N^3 stack would not fit in available memory raises
     SystemSizeError as soon as dim and field are read, before P is decoded
     or any payload is stacked.
@@ -223,10 +225,10 @@ def read_sample(source: str | bytes) -> LieAlgebraSample:
     field = data["field"]
     if field not in FIELDS:
         raise _fail(f"field must be one of {FIELDS}, got {field!r}")
-    # every sample holds an N^3 stack, parsed or built, so it is sized
+    # every check reads an N^3 stack, parsed or built, so it is sized
     # before P is decoded and validated or any payload is stacked
     cx = field == "complex"
-    _check_stack_fits(dim, np.complex128 if cx else np.float64)
+    _check_stack_fits(dim, _DTYPES[field])
     seed = data["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise _fail(f"seed must be a uint64, got {seed!r}")

@@ -113,6 +113,17 @@ def test_generate_adjoint_too_large_for_memory_is_usage_error(monkeypatch, tmp_p
     assert err.count("\n") == 1
 
 
+def test_generate_without_a_payload_needs_no_room_for_the_stack(monkeypatch, tmp_path, capsys):
+    stack = 40**3 * 8
+    monkeypatch.setattr(sampler_module, "_available_memory", lambda: stack - 1)
+    out = tmp_path / "x.json"
+    argv = ["generate", "--dim", "40", "--seed", "1", "--out", str(out)]
+    assert main([*argv, "--emit", "none"]) == 0
+    assert "structure_constants" not in json.loads(out.read_text())
+    assert main([*argv, "--emit", "structure"]) == 64
+    assert capsys.readouterr().err.startswith("lieforge generate: the N=40 adjoint stack needs")
+
+
 # --- verify -----------------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import lieforge.sampler as sampler_module
 from lieforge import linalg
+from lieforge.cli import main
 from lieforge.errors import (
     ContractViolation,
     DegenerateParametersError,
@@ -22,6 +23,8 @@ from lieforge.errors import (
 from lieforge.linalg import EPS, inf_norm, null_residual_tol
 from lieforge.rng import RNG_ID, NormalStream
 from lieforge.sampler import (
+    FIELDS,
+    MODES,
     LieAlgebraSample,
     NullData,
     ParameterMatrix,
@@ -279,13 +282,13 @@ def test_build_adjoint_chunking_is_invisible(monkeypatch):
     p = rng.standard_normal((9, 9))
     p[:, 0] = 0.0
     n = rng.standard_normal(9)
-    whole, _ = build_adjoint(p, n)
+    whole = build_adjoint(p, n)
     # reference without chunking: one product array, subtract its transpose
     prod = n[:, None, None] * p[None, :, :]
     np.testing.assert_array_equal(whole, prod - prod.transpose(2, 1, 0))
     monkeypatch.setattr(linalg, "_SLAB_CHUNK", 200)  # the name _row_chunks reads
     assert [s.stop - s.start for s in linalg._row_chunks(0, 9, 81)] == [2, 2, 2, 2, 1]
-    np.testing.assert_array_equal(build_adjoint(p, n)[0], whole)
+    np.testing.assert_array_equal(build_adjoint(p, n), whole)
 
 
 def _earlier_adjoint_rows(p, n, rows, out=None):
@@ -325,7 +328,7 @@ def _random_pn(dim, field, seed=0):
 def test_build_adjoint_matches_earlier_kernel_bitwise(dim, field):
     p, n = _random_pn(dim, field, seed=dim)
     for pm in (p, np.triu(p, 1)):  # generic and nilpotent shape
-        adj, _ = build_adjoint(pm, n)
+        adj = build_adjoint(pm, n)
         assert np.array_equal(_bits(adj), _bits(_earlier_build_adjoint(pm, n)))
         f = adjoint_to_structure(adj)
         for k in range(dim):
@@ -359,12 +362,110 @@ def test_adjoint_rows_matches_earlier_kernel_on_any_slice(field):
         assert np.array_equal(_bits(stack[rows]), expect)
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_a_column_slice_of_the_block_kernel_is_that_slice_of_the_build(field):
+    dim = 11
+    p, n = _random_pn(dim, field)
+    whole = build_adjoint(p, n)
+    for rows in (slice(0, 1), slice(2, 9), slice(0, dim), slice(5, None)):
+        for cols in (
+            slice(0, 1), slice(rows.start, None), slice(3, 8), slice(1, 10, 3),
+            slice(None, None, -2), slice(4, 4),
+        ):
+            got = sampler_module._adjoint_block(p, n, rows, cols)
+            assert np.array_equal(_bits(got), _bits(whole[rows][:, :, cols]))
+
+
+def _scale_cells():
+    """(p, n) on acceptance 2's grid, then N = 64, 130 and 200 in several chunks."""
+    for dim, seed, field, mode in itertools.product(range(2, 21), range(1, 11), FIELDS, MODES):
+        s = generate(dim, seed, field=field, mode=mode)
+        yield s.p.matrix, s.null.vector
+    for dim, field in itertools.product((64, 130, 200), FIELDS):
+        p, n = _random_pn(dim, field, seed=dim)
+        yield p, n
+        yield np.triu(p, 1), n  # nilpotent shape
+    p, n = _random_pn(40, "real")
+    p, n = p * (1.5e308 / np.abs(p).max()), n / np.abs(n).max()
+    p[0, 1], p[0, 2], n[1], n[2] = 1.5e308, -1.5e308, 1.0, 1.0
+    yield p, n  # adj[1, 0, 2] = -1.5e308 - 1.5e308 overflows to -inf
+    yield p, 4 * n  # products overflow too, and inf - inf is NaN
+
+
+def test_the_scale_pass_is_the_inf_norm_of_the_build_bit_for_bit(monkeypatch):
+    """_adjoint_scale reads only the columns c >= a of each pair, on three
+    threads here, yet gives inf_norm(build_adjoint(p, n)), NaN included."""
+    monkeypatch.setattr(sampler_module, "_THREAD_MIN_BYTES", 0)
+    monkeypatch.setattr(sampler_module, "_MAX_THREADS", 3)
+    monkeypatch.setattr(linalg, "_cpus", lambda: 3)
+    seen = Counter()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, n in _scale_cells():
+            want = inf_norm(build_adjoint(p, n)).hex()
+            assert sampler_module._adjoint_scale(p, n).hex() == want
+            seen[want if want in ("inf", "nan") else "finite"] += 1
+    assert seen == {"finite": 772, "inf": 1, "nan": 1}
+
+
+def test_generate_and_its_scale_hold_no_stack():
+    dim = 300
+    tracemalloc.start()
+    try:
+        s = generate(dim, 1)
+        assert s.scale > 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dim**3 * 8 / 20
+    assert "adjoint" not in vars(s)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_a_lazy_adjoint_and_structure_are_read_only_and_built_once(field):
+    s = generate(12, 1, field=field)
+    assert not {"adjoint", "structure", "scale"} & set(vars(s))
+    adj, f = s.adjoint, s.structure
+    assert s.adjoint is adj and s.structure is f and np.shares_memory(adj, f)
+    # from a structure payload alone, the adjoint is its transposed view
+    given = assemble_sample(s.p, s.null, seed=1, structure=np.array(f))
+    assert given.adjoint is given.adjoint and given.structure is given.structure
+    for arr in (adj, f, given.adjoint, given.structure):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 1, 1] = 1.0
+
+
+def test_the_stack_is_sized_once_per_build_and_never_for_the_scale(monkeypatch):
+    sized, reads = [], []
+    check_fits, available = sampler_module._check_fits, sampler_module._available_memory
+
+    def spy_fits(nbytes, what):
+        sized.append(what)
+        check_fits(nbytes, what)
+
+    def spy_available():
+        reads.append(1)
+        return available()
+
+    monkeypatch.setattr(sampler_module, "_check_fits", spy_fits)
+    monkeypatch.setattr(sampler_module, "_available_memory", spy_available)
+    build_adjoint(*_random_pn(20, "real"))
+    assert sized == ["the N=20 adjoint stack"] and len(reads) == 1
+    sized.clear()
+    s = generate(70, 3)
+    assert s.scale > 0
+    assert sized == ["the working set of the N=70 draw"]
+    assert s.adjoint is s.adjoint and s.structure is not None
+    assert sized == ["the working set of the N=70 draw", "the N=70 adjoint stack"]
+    assert len(reads) == 3
+
+
 def test_adjoint_build_and_scale_stay_within_one_chunk_of_memory():
     p, n = _random_pn(96, "complex")
     budget = 2 * 1024 * 1024
     tracemalloc.start()
     try:
-        adj, _ = build_adjoint(p, n)
+        adj = build_adjoint(p, n)
         _, build_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         base, _ = tracemalloc.get_traced_memory()
@@ -398,11 +499,11 @@ def test_a_threaded_build_stays_within_one_chunk_of_memory_on_many_cpus(monkeypa
     budget = 2 * 1024 * 1024
     tracemalloc.start()
     try:
-        adj, _ = build_adjoint(p, n)
+        adj = build_adjoint(p, n)
         _, build_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(in_flight) == 1  # the build takes |entry| in the same pass
+    assert len(in_flight) == 1  # the build is one pass
     assert all(threads > 1 and nbytes <= budget for threads, nbytes in in_flight)
     assert build_peak <= adj.nbytes + budget
 
@@ -417,30 +518,42 @@ def test_an_adjoint_too_large_for_memory_fails_before_it_allocates(monkeypatch):
     p, n = _random_pn(96, "complex")
     nbytes = 96**3 * 16
     monkeypatch.setattr(sampler_module, "_available_memory", lambda: nbytes - 1)
-    tracemalloc.start()
-    try:
-        with pytest.raises(SystemSizeError, match="N=96"):
-            build_adjoint(p, n)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < nbytes // 100
-    with pytest.raises(SystemSizeError):
-        generate(96, 2, field="complex")  # not a retryable draw: it ends the run
+    # the draw and the scale need no stack; the first read of the adjoint does
+    s = generate(96, 2, field="complex")
+    assert s.scale > 0
+    for build in (lambda: build_adjoint(p, n), lambda: s.adjoint):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemSizeError, match="N=96"):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes // 100
     monkeypatch.setattr(sampler_module, "_available_memory", lambda: nbytes)
-    assert build_adjoint(p, n)[0].nbytes == nbytes
+    assert build_adjoint(p, n).nbytes == s.adjoint.nbytes == nbytes
 
 
 @pytest.mark.parametrize("field, mib", [("real", 16), ("complex", 32)])
 @pytest.mark.parametrize("mode", ["generic", "nilpotent"])
-def test_generate_sizes_the_adjoint_before_it_draws(field, mib, mode, monkeypatch):
+def test_generate_sizes_the_adjoint_before_it_draws(field, mib, mode, monkeypatch, capsys):
+    """`lieforge generate` writes every payload from the N^3 stack, so it
+    sizes the stack before the first draw; with no payload it sizes the draw."""
+
     def no_draw(*args, **kwargs):
-        raise AssertionError("drew a parameter matrix before sizing the adjoint stack")
+        raise AssertionError("drew a parameter matrix before sizing")
 
     monkeypatch.setattr(sampler_module, "_available_memory", lambda: 0)
     monkeypatch.setattr(sampler_module, "sample_parameter_matrix", no_draw)
-    with pytest.raises(SystemSizeError, match=f"the N=128 adjoint stack needs {mib} MiB"):
-        generate(128, 1, field=field, mode=mode)
+    argv = ["generate", "--dim", "128", "--seed", "1", "--field", field, "--mode", mode]
+    stack = f"lieforge generate: the N=128 adjoint stack needs {mib} MiB"
+    for emit in ("adjoint", "structure", "both", "none"):
+        assert main([*argv, "--emit", emit]) == 64
+        err = capsys.readouterr().err
+        if emit == "none":
+            assert err.startswith("lieforge generate: the working set of the N=128 draw needs")
+        else:
+            assert err.startswith(stack)
 
 
 def test_the_memory_check_is_skipped_without_meminfo(monkeypatch):
@@ -452,7 +565,7 @@ def test_the_memory_check_is_skipped_without_meminfo(monkeypatch):
     monkeypatch.setattr(sampler_module, "open", no_file, raising=False)
     assert sampler_module._available_memory() is None
     p, n = _random_pn(6, "real")
-    np.testing.assert_array_equal(build_adjoint(p, n)[0], _earlier_build_adjoint(p, n))
+    np.testing.assert_array_equal(build_adjoint(p, n), _earlier_build_adjoint(p, n))
 
 
 def _cgroup_tree(tmp_path, lines, files):
@@ -561,8 +674,7 @@ def test_scale_is_the_inf_norm_of_the_adjoint_bit_for_bit(field):
     for dim in (5, 41, 70):  # one chunk, then several
         s = generate(dim, 3, field=field)
         assert s.scale.hex() == inf_norm(s.adjoint).hex()
-        adj, scale = build_adjoint(s.p.matrix, s.null.vector)
-        assert scale.hex() == inf_norm(adj).hex() == s.scale.hex()
+        assert inf_norm(build_adjoint(s.p.matrix, s.null.vector)).hex() == s.scale.hex()
         for flags in ((False, True), (True, False), (True, True)):
             doc = write_sample(s, include_adjoint=flags[0], include_structure=flags[1])
             read = read_sample(doc)
@@ -578,9 +690,10 @@ def test_a_nan_adjoint_gives_a_nan_scale(dim):
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_scale_comes_from_the_build(monkeypatch, field):
-    """A build of either field takes scale in its one pass; a given payload
-    is read for it once, when the sample is made."""
+def test_scale_is_one_pass_and_the_adjoint_one_build(monkeypatch, field):
+    """A generated sample takes scale in one _chunk_map pass that builds no
+    stack, and its adjoint in one build, each on first use; a given payload
+    is read once for scale."""
     calls = Counter()
 
     def spy(name):
@@ -592,10 +705,14 @@ def test_scale_comes_from_the_build(monkeypatch, field):
 
         monkeypatch.setattr(sampler_module, name, counted)
 
-    spy("_chunk_map")
-    spy("inf_norm")
+    for name in ("_chunk_map", "inf_norm", "build_adjoint", "_adjoint_scale"):
+        spy(name)
     s = generate(70, 3, field=field)
-    assert calls == {"_chunk_map": 1}
+    assert not calls
+    assert s.scale == s.scale
+    assert calls == {"_adjoint_scale": 1, "_chunk_map": 1}
+    assert s.adjoint is s.adjoint and s.structure is s.structure
+    assert calls == {"_adjoint_scale": 1, "_chunk_map": 2, "build_adjoint": 1}
     stored = assemble_sample(s.p, s.null, seed=3, adjoint=s.adjoint)
-    assert stored.scale == s.scale
-    assert calls == {"_chunk_map": 1, "inf_norm": 1}
+    assert stored.scale == stored.scale == s.scale
+    assert calls == {"_adjoint_scale": 1, "_chunk_map": 2, "build_adjoint": 1, "inf_norm": 1}
