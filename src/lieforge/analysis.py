@@ -59,8 +59,6 @@ __all__ = [
     "verify_all",
 ]
 
-CHECK_NAMES = ("payload", "jacobi", "closure", "derived", "killing", "series", "tproduct")
-
 # series iterates whose size falls below this are lifted by an exact power
 # of two, far above the subnormal range where a closed form would lose
 # digits and then underflow into a false termination
@@ -229,35 +227,6 @@ class VerificationReport:
 
 def _json_ready(pairs: list[tuple[str, object]]) -> dict:
     return {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v for k, v in pairs}
-
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    """What verify_all runs: the band, the probe seed and the checks.
-
-    tau_ver is the bilinear and series band factor; None means "use the
-    tolerance stored with the sample", and a given value must be finite and
-    positive. seed, a uint64, picks every bilinear check's probe vectors, each
-    check's own, and the series check's random path. checks is a nonempty
-    subset of CHECK_NAMES; they always run in CHECK_NAMES order.
-    """
-
-    tau_ver: float | None = None
-    seed: int = 0
-    checks: tuple[str, ...] = CHECK_NAMES
-
-    def __post_init__(self):
-        tau = self.tau_ver
-        if tau is not None and not (math.isfinite(tau) and tau > 0):
-            raise ContractViolation(f"tau_ver must be finite and positive, got {tau!r}")
-        _check_seed(self.seed)
-        if not self.checks:
-            raise ContractViolation("checks must name at least one check")
-        unknown = set(self.checks) - set(CHECK_NAMES)
-        if unknown:
-            raise ContractViolation(
-                f"unknown checks {sorted(unknown)}; valid names: {', '.join(CHECK_NAMES)}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -476,142 +445,158 @@ def t_product_residual(null, adj: np.ndarray, seed: int = 0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# aggregate runner
+# aggregate runner: each check is fn(sample, seed, tau) -> (residual,
+# tolerance, passed, detail), seed the probe seed and tau the band factor
 
 
-def _random_series_path(
-    rng: SplitMix64, dim: int, depth: int
-) -> tuple[tuple[int, int], tuple[int, ...]]:
-    if dim >= 3:
-        while True:
-            j, k = (int(x) for x in rng.integers(2, dim))
-            if j < k:
-                break
-    else:
-        j, k = 0, 1
-    inner = tuple(int(x) for x in rng.integers(depth, dim))
-    return (j, k), inner
-
-
-def _payload_diffs(sample: LieAlgebraSample) -> dict:
+def _check_payload(sample: LieAlgebraSample, seed: int, tau: float) -> tuple:
     """Max |stored - rebuilt| and its index per payload in sample.stored.
 
     The rebuild runs the build's own kernel, _adjoint_block, one block of
     adjoint matrices at a time on the stored (P, n), so a payload written
-    from that sample matches it bit for bit.
+    from that sample matches it bit for bit. The band is the rounding bound
+    8 * eps * ||P||_inf * ||n||_inf of A_k = n{k} P - p_k (x) n, which no
+    tau moves; no stored payload passes at 0 and builds nothing.
     """
     p, n = sample.p.matrix, sample.null.vector
-    dim = sample.dim
+    band = 8 * EPS * inf_norm(p) * inf_norm(n)
+    if not sample.stored:
+        return 0.0, band, True, "no stored payload"
     # adjoint[a, r, c] == structure[a, c, r]; both are compared in adjoint layout
     layouts = {"structure": sample.structure.transpose(0, 2, 1), "adjoint": sample.adjoint}
-    stored = {name: layouts[name] for name in sample.stored}
-    found: dict[str, list] = {name: [] for name in stored}
-    for rows in _row_chunks(0, dim, dim * dim):
+    found: dict[str, list] = {name: [] for name in sample.stored}
+    for rows in _row_chunks(0, sample.dim, sample.dim**2):
         rebuilt = _adjoint_block(p, n, rows)
-        for name, arr in stored.items():
-            diff = np.abs(arr[rows] - rebuilt)
+        for name, hits in found.items():
+            diff = np.abs(layouts[name][rows] - rebuilt)
             a, r, c = np.unravel_index(int(np.argmax(diff)), diff.shape)
             where = (rows.start + a, r, c) if name == "adjoint" else (rows.start + a, c, r)
-            found[name].append((float(diff[a, r, c]), tuple(int(x) for x in where)))
+            hits.append((float(diff[a, r, c]), tuple(int(x) for x in where)))
     # np.argmax keeps the first maximum and the first NaN, across chunks as within one
-    return {name: hits[int(np.argmax([d for d, _ in hits]))] for name, hits in found.items()}
+    worst = {name: hits[int(np.argmax([d for d, _ in hits]))] for name, hits in found.items()}
+    residual = float(np.max([d for d, _ in worst.values()]))
+    detail = "max |stored - rebuilt|: " + ", ".join(
+        f"{name} {d:.3e}" + (f" at {where}" if d > 0.0 else "")
+        for name, (d, where) in worst.items()
+    )
+    return residual, band, residual <= band, detail
+
+
+def _bilinear(residual):
+    """The check of a probe residual(sample, seed), banded by tau * scale^2."""
+
+    def check(sample: LieAlgebraSample, seed: int, tau: float) -> tuple:
+        value, band = residual(sample, seed), tau * sample.scale * sample.scale
+        return value, band, value <= band, f"{_PROBE_SETS} probe sets"
+
+    return check
+
+
+def _check_series(sample: LieAlgebraSample, seed: int, tau: float) -> tuple:
+    """The series on the canonical path and one seeded random path.
+
+    Every level must agree with its closed form within tau * (2S)^(L+2),
+    S = max_k ||A_k||_inf the largest row sum, and the paths must terminate
+    as the mode says: generic none within the tested depth, nilpotent both.
+    The residual is the binding level's |direct - closed| / (2S)^(L+2) and
+    the tolerance tau. A nilpotent-mode P is strictly upper triangular, so
+    P^N is exactly zero and needs no check of its own.
+    """
+    dim = sample.dim
+    depth = min(dim, _SERIES_MAX_LEVELS)
+    rng = SplitMix64(seed)
+    # the random path's base pair is drawn until j < k; N=2 has one pair
+    j, k = (0, 1) if dim < 3 else (1, 0)
+    while j >= k:
+        j, k = (int(x) for x in rng.integers(2, dim))
+    inner = tuple(int(x) for x in rng.integers(depth, dim))
+    adj, p, null = sample.adjoint, sample.p, sample.null
+    row_sum = _row_sum_norm(adj)
+    paths = {
+        "canonical": _series(adj, p, null, depth, None, None, row_sum),
+        "random": _series(adj, p, null, depth, (j, k), inner, row_sum),
+    }
+    ends = [rep.terminated for rep in paths.values()]
+    ok = all(ends) if sample.mode == "nilpotent" else not any(ends)
+    # ||[A_i, D]||_inf <= 2S ||D||_inf, so level L is banded by tau * (2S)^(L+2)
+    two_s = 2.0 * paths["canonical"].S
+    ok &= all(rep.discrepancies_within(tau, two_s) for rep in paths.values())
+    levels = [rep.binding_level(tau, two_s) for rep in paths.values()]
+    level, ratio = levels[int(np.argmax([r for _, r in levels]))]
+    detail = f"depth {depth}, binding level {level}, S {two_s / 2:.3e}; " + "; ".join(
+        f"{label}: terminated={rep.terminated}" for label, rep in paths.items()
+    )
+    return ratio * tau, tau, bool(ok), detail
+
+
+# the checks verify_all runs, in this order; closure is the Jacobi probe on
+# the adjoint stack's view, and killing the Cartan traces trace(A_x [A_y, A_z])
+# alone, since trace(A_i A_j) = trace(A_j A_i) holds for any matrices
+_CHECKS = {
+    "payload": _check_payload,
+    "jacobi": _bilinear(lambda s, seed: jacobi_residual(s.structure, seed)),
+    "closure": _bilinear(lambda s, seed: closure_residual(s.adjoint, seed)),
+    "derived": _bilinear(lambda s, seed: derived_abelian_residual(s.adjoint, seed)),
+    "killing": _bilinear(lambda s, seed: _cartan(s.adjoint, seed)),
+    "series": _check_series,
+    "tproduct": _bilinear(lambda s, seed: t_product_residual(s.null, s.adjoint, seed)),
+}
+CHECK_NAMES = tuple(_CHECKS)
+
+
+@dataclass(frozen=True)
+class VerifyConfig:
+    """What verify_all runs: the band, the probe seed and the checks.
+
+    tau_ver is the bilinear and series band factor; None means "use the
+    tolerance stored with the sample", and a given value must be finite and
+    positive. seed, a uint64, picks every bilinear check's probe vectors, each
+    check's own, and the series check's random path. checks is a nonempty
+    subset of CHECK_NAMES; they always run in CHECK_NAMES order.
+    """
+
+    tau_ver: float | None = None
+    seed: int = 0
+    checks: tuple[str, ...] = CHECK_NAMES
+
+    def __post_init__(self):
+        tau = self.tau_ver
+        if tau is not None and not (math.isfinite(tau) and tau > 0):
+            raise ContractViolation(f"tau_ver must be finite and positive, got {tau!r}")
+        _check_seed(self.seed)
+        if not self.checks:
+            raise ContractViolation("checks must name at least one check")
+        unknown = set(self.checks) - set(CHECK_NAMES)
+        if unknown:
+            raise ContractViolation(
+                f"unknown checks {sorted(unknown)}; valid names: {', '.join(CHECK_NAMES)}"
+            )
 
 
 def verify_all(sample: LieAlgebraSample, config: VerifyConfig | None = None) -> VerificationReport:
-    """Run the configured checks and collect residual/tolerance/time per check.
+    """Run the configured checks, in CHECK_NAMES order, and time each one.
 
-    Check failures become report entries; nothing raises. The payload check
-    compares the payloads in sample.stored (no payload passes at 0) with
-    their rebuild, at the rounding bound 8 * eps * ||P||_inf * ||n||_inf of
-    A_k = n{k} P - p_k (x) n, which no tau_ver moves. The bilinear checks
-    (jacobi, closure, derived, killing, tproduct) pass at tau_ver * scale^2
-    and each evaluates its identity on _PROBE_SETS seeded probe sets; closure
-    is the Jacobi probe on the adjoint stack's view; killing is the Cartan
-    traces trace(A_x [A_y, A_z]) alone, since trace(A_i A_j) = trace(A_j A_i)
-    holds for any matrices. The series check requires per-level closed-form
-    agreement within tau_ver * (2S)^(L+2), S = max_k ||A_k||_inf the largest
-    row sum, on the canonical path and one seeded random path, plus the
-    mode-appropriate termination behavior (generic: none within the tested
-    depth; nilpotent: termination). Its residual is the binding level's
-    |direct - closed| / (2S)^(L+2) and its tolerance tau_ver. A nilpotent-mode
-    P is strictly upper triangular, so P^N is exactly zero and needs no check
-    of its own.
+    Check failures become report entries; nothing raises. The bilinear
+    checks (jacobi, closure, derived, killing, tproduct) each evaluate their
+    identity on _PROBE_SETS seeded probe sets and pass at tau_ver * scale^2;
+    _check_payload and _check_series give the other two bands.
     """
     cfg = config or VerifyConfig()
     tau = cfg.tau_ver if cfg.tau_ver is not None else sample.tolerances.tau_ver
-    scale = sample.scale
-    band2 = tau * scale * scale
-    dim = sample.dim
+    scale = sample.scale  # read first, so no check's seconds hold the scale pass
     results: list[CheckResult] = []
-
-    def run(name: str, fn) -> None:
+    for name, check in _CHECKS.items():
         if name not in cfg.checks:
-            return
+            continue
         begin = time.perf_counter()
         # an inf entry makes inf - inf somewhere: its NaN is the residual, not a warning
         with np.errstate(invalid="ignore"):
-            residual, tolerance, passed, detail = fn()
+            residual, tolerance, passed, detail = check(sample, cfg.seed, tau)
         results.append(
-            CheckResult(
-                name=name,
-                residual=residual,
-                tolerance=tolerance,
-                passed=passed,
-                seconds=time.perf_counter() - begin,
-                detail=detail,
-            )
+            CheckResult(name, residual, tolerance, passed, time.perf_counter() - begin, detail)
         )
-
-    def check_payload():
-        band = 8 * EPS * inf_norm(sample.p.matrix) * inf_norm(sample.null.vector)
-        if not sample.stored:
-            return 0.0, band, True, "no stored payload"
-        diffs = _payload_diffs(sample)
-        residual = float(np.max([d for d, _ in diffs.values()]))
-        detail = "max |stored - rebuilt|: " + ", ".join(
-            f"{name} {d:.3e}" + (f" at {where}" if d > 0.0 else "")
-            for name, (d, where) in diffs.items()
-        )
-        return residual, band, residual <= band, detail
-
-    def bilinear(name: str, residual) -> None:
-        def check():
-            res = residual()
-            return res, band2, res <= band2, f"{_PROBE_SETS} probe sets"
-
-        run(name, check)
-
-    def check_series():
-        depth = min(dim, _SERIES_MAX_LEVELS)
-        pair, inner = _random_series_path(SplitMix64(cfg.seed), dim, depth)
-        row_sum = _row_sum_norm(sample.adjoint)
-        adj, p, null = sample.adjoint, sample.p, sample.null
-        paths = {
-            "canonical": _series(adj, p, null, depth, None, None, row_sum),
-            "random": _series(adj, p, null, depth, pair, inner, row_sum),
-        }
-        ends = [rep.terminated for rep in paths.values()]
-        ok = all(ends) if sample.mode == "nilpotent" else not any(ends)
-        # ||[A_i, D]||_inf <= 2S ||D||_inf, so level L is banded by tau * (2S)^(L+2)
-        two_s = 2.0 * paths["canonical"].S
-        ok &= all(rep.discrepancies_within(tau, two_s) for rep in paths.values())
-        levels = [rep.binding_level(tau, two_s) for rep in paths.values()]
-        level, ratio = levels[int(np.argmax([r for _, r in levels]))]
-        detail = f"depth {depth}, binding level {level}, S {two_s / 2:.3e}; " + "; ".join(
-            f"{label}: terminated={rep.terminated}" for label, rep in paths.items()
-        )
-        return ratio * tau, tau, bool(ok), detail
-
-    run("payload", check_payload)
-    bilinear("jacobi", lambda: jacobi_residual(sample.structure, cfg.seed))
-    bilinear("closure", lambda: closure_residual(sample.adjoint, cfg.seed))
-    bilinear("derived", lambda: derived_abelian_residual(sample.adjoint, cfg.seed))
-    bilinear("killing", lambda: _cartan(sample.adjoint, cfg.seed))
-    run("series", check_series)
-    bilinear("tproduct", lambda: t_product_residual(sample.null, sample.adjoint, cfg.seed))
-
     return VerificationReport(
-        dim=dim,
+        dim=sample.dim,
         field=sample.field,
         mode=sample.mode,
         seed=sample.seed,

@@ -283,8 +283,10 @@ def read_sample(source: str | bytes) -> LieAlgebraSample:
         raw = data["adjoint"]
         if not isinstance(raw, list) or len(raw) != dim:
             raise _fail(f"adjoint must be a list of {dim} matrices")
-        slices = [_numbers(a, (dim, dim), cx, f"adjoint[{k}]") for k, a in enumerate(raw)]
-        adjoint = np.stack(slices)
+        # filled slice by slice, so the reader holds one stack, as sized above
+        adjoint = np.empty((dim, dim, dim), _DTYPES[field])
+        for k, a in enumerate(raw):
+            adjoint[k] = _numbers(a, (dim, dim), cx, f"adjoint[{k}]")
     structure = None
     if "structure_constants" in data:
         structure = _parse_structure(data["structure_constants"], dim, cx)

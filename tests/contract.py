@@ -8,8 +8,11 @@ of the grid: the SHA-256 of the document each --emit writes and whether its
 read -> write round trip gives the same bytes, the sample's scale as
 float.hex, and verify_all's as_dict without seconds on the built sample, on
 each read document and on the structure document with one constant scaled by
-1.5. Run it with PYTHONPATH=src, at OPENBLAS_NUM_THREADS=1: the complex
-SVD's last bits follow the BLAS thread count.
+1.5. Up to N = 20 it also holds the reports on two more tampered structure
+documents: every constant doubled, and the constants of the cell's sample at
+seed + len(seeds) swapped in. Run it with PYTHONPATH=src, at
+OPENBLAS_NUM_THREADS=1: the complex SVD's last bits follow the BLAS thread
+count.
 
 `diff` prints the records that differ, grouped by kind (document bytes,
 scale, residual, verdict, detail, and records only one dump holds), and
@@ -42,6 +45,8 @@ EMITS = {
     "adjoint": (True, False),
     "both": (True, True),
 }
+# the largest N whose cells hold the doubled and swapped tampers
+TAMPER_MAX_DIM = 20
 KINDS = ("document bytes", "scale", "residual", "verdict", "detail", "only in A", "only in B")
 
 
@@ -52,15 +57,31 @@ def _report(sample) -> dict:
     return report
 
 
-def _tampered(doc: str) -> str | None:
-    """doc with its first structure constant scaled by 1.5; None without one."""
-    data = json.loads(doc)
+def _scaled(entry: list, factor: float) -> list:
+    """A structure entry [i, j, k, value] with its value, real or [re, im], scaled."""
+    *index, value = entry
+    return [*index, [factor * x for x in value] if isinstance(value, list) else factor * value]
+
+
+def _tampered(sample, swap_seed: int):
+    """(name, document) for each tamper of sample's structure document.
+
+    "tampered" scales the first constant by 1.5. Up to N = TAMPER_MAX_DIM,
+    "doubled" doubles every constant and "swapped" holds the constants of the
+    same (N, field, mode) sample at swap_seed. A sample without constants has
+    no tamper.
+    """
+    data = json.loads(write_sample(sample, *EMITS["structure"]))
     entries = data["structure_constants"]
     if not entries:
-        return None
-    value = entries[0][3]
-    entries[0][3] = [1.5 * x for x in value] if isinstance(value, list) else 1.5 * value
-    return json.dumps(data)
+        return
+    tampers = {"tampered": [_scaled(entries[0], 1.5), *entries[1:]]}
+    if sample.dim <= TAMPER_MAX_DIM:
+        tampers["doubled"] = [_scaled(entry, 2.0) for entry in entries]
+        partner = generate(sample.dim, swap_seed, field=sample.field, mode=sample.mode)
+        tampers["swapped"] = json.loads(write_sample(partner))["structure_constants"]
+    for name, edited in tampers.items():
+        yield name, json.dumps({**data, "structure_constants": edited})
 
 
 def records(dims=DIMS, seeds=SEEDS):
@@ -82,9 +103,8 @@ def records(dims=DIMS, seeds=SEEDS):
                 "round_trip": write_sample(back, *flags) == doc,
             }
             yield f"{cell} report read {emit}", _report(back)
-        tampered = _tampered(write_sample(sample, *EMITS["structure"]))
-        if tampered is not None:
-            yield f"{cell} report tampered", _report(read_sample(tampered))
+        for name, doc in _tampered(sample, seed + len(seeds)):
+            yield f"{cell} report {name}", _report(read_sample(doc))
 
 
 def dump(path: str, dims=DIMS, seeds=SEEDS) -> None:

@@ -644,6 +644,17 @@ def test_verify_all_check_selection():
     assert [c.name for c in report.checks] == ["killing"]
 
 
+def test_checks_run_once_each_in_table_order_whatever_the_config_order():
+    assert CHECK_NAMES == tuple(analysis._CHECKS) == (
+        "payload", "jacobi", "closure", "derived", "killing", "series", "tproduct"
+    )
+    s = read_sample(write_sample(generate(8, 3, field="complex"), include_adjoint=True))
+    default = verify_all(s)
+    shuffled = verify_all(s, VerifyConfig(checks=(*reversed(CHECK_NAMES), "jacobi")))
+    assert tuple(c.name for c in shuffled.checks) == CHECK_NAMES
+    assert [c.residual for c in shuffled.checks] == [c.residual for c in default.checks]
+
+
 def test_verify_all_rejects_unknown_check():
     with pytest.raises(ContractViolation):
         VerifyConfig(checks=("jacobi", "unitarity"))

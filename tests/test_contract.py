@@ -22,9 +22,10 @@ def test_a_dump_has_the_same_bytes_in_a_child_process(tmp_path):
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, check=True
     )
     assert here.read_bytes() == child.read_bytes()
-    # every cell, with its scale, five reports on clean samples and one tampered
+    # every cell, with its scale, five reports on clean samples and three tampered
     keys = list(contract._load(str(here)))
-    assert len(keys) == len(DIMS) * len(SEEDS) * 4 * 11 - 2  # N=2 nilpotent has no constant
+    assert len(keys) == len(DIMS) * len(SEEDS) * 4 * 13 - 6  # N=2 nilpotent has no constant
+    assert {key.rsplit(" ", 1)[1] for key in keys if " report " in key} >= {"doubled", "swapped"}
     assert contract.main(["diff", str(here), str(child)]) == 0
 
 

@@ -482,6 +482,26 @@ def test_a_structure_tensor_too_large_for_memory_fails_before_it_allocates(monke
     np.testing.assert_array_equal(read_sample(text).structure[0, 1], sample.structure[0, 1])
 
 
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_an_adjoint_payload_is_held_once_while_it_is_read(field):
+    """The reader sizes one N^3 stack, so it must not hold two: beyond what
+    the parsed JSON holds, reading an adjoint payload peaks near one stack
+    (about 1.1 of it at N=40), where stacking parsed slices peaked near two."""
+    sample = generate(40, 1, field=field)
+    doc = write_sample(sample, include_adjoint=True, include_structure=False)
+    extra = _traced_peak(lambda: read_sample(doc)) - _traced_peak(lambda: json.loads(doc))
+    assert extra / sample.adjoint.nbytes < 1.5
+
+
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("payload", ["structure", "adjoint"])
 def test_the_stack_is_sized_before_the_parameter_matrix_is_decoded(
