@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import EPS, _row_chunks, inf_norm
+from .linalg import EPS, _chunk_map, inf_norm
 from .rng import NormalStream, SplitMix64, _check_seed
 from .sampler import LieAlgebraSample, _adjoint_block
 
@@ -315,9 +315,9 @@ def canonical_series_path(dim: int, depth: int) -> tuple[tuple[int, int], tuple[
 
 
 def _row_sum_norm(adj: np.ndarray) -> float:
-    """max_k ||A_k||_inf, read in _row_chunks; NaN propagates."""
+    """max_k ||A_k||_inf, read in one _chunk_map pass; NaN propagates."""
     dim = adj.shape[0]
-    sums = [np.abs(adj[ks]).sum(axis=2).max() for ks in _row_chunks(0, dim, dim * dim)]
+    sums = _chunk_map(lambda ks: np.abs(adj[ks]).sum(axis=2).max(), dim, dim * dim, adj.itemsize)
     return float(np.max(sums))
 
 
@@ -464,16 +464,22 @@ def _check_payload(sample: LieAlgebraSample, seed: int, tau: float) -> tuple:
         return 0.0, band, True, "no stored payload"
     # adjoint[a, r, c] == structure[a, c, r]; both are compared in adjoint layout
     layouts = {"structure": sample.structure.transpose(0, 2, 1), "adjoint": sample.adjoint}
-    found: dict[str, list] = {name: [] for name in sample.stored}
-    for rows in _row_chunks(0, sample.dim, sample.dim**2):
-        rebuilt = _adjoint_block(p, n, rows)
-        for name, hits in found.items():
+
+    def compare(rows: slice) -> list:
+        rebuilt, hits = _adjoint_block(p, n, rows), []
+        for name in sample.stored:
             diff = np.abs(layouts[name][rows] - rebuilt)
             a, r, c = np.unravel_index(int(np.argmax(diff)), diff.shape)
             where = (rows.start + a, r, c) if name == "adjoint" else (rows.start + a, c, r)
             hits.append((float(diff[a, r, c]), tuple(int(x) for x in where)))
+        return hits
+
+    found = _chunk_map(compare, sample.dim, sample.dim**2, np.result_type(p, n).itemsize)
     # np.argmax keeps the first maximum and the first NaN, across chunks as within one
-    worst = {name: hits[int(np.argmax([d for d, _ in hits]))] for name, hits in found.items()}
+    worst = {
+        name: hits[int(np.argmax([d for d, _ in hits]))]
+        for name, hits in zip(sample.stored, zip(*found))
+    }
     residual = float(np.max([d for d, _ in worst.values()]))
     detail = "max |stored - rebuilt|: " + ", ".join(
         f"{name} {d:.3e}" + (f" at {where}" if d > 0.0 else "")

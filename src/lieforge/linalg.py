@@ -23,11 +23,18 @@ __all__ = [
 
 EPS = float(np.finfo(np.float64).eps)
 
-# entries per temporary in every chunked kernel (build_adjoint and the
-# payload check's rebuild, one block of adjoint matrices a chunk; the series'
-# row sums, inf_norm through _row_chunks; a pass of normal draws): 1 MB of
-# complex128, so a chunk works in cache; _chunk_map splits it among its threads
+# entries per temporary in every chunked kernel (the adjoint build, its scale
+# pass and the payload check's rebuild, one block of adjoint matrices a chunk;
+# the series' row sums; inf_norm; a pass of normal draws): 1 MB of complex128,
+# so a chunk works in cache; _chunk_map splits it among its threads
 _SLAB_CHUNK = 1 << 16
+
+# _chunk_map threads a pass only over more than this many bytes, and then on
+# at most _MAX_THREADS. Measured on the adjoint build (ROADMAP aim 1): right
+# after its SVD, stacks up to 128 MiB gained nothing from a second thread and
+# larger ones gained; no box with more than two CPUs was measured
+_THREAD_MIN_BYTES = 128 << 20
+_MAX_THREADS = 2
 
 # components smaller than this are never used as the sign/phase anchor;
 # a unit vector always has a component >= 1/sqrt(N), far above it
@@ -50,14 +57,14 @@ def as_field_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _row_chunks(start: int, stop: int, row: int) -> list[slice]:
-    """Slices covering range(start, stop) in order, for rows of `row` entries.
+def _row_chunks(stop: int, row: int) -> list[slice]:
+    """Slices covering range(stop) in order, for rows of `row` entries.
 
     Each slice holds as many rows as fit in _SLAB_CHUNK entries, and at least
     one, so a chunked loop over them keeps its temporaries in cache.
     """
     step = max(1, _SLAB_CHUNK // row)
-    return [slice(i, min(i + step, stop)) for i in range(start, stop, step)]
+    return [slice(i, min(i + step, stop)) for i in range(0, stop, step)]
 
 
 def _cpus() -> int:
@@ -68,19 +75,20 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _chunk_map(fn, stop: int, row: int, threads: int) -> list:
-    """[fn(rows) for rows in slices covering range(stop)], rows of `row` entries.
+def _chunk_map(fn, stop: int, row: int, itemsize: int) -> list:
+    """[fn(rows) for rows in slices covering range(stop)], rows of `row` itemsize-byte entries.
 
-    Runs on min(threads, _cpus()) threads: this one and a helper per further
-    thread, each taking every threads-th slice (numpy ufuncs release the
-    GIL). A slice holds a 1/threads share of _SLAB_CHUNK entries and at least
-    one row, so the temporaries in flight hold at most max(_SLAB_CHUNK,
-    threads * row) entries. With one thread, or one slice, fn runs inline on
-    _row_chunks(0, stop, row). fn must depend only on its own rows, so that
-    the split cannot change the result.
+    A pass over more than _THREAD_MIN_BYTES runs on min(_MAX_THREADS,
+    _cpus()) threads: this one and a helper per further thread, each taking
+    every threads-th slice (numpy ufuncs release the GIL). A slice holds a
+    1/threads share of _SLAB_CHUNK entries and at least one row, so the
+    temporaries in flight hold at most max(_SLAB_CHUNK, threads * row)
+    entries. Otherwise fn runs inline on _row_chunks(stop, row). fn must
+    depend only on its own rows, so that the split cannot change the result.
     """
-    threads = min(threads, _cpus(), len(_row_chunks(0, stop, row)))
-    chunks = _row_chunks(0, stop, row * threads)
+    threads = _MAX_THREADS if stop * row * itemsize > _THREAD_MIN_BYTES else 1
+    threads = min(threads, _cpus(), len(_row_chunks(stop, row)))
+    chunks = _row_chunks(stop, row * threads)
     if threads == 1:
         return [fn(rows) for rows in chunks]
     from concurrent.futures import ThreadPoolExecutor
@@ -111,7 +119,7 @@ def inf_norm(a: np.ndarray) -> float:
         return 0.0
     if a.size <= _SLAB_CHUNK:
         return float(np.abs(a).max())
-    chunks = _row_chunks(0, a.shape[0], a.size // a.shape[0])
+    chunks = _row_chunks(a.shape[0], a.size // a.shape[0])
     # np.max, unlike builtin max, propagates NaN
     return float(np.max([np.abs(a[rows]).max() for rows in chunks]))
 

@@ -277,16 +277,6 @@ def validate_parameter_matrix(
     )
 
 
-# a pass over an adjoint stack (the build, or the scale pass that stands in
-# for it) runs its chunks on threads only when the stack exceeds this many
-# bytes, and then on at most _MAX_THREADS. Both are measured on the build
-# (ROADMAP aim 1): right after the SVD that precedes every build, stacks up
-# to 128 MiB gained nothing from a second thread, larger ones gained, and no
-# box with more than two CPUs was measured
-_THREAD_MIN_BYTES = 128 << 20
-_MAX_THREADS = 2
-
-
 # a cgroup memory limit at or above this many bytes means none: cgroup v1
 # reports "unlimited" as 2^63 rounded down to a page
 _UNLIMITED = 1 << 62
@@ -365,9 +355,10 @@ def _check_fits(nbytes: int, what: str) -> None:
         )
 
 
-def _check_stack_fits(dim: int, dtype) -> None:
-    """Raise SystemSizeError when an N^3 stack of dtype exceeds _available_memory()."""
-    _check_fits(dim**3 * np.dtype(dtype).itemsize, f"the N={dim} adjoint stack")
+def _check_stack_fits(dim: int, dtype, stacks: int = 1) -> None:
+    """Raise SystemSizeError when `stacks` N^3 stacks of dtype exceed _available_memory()."""
+    what = f"the N={dim} adjoint stack" if stacks == 1 else f"holding {stacks} N={dim} stacks"
+    _check_fits(stacks * dim**3 * np.dtype(dtype).itemsize, what)
 
 
 # a draw and its validation hold at most this many N x N arrays of the
@@ -387,20 +378,15 @@ def _pn(p, null_vector) -> tuple[np.ndarray, np.ndarray, np.dtype]:
     return p, n, np.promote_types(p.dtype, n.dtype)
 
 
-def _threads(dim: int, dtype) -> int:
-    """Threads for a pass over an N^3 stack of dtype: see _THREAD_MIN_BYTES."""
-    return _MAX_THREADS if dim**3 * np.dtype(dtype).itemsize > _THREAD_MIN_BYTES else 1
-
-
 def build_adjoint(p: np.ndarray, null_vector: np.ndarray) -> np.ndarray:
     """All adjoint matrices at once, adj[k] = n{k} * P - p_k (x) n.
 
     Equals P @ T_k for each k but runs in O(N^3) total, in one pass of
     _chunk_map: each chunk of rows a is built by _adjoint_block straight into
-    the stack. A stack above _THREAD_MIN_BYTES runs its chunks on up to
-    _MAX_THREADS threads, which hold at most max(_SLAB_CHUNK, _MAX_THREADS *
-    N^2) entries of temporaries in flight; neither the thread count nor the
-    split changes a bit. Raises SystemSizeError, before it allocates, when
+    the stack. _chunk_map runs the chunks of a stack above _THREAD_MIN_BYTES
+    on threads, which hold at most max(_SLAB_CHUNK, _MAX_THREADS * N^2)
+    entries of temporaries in flight; neither the thread count nor the split
+    changes a bit. Raises SystemSizeError, before it allocates, when
     the N^3 stack exceeds the memory the OS reports available.
     """
     p, n, dtype = _pn(p, null_vector)
@@ -409,7 +395,7 @@ def build_adjoint(p: np.ndarray, null_vector: np.ndarray) -> np.ndarray:
     out = np.empty((dim, dim, dim), dtype=dtype)
     _chunk_map(
         lambda rows: _adjoint_block(p, n, rows, out=out[rows]),
-        dim, dim * dim, _threads(dim, dtype),
+        dim, dim * dim, dtype.itemsize,
     )
     return out
 
@@ -426,7 +412,7 @@ def _adjoint_scale(p: np.ndarray, null_vector: np.ndarray) -> float:
     dim = p.shape[0]
     maxima = _chunk_map(
         lambda rows: np.abs(_adjoint_block(p, n, rows, slice(rows.start, None))).max(),
-        dim, dim * dim, _threads(dim, dtype),
+        dim, dim * dim, dtype.itemsize,
     )
     # np.max, unlike builtin max, propagates NaN
     return float(np.max(maxima))

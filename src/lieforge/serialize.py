@@ -187,9 +187,9 @@ def read_sample(source: str | bytes) -> LieAlgebraSample:
     payload it is the sample's one N^3 array, so every check reads what the
     document stored; only a document with no payload has its adjoint built
     from (P, n), on first use.
-    A document whose N^3 stack would not fit in available memory raises
-    SystemSizeError as soon as dim and field are read, before P is decoded
-    or any payload is stacked.
+    A document is sized for one N^3 stack per payload, and at least one; one
+    that would not fit in available memory raises SystemSizeError as soon as
+    dim and field are read, before P is decoded or any payload is stacked.
     """
     if isinstance(source, bytes):
         try:
@@ -225,10 +225,12 @@ def read_sample(source: str | bytes) -> LieAlgebraSample:
     field = data["field"]
     if field not in FIELDS:
         raise _fail(f"field must be one of {FIELDS}, got {field!r}")
-    # every check reads an N^3 stack, parsed or built, so it is sized
-    # before P is decoded and validated or any payload is stacked
+    # every check reads an N^3 stack, parsed or built, and each payload is
+    # parsed into a stack of its own, so they are sized before P is decoded
+    # and validated or any payload is stacked
     cx = field == "complex"
-    _check_stack_fits(dim, _DTYPES[field])
+    payloads = ("adjoint" in data) + ("structure_constants" in data)
+    _check_stack_fits(dim, _DTYPES[field], max(1, payloads))
     seed = data["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise _fail(f"seed must be a uint64, got {seed!r}")
@@ -283,7 +285,7 @@ def read_sample(source: str | bytes) -> LieAlgebraSample:
         raw = data["adjoint"]
         if not isinstance(raw, list) or len(raw) != dim:
             raise _fail(f"adjoint must be a list of {dim} matrices")
-        # filled slice by slice, so the reader holds one stack, as sized above
+        # filled slice by slice, so this payload holds one stack, as sized above
         adjoint = np.empty((dim, dim, dim), _DTYPES[field])
         for k, a in enumerate(raw):
             adjoint[k] = _numbers(a, (dim, dim), cx, f"adjoint[{k}]")

@@ -28,6 +28,7 @@ from lieforge.sampler import (
     ParameterMatrix,
     Tolerances,
     assemble_sample,
+    build_adjoint,
     generate,
     validate_parameter_matrix,
 )
@@ -133,7 +134,7 @@ def test_jacobi_matches_scalar_reference(kind, dim, monkeypatch):
         # the residual holds one row of N entries per probe set
         monkeypatch.setattr(linalg, "_SLAB_CHUNK", dim)
         sets = analysis._PROBE_SETS
-        assert linalg._row_chunks(0, sets, dim) == [slice(s, s + 1) for s in range(sets)]
+        assert linalg._row_chunks(sets, dim) == [slice(s, s + 1) for s in range(sets)]
         assert jacobi_residual(f) == whole
     jac = jacobi_tensor(f)
     for quad in itertools.product(range(dim), repeat=4):
@@ -742,6 +743,36 @@ def test_payload_check_passes_a_sample_with_no_stored_payload(monkeypatch):
         (check,) = verify_all(s, VerifyConfig(checks=("payload",))).checks
         assert check.passed and check.residual == 0.0
         assert check.detail == "no stored payload"
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [64, 130, 200])
+def test_payload_and_row_sum_passes_match_inline_on_three_threads(monkeypatch, dim, field):
+    """_check_payload and _row_sum_norm walk the stack through _chunk_map;
+    on three threads, with each chunk a third the size, they report the same
+    hits and the same bits as inline, NaN included."""
+    s = generate(dim, 2, field=field)
+    scaled = build_adjoint(s.p.matrix, s.null.vector)
+    with_nan = scaled.copy()
+    scaled[2 * dim // 3, 1, 3] *= 1.5
+    with_nan[dim // 2, 3, 1] = np.nan
+    sample = assemble_sample(
+        s.p, s.null, seed=s.seed, structure=with_nan.transpose(0, 2, 1), adjoint=scaled
+    )
+
+    def passes():
+        residual, band, passed, detail = analysis._check_payload(sample, 0, 1e-9)
+        sums = [analysis._row_sum_norm(adj).hex() for adj in (scaled, with_nan)]
+        return residual.hex(), band.hex(), passed, detail, sums
+
+    inline = passes()
+    monkeypatch.setattr(linalg, "_THREAD_MIN_BYTES", 0)
+    monkeypatch.setattr(linalg, "_MAX_THREADS", 3)
+    monkeypatch.setattr(linalg, "_cpus", lambda: 3)
+    assert passes() == inline
+    assert inline[0] == "nan" and not inline[2] and inline[4][1] == "nan"
+    assert inline[3].startswith("max |stored - rebuilt|: structure nan, adjoint ")
+    assert inline[3].endswith(f" at ({2 * dim // 3}, 1, 3)")
 
 
 def test_verify_report_as_dict_is_json_ready():

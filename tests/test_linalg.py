@@ -87,10 +87,17 @@ def test_inf_norm_propagates_nan(dtype, shape):
     assert np.isnan(inf_norm(a)) and np.isnan(inf_norm(a.T))
 
 
+def _thread_every_pass(monkeypatch, threads, cpus):
+    """Let _chunk_map thread any pass, on min(threads, cpus) threads."""
+    monkeypatch.setattr(linalg, "_THREAD_MIN_BYTES", 0)
+    monkeypatch.setattr(linalg, "_MAX_THREADS", threads)
+    monkeypatch.setattr(linalg, "_cpus", lambda: cpus)
+
+
 @pytest.mark.parametrize("threads", [1, 2, 8])
 def test_chunk_map_covers_every_row_once_in_order(monkeypatch, threads):
     """More threads than this box may have, switching as often as it can."""
-    monkeypatch.setattr(linalg, "_cpus", lambda: 64)
+    _thread_every_pass(monkeypatch, threads, 64)
     a = np.random.default_rng(3).standard_normal((1200, 500))  # ten chunks
     seen = np.zeros(1200, dtype=int)
 
@@ -101,21 +108,35 @@ def test_chunk_map_covers_every_row_once_in_order(monkeypatch, threads):
     interval, alive = sys.getswitchinterval(), threading.active_count()
     sys.setswitchinterval(1e-6)
     try:
-        got = linalg._chunk_map(fn, 1200, 500, threads)
+        got = linalg._chunk_map(fn, 1200, 500, a.itemsize)
     finally:
         sys.setswitchinterval(interval)
     assert (seen == 1).all()
-    assert [rows for rows, _ in got] == linalg._row_chunks(0, 1200, 500 * threads)
+    assert [rows for rows, _ in got] == linalg._row_chunks(1200, 500 * threads)
     assert [total for _, total in got] == [float(np.abs(a[r]).sum()) for r, _ in got]
     assert threading.active_count() == alive  # the helpers are joined
 
 
 @pytest.mark.parametrize("stop, cpus", [(10, 8), (1200, 1)])
 def test_chunk_map_runs_inline_on_one_chunk_or_one_cpu(monkeypatch, stop, cpus):
-    monkeypatch.setattr(linalg, "_cpus", lambda: cpus)
+    _thread_every_pass(monkeypatch, 8, cpus)
     got = linalg._chunk_map(lambda rows: (rows, threading.get_ident()), stop, 500, 8)
-    assert [rows for rows, _ in got] == linalg._row_chunks(0, stop, 500)
+    assert [rows for rows, _ in got] == linalg._row_chunks(stop, 500)
     assert {ident for _, ident in got} == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("itemsize", [8, 16])
+def test_chunk_map_threads_only_a_pass_above_the_cutoff(monkeypatch, itemsize):
+    """A pass of exactly _THREAD_MIN_BYTES runs inline; one byte more threads."""
+    monkeypatch.setattr(linalg, "_cpus", lambda: 2)
+    nbytes = 1200 * 500 * itemsize
+    idents = {}
+    for cutoff in (nbytes, nbytes - 1):
+        monkeypatch.setattr(linalg, "_THREAD_MIN_BYTES", cutoff)
+        got = linalg._chunk_map(lambda rows: threading.get_ident(), 1200, 500, itemsize)
+        idents[cutoff] = set(got)
+    assert idents[nbytes] == {threading.get_ident()}
+    assert threading.get_ident() in idents[nbytes - 1] and len(idents[nbytes - 1]) == 2
 
 
 def test_rank_of_diagonal_example():

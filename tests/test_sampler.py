@@ -287,7 +287,7 @@ def test_build_adjoint_chunking_is_invisible(monkeypatch):
     prod = n[:, None, None] * p[None, :, :]
     np.testing.assert_array_equal(whole, prod - prod.transpose(2, 1, 0))
     monkeypatch.setattr(linalg, "_SLAB_CHUNK", 200)  # the name _row_chunks reads
-    assert [s.stop - s.start for s in linalg._row_chunks(0, 9, 81)] == [2, 2, 2, 2, 1]
+    assert [s.stop - s.start for s in linalg._row_chunks(9, 81)] == [2, 2, 2, 2, 1]
     np.testing.assert_array_equal(build_adjoint(p, n), whole)
 
 
@@ -395,8 +395,8 @@ def _scale_cells():
 def test_the_scale_pass_is_the_inf_norm_of_the_build_bit_for_bit(monkeypatch):
     """_adjoint_scale reads only the columns c >= a of each pair, on three
     threads here, yet gives inf_norm(build_adjoint(p, n)), NaN included."""
-    monkeypatch.setattr(sampler_module, "_THREAD_MIN_BYTES", 0)
-    monkeypatch.setattr(sampler_module, "_MAX_THREADS", 3)
+    monkeypatch.setattr(linalg, "_THREAD_MIN_BYTES", 0)
+    monkeypatch.setattr(linalg, "_MAX_THREADS", 3)
     monkeypatch.setattr(linalg, "_cpus", lambda: 3)
     seen = Counter()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -484,15 +484,15 @@ def test_a_threaded_build_stays_within_one_chunk_of_memory_on_many_cpus(monkeypa
     slice each, of a complex product and its float abs (at most 24 bytes an
     entry), in the build's one pass."""
     monkeypatch.setattr(linalg, "_cpus", lambda: cpus)
-    monkeypatch.setattr(sampler_module, "_THREAD_MIN_BYTES", 0)
+    monkeypatch.setattr(linalg, "_THREAD_MIN_BYTES", 0)
     in_flight = []
     real_map = linalg._chunk_map
 
-    def spy(fn, stop, row, threads):
-        threads = min(threads, cpus, len(linalg._row_chunks(0, stop, row)))
-        first = linalg._row_chunks(0, stop, row * threads)[0]
+    def spy(fn, stop, row, itemsize):
+        threads = min(linalg._MAX_THREADS, cpus, len(linalg._row_chunks(stop, row)))
+        first = linalg._row_chunks(stop, row * threads)[0]
         in_flight.append((threads, threads * (first.stop - first.start) * row * 24))
-        return real_map(fn, stop, row, threads)
+        return real_map(fn, stop, row, itemsize)
 
     monkeypatch.setattr(sampler_module, "_chunk_map", spy)
     p, n = _random_pn(96, "complex")
@@ -638,12 +638,12 @@ _FINGERPRINTS = f"""
 import hashlib, os, sys
 if sys.argv[1] == "pinned":
     os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
-from lieforge import generate, linalg, sampler
-sampler._THREAD_MIN_BYTES = 0  # thread every build of several chunks
+from lieforge import generate, linalg
+linalg._THREAD_MIN_BYTES = 0  # thread every build of several chunks
 if sys.argv[1] == "three":
     linalg._cpus = lambda: 3
-    sampler._MAX_THREADS = 3
-print(min(linalg._cpus(), sampler._MAX_THREADS))
+    linalg._MAX_THREADS = 3
+print(min(linalg._cpus(), linalg._MAX_THREADS))
 for dim, field, mode, seed in {_MULTI_CHUNK_BUILDS!r}:
     s = generate(dim, seed, field=field, mode=mode)
     print(hashlib.sha256(s.adjoint.tobytes()).hexdigest(), s.scale.hex())

@@ -503,6 +503,29 @@ def test_an_adjoint_payload_is_held_once_while_it_is_read(field):
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
+def test_a_document_with_both_payloads_is_sized_for_two_stacks(
+    field, monkeypatch, tmp_path, capsys
+):
+    """Each payload is parsed into a stack of its own, so under room for 1.5
+    stacks an --emit both document is refused, exit 65 from verify, while the
+    same sample's structure document, one stack, still reads."""
+    from lieforge.cli import main
+
+    sample = generate(60, 1, field=field)
+    both = write_sample(sample, include_adjoint=True, include_structure=True)
+    stack = 60**3 * (16 if field == "complex" else 8)
+    monkeypatch.setattr(sampler_module, "_available_memory", lambda: stack * 3 // 2)
+    with pytest.raises(SystemSizeError, match="holding 2 N=60 stacks needs"):
+        read_sample(both)
+    path = tmp_path / "both.json"
+    path.write_text(both, encoding="utf-8")
+    assert main(["verify", str(path)]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("lieforge verify: holding 2 N=60 stacks needs") and err.count("\n") == 1
+    assert read_sample(write_sample(sample)).stored == ("structure",)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("payload", ["structure", "adjoint"])
 def test_the_stack_is_sized_before_the_parameter_matrix_is_decoded(
     payload, field, monkeypatch, tmp_path, capsys
