@@ -1,20 +1,22 @@
 """Identity and classification checks for generated algebras.
 
-Every check here verifies a statement that holds exactly in exact arithmetic:
-the stored payloads equal their rebuild from (P, n), the Jacobi identity,
-bracket closure of the adjoint matrices, commutativity of the derived
-subalgebra, vanishing of trace(A_i [A_j, A_k]) (Cartan), the closed form of
-the lower central series, and the transfer-matrix product identity.
-Residuals are therefore pure rounding noise. The bilinear identities are
-tested against tau_ver * scale^2, with scale = max |A_k{r,c}| the largest
+verify_all runs one check per claim: the stored payloads equal their rebuild
+from (P, n); the structure tensor satisfies the Jacobi identity; the algebra
+is almost abelian, <x> + ker n with g' inside ker n and ker n abelian
+(Freibert, Ann. Global Anal. Geom. 42, 2012), which makes g' abelian and,
+with Jacobi, the algebra solvable; and the lower central series follows its
+closed form and terminates as the mode says. Each identity holds exactly in
+exact arithmetic, so residuals are pure rounding noise. Jacobi is tested
+against tau_ver * scale^2 and the almost-abelian check, linear in the
+tensor, against tau_ver * scale, with scale = max |A_k{r,c}| the largest
 entry. The series runs in units of sigma, the smallest power of two at or
 above 2S, where S = max_k ||A_k||_inf is the largest row sum; since
 ||[A, D]||_inf <= 2 ||A||_inf ||D||_inf, its depth-L level is tested against
 tau_ver * (2S)^(L+2). A NaN anywhere in a check's evaluation becomes its
 residual, so the check fails.
 
-Each bilinear identity is a multilinear form in the basis elements, so it
-is checked by one evaluation on a few seeded random vectors instead of on
+Each probe identity is a multilinear form in the basis elements, so it is
+checked by one evaluation on a few seeded random vectors instead of on
 every index tuple. A nonzero multilinear form vanishes on Gaussian vectors
 with probability zero (Schwartz, J. ACM 27(4), 1980; the argument of
 Freivalds' matrix-product check, IFIP Congress 1977), and every entry of
@@ -23,10 +25,11 @@ probes in one GEMM, one pass over its N^3 entries, and evaluates the
 identity on the resulting N x N matrices: O(N^3) in all, at every N.
 Each check draws _PROBE_SETS sets of unit-norm real Gaussian vectors from a
 NormalStream seeded by (seed, check name), so a report is a pure function of
-(sample, seed) and a check run alone gives its value in a full run. Closure
-is not a kernel of its own: it is the Jacobi probe on the tensor the
-adjoint stack spells. The transfer-matrix identity is evaluated in closed
-form, without forming any T_k.
+(sample, seed) and a check run alone gives its value in a full run.
+
+closure_residual, derived_abelian_residual, cartan_residual and
+t_product_residual evaluate identities that the checks above imply or that
+hold for any (P, n); verify_all does not run them.
 """
 
 from __future__ import annotations
@@ -85,37 +88,50 @@ def _check_cubic(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def _probe(t: np.ndarray, seed: int, check: str, arity: int) -> tuple[np.ndarray, np.ndarray]:
-    """The probes a check evaluates its identity on, and their matrices in t.
+def _probe_rows(seed: int, check: str, count: int, dim: int) -> np.ndarray:
+    """count unit-norm real Gaussian vectors of length dim, as (count, dim).
 
-    Draws arity * _PROBE_SETS unit-norm real Gaussian vectors of length N
-    from a NormalStream seeded by (seed, check), so each check has probes of
-    its own and a run of one check reproduces its value in a run of all.
-    Returns them as (arity, _PROBE_SETS, N) and the matrices
-    M_u = sum_i u_i t[i] as (arity, _PROBE_SETS, N, N), all from one GEMM,
-    which is one pass over t. A (0, 2, 1) view of a contiguous stack, as
-    sample.structure is of sample.adjoint, is read in place; any other
-    non-contiguous layout is copied once. A complex128 t is contracted as
-    its float64 (re, im) view, one real GEMM, since a complex GEMM would
-    cast the real probes to complex and do twice the multiplications.
+    Drawn from a NormalStream seeded by (seed, check), so each check has
+    probes of its own and a run of one check reproduces its value in a run
+    of all.
     """
-    dim = t.shape[0]
-    count = arity * _PROBE_SETS
     stream = NormalStream(SplitMix64(_check_seed(seed) ^ zlib.crc32(check.encode())).next_uint64())
     probes = stream.normals(count * dim).reshape(count, dim)
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    return probes
+
+
+def _contract(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """M_u = sum_i u_i t[i] for each real row u, as (len(rows), N, N), in one GEMM.
+
+    One pass over t. A (0, 2, 1) view of a contiguous stack, as
+    sample.structure is of sample.adjoint, is read in place; any other
+    non-contiguous layout is copied once. A complex128 t is contracted as
+    its float64 (re, im) view, one real GEMM, since a complex GEMM would
+    cast the real rows to complex and do twice the multiplications.
+    """
+    dim = t.shape[0]
     swapped = t.transpose(0, 2, 1)
     flipped = swapped.flags.c_contiguous and not t.flags.c_contiguous
     flat = (swapped if flipped else t).reshape(dim, dim * dim)
     if flat.dtype == np.complex128:
-        mats = (probes @ np.ascontiguousarray(flat).view(np.float64)).view(np.complex128)
+        mats = (rows @ np.ascontiguousarray(flat).view(np.float64)).view(np.complex128)
     else:
-        mats = probes @ flat
-    mats = mats.reshape(count, dim, dim)
-    if flipped:
-        mats = mats.transpose(0, 2, 1)
+        mats = rows @ flat
+    mats = mats.reshape(len(rows), dim, dim)
+    return mats.transpose(0, 2, 1) if flipped else mats
+
+
+def _probe(t: np.ndarray, seed: int, check: str, arity: int) -> tuple[np.ndarray, np.ndarray]:
+    """The probes a check evaluates its identity on, and their matrices in t.
+
+    arity * _PROBE_SETS vectors from _probe_rows, as (arity, _PROBE_SETS, N),
+    and their _contract matrices as (arity, _PROBE_SETS, N, N).
+    """
+    dim = t.shape[0]
+    probes = _probe_rows(seed, check, arity * _PROBE_SETS, dim)
     shape = (arity, _PROBE_SETS, dim)
-    return probes.reshape(shape), mats.reshape(*shape, dim)
+    return probes.reshape(shape), _contract(t, probes).reshape(*shape, dim)
 
 
 def _power_of_two_above(x: float) -> float:
@@ -285,12 +301,6 @@ def derived_abelian_residual(adj: np.ndarray, seed: int = 0) -> float:
     return inf_norm(left @ right - right @ left)
 
 
-def _cartan(adj: np.ndarray, seed: int) -> float:
-    """Largest |trace(A_x [A_y, A_z])| over the probe sets."""
-    _, (ax, ay, az) = _probe(adj, seed, "killing", 3)
-    return inf_norm(np.einsum("sab,sba->s", ax, ay @ az - az @ ay))
-
-
 def cartan_residual(adj: np.ndarray, seed: int = 0) -> KillingReport:
     """Killing form and the Cartan traces trace(A_x [A_y, A_z]) on probe vectors.
 
@@ -301,7 +311,38 @@ def cartan_residual(adj: np.ndarray, seed: int = 0) -> KillingReport:
     dim = adj.shape[0]
     killing = adj.reshape(dim, -1) @ adj.transpose(0, 2, 1).reshape(dim, -1).T
     killing.setflags(write=False)
-    return KillingReport(matrix=killing, max_cartan_residual=_cartan(adj, seed))
+    _, (ax, ay, az) = _probe(adj, seed, "killing", 3)
+    traces = np.einsum("sab,sba->s", ax, ay @ az - az @ ay)
+    return KillingReport(matrix=killing, max_cartan_residual=inf_norm(traces))
+
+
+# ---------------------------------------------------------------------------
+# almost-abelian structure: g' inside ker n, and ker n abelian
+
+
+def _almost_abelian(adj: np.ndarray, n: np.ndarray, seed: int) -> float:
+    """Largest |entry| of n.[x, y] and of [x', y'] over the probe sets.
+
+    The bracket is [u, v] = A_u v, and x' = x - (n.x) nbar, nbar = conj(n),
+    lies in ker n since n.nbar = ||n||^2 = 1. n.[x, y] vanishes for all x, y
+    iff g' lies in ker n, and [x', y'] = (A_x - (n.x) A_nbar) y' for all x,
+    y iff ker n is abelian; both are linear in the tensor. A_nbar comes out
+    of the probes' GEMM as one more row, two for a complex n (its re and im
+    parts, since the rows are real), and only the x probes need matrices.
+    """
+    dim = adj.shape[0]
+    x, y = _probe_rows(seed, "almost_abelian", 2 * _PROBE_SETS, dim).reshape(2, _PROBE_SETS, dim)
+    nbar = np.conjugate(n)
+    parts = (nbar.real, nbar.imag) if nbar.dtype.kind == "c" else (nbar,)
+    mats = _contract(adj, np.vstack([x, *parts]))
+    ax, a_nbar = mats[:_PROBE_SETS], mats[_PROBE_SETS]
+    if len(parts) == 2:
+        a_nbar = a_nbar + 1j * mats[-1]
+    outside = n @ (ax @ y[:, :, None])  # n.[x, y]
+    y_in = y - (y @ n)[:, None] * nbar
+    inside = (ax - (x @ n)[:, None, None] * a_nbar) @ y_in[:, :, None]  # [x', y']
+    # np.max, unlike builtin max, propagates NaN
+    return float(np.max([inf_norm(outside), inf_norm(inside)]))
 
 
 # ---------------------------------------------------------------------------
@@ -482,17 +523,18 @@ def _check_payload(sample: LieAlgebraSample, seed: int, tau: float) -> tuple:
     }
     residual = float(np.max([d for d, _ in worst.values()]))
     detail = "max |stored - rebuilt|: " + ", ".join(
-        f"{name} {d:.3e}" + (f" at {where}" if d > 0.0 else "")
+        f"{name} {d:.3e}" + (f" at {where}" if not d <= 0.0 else "")
         for name, (d, where) in worst.items()
     )
     return residual, band, residual <= band, detail
 
 
-def _bilinear(residual):
-    """The check of a probe residual(sample, seed), banded by tau * scale^2."""
+def _bilinear(residual, degree: int):
+    """The check of a probe residual(sample, seed), banded by tau * scale^degree."""
 
     def check(sample: LieAlgebraSample, seed: int, tau: float) -> tuple:
-        value, band = residual(sample, seed), tau * sample.scale * sample.scale
+        # left to right, tau * scale * scale for degree 2
+        value, band = residual(sample, seed), math.prod([tau, *[sample.scale] * degree])
         return value, band, value <= band, f"{_PROBE_SETS} probe sets"
 
     return check
@@ -535,17 +577,16 @@ def _check_series(sample: LieAlgebraSample, seed: int, tau: float) -> tuple:
     return ratio * tau, tau, bool(ok), detail
 
 
-# the checks verify_all runs, in this order; closure is the Jacobi probe on
-# the adjoint stack's view, and killing the Cartan traces trace(A_x [A_y, A_z])
-# alone, since trace(A_i A_j) = trace(A_j A_i) holds for any matrices
+# the checks verify_all runs, in this order, one per claim: the payloads
+# are those of (P, n), Jacobi holds (degree 2 in the tensor), the algebra is
+# almost abelian (degree 1), and the lower central series has its closed form
 _CHECKS = {
     "payload": _check_payload,
-    "jacobi": _bilinear(lambda s, seed: jacobi_residual(s.structure, seed)),
-    "closure": _bilinear(lambda s, seed: closure_residual(s.adjoint, seed)),
-    "derived": _bilinear(lambda s, seed: derived_abelian_residual(s.adjoint, seed)),
-    "killing": _bilinear(lambda s, seed: _cartan(s.adjoint, seed)),
+    "jacobi": _bilinear(lambda s, seed: jacobi_residual(s.structure, seed), 2),
+    "almost_abelian": _bilinear(
+        lambda s, seed: _almost_abelian(s.adjoint, s.null.vector, seed), 1
+    ),
     "series": _check_series,
-    "tproduct": _bilinear(lambda s, seed: t_product_residual(s.null, s.adjoint, seed)),
 }
 CHECK_NAMES = tuple(_CHECKS)
 
@@ -554,9 +595,9 @@ CHECK_NAMES = tuple(_CHECKS)
 class VerifyConfig:
     """What verify_all runs: the band, the probe seed and the checks.
 
-    tau_ver is the bilinear and series band factor; None means "use the
+    tau_ver is the probe and series band factor; None means "use the
     tolerance stored with the sample", and a given value must be finite and
-    positive. seed, a uint64, picks every bilinear check's probe vectors, each
+    positive. seed, a uint64, picks every probe check's vectors, each
     check's own, and the series check's random path. checks is a nonempty
     subset of CHECK_NAMES; they always run in CHECK_NAMES order.
     """
@@ -582,9 +623,9 @@ class VerifyConfig:
 def verify_all(sample: LieAlgebraSample, config: VerifyConfig | None = None) -> VerificationReport:
     """Run the configured checks, in CHECK_NAMES order, and time each one.
 
-    Check failures become report entries; nothing raises. The bilinear
-    checks (jacobi, closure, derived, killing, tproduct) each evaluate their
-    identity on _PROBE_SETS seeded probe sets and pass at tau_ver * scale^2;
+    Check failures become report entries; nothing raises. The probe checks
+    each evaluate their identity on _PROBE_SETS seeded probe sets: jacobi
+    passes at tau_ver * scale^2 and almost_abelian at tau_ver * scale.
     _check_payload and _check_series give the other two bands.
     """
     cfg = config or VerifyConfig()

@@ -223,12 +223,12 @@ def _format_text_report(report: VerificationReport) -> str:
         f"sample: dim={report.dim} field={report.field} mode={report.mode} "
         f"seed={report.seed} rng_id={report.rng_id}",
         f"scale: {report.scale:.6e}  tau_ver: {report.tau_ver:.3e}",
-        f"{'check':<10} {'residual':>12} {'tolerance':>12} {'status':<6} {'seconds':>8}  detail",
+        f"{'check':<14} {'residual':>12} {'tolerance':>12} {'status':<6} {'seconds':>8}  detail",
     ]
     for c in report.checks:
         status = "pass" if c.passed else "FAIL"
         lines.append(
-            f"{c.name:<10} {c.residual:>12.4e} {c.tolerance:>12.4e} "
+            f"{c.name:<14} {c.residual:>12.4e} {c.tolerance:>12.4e} "
             f"{status:<6} {c.seconds:>8.3f}  {c.detail}"
         )
     lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")

@@ -344,10 +344,11 @@ def _available_memory() -> int | None:
     return min((m for m in (meminfo, _cgroup_headroom()) if m is not None), default=None)
 
 
-def _check_fits(nbytes: int, what: str) -> None:
-    """Raise SystemSizeError when `what` needs more than _available_memory()
-    bytes; no check where that is unknown."""
-    available = _available_memory()
+def _check_fits(nbytes: int, what: str, available: int | None = None) -> None:
+    """Raise SystemSizeError when `what` needs more than `available` bytes, by
+    default a fresh _available_memory() read; no check where that is unknown."""
+    if available is None:
+        available = _available_memory()
     if available is not None and nbytes > available:
         raise SystemSizeError(
             f"{what} needs {nbytes / 2**20:.0f} MiB,"
@@ -355,10 +356,10 @@ def _check_fits(nbytes: int, what: str) -> None:
         )
 
 
-def _check_stack_fits(dim: int, dtype, stacks: int = 1) -> None:
-    """Raise SystemSizeError when `stacks` N^3 stacks of dtype exceed _available_memory()."""
+def _check_stack_fits(dim: int, dtype, stacks: int = 1, available: int | None = None) -> None:
+    """_check_fits for `stacks` N^3 stacks of dtype."""
     what = f"the N={dim} adjoint stack" if stacks == 1 else f"holding {stacks} N={dim} stacks"
-    _check_fits(stacks * dim**3 * np.dtype(dtype).itemsize, what)
+    _check_fits(stacks * dim**3 * np.dtype(dtype).itemsize, what, available)
 
 
 # a draw and its validation hold at most this many N x N arrays of the

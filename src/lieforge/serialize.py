@@ -30,6 +30,7 @@ from .errors import (
     FormatVersionError,
     NullFirstComponentError,
 )
+from . import sampler
 from .linalg import inf_norm, null_residual_tol
 from .sampler import (
     _DTYPES,
@@ -38,6 +39,7 @@ from .sampler import (
     NullData,
     ParameterMatrix,
     Tolerances,
+    _check_fits,
     _check_stack_fits,
     assemble_sample,
     validate_parameter_matrix,
@@ -66,6 +68,21 @@ _KEY_ORDER = (
 # stored null vectors must still look like unit vectors after a decimal
 # round-trip; fresh ones are unit to ~4 eps
 _UNIT_NORM_SLOP = 1e-12
+
+# read_sample holds at most this many bytes per byte of its document: the
+# bytes and their decoded text, the parsed JSON, the decoded arrays and the
+# stack. Measured reading from bytes, seed 1, N = 60 / 100 / 200, the growth
+# of peak RSS over the document's length (tracemalloc peak in brackets):
+#   structure  real 10.7 / 10.1 / 9.5 (9.2 / 9.2 / 8.8)
+#              complex 9.8 / 8.9 / 8.4 (8.0 / 8.0 / 7.8)
+#   adjoint    real 5.0 / 5.2 / 4.3 (3.0 / 3.0 / 3.0)
+#              complex 5.6 / 5.4 / 5.3 (4.8 / 4.8 / 4.7)
+#   both       real 6.6 / 6.3 / 6.1 (5.7 / 5.7 / 5.6)
+#              complex 7.0 / 6.7 / not run (6.0 / 6.0 / not run)
+# The payloads are not known before the parse, so one factor covers the
+# largest; a payload-free document's parse is O(N^2), and its stack is
+# sized once dim is read
+_READ_BYTES_PER_BYTE = 11
 
 
 def _leaves(arr) -> list:
@@ -187,10 +204,20 @@ def read_sample(source: str | bytes) -> LieAlgebraSample:
     payload it is the sample's one N^3 array, so every check reads what the
     document stored; only a document with no payload has its adjoint built
     from (P, n), on first use.
-    A document is sized for one N^3 stack per payload, and at least one; one
-    that would not fit in available memory raises SystemSizeError as soon as
-    dim and field are read, before P is decoded or any payload is stacked.
+    A document longer than _available_memory() / _READ_BYTES_PER_BYTE bytes
+    raises SystemSizeError before it is parsed. A parsed one is sized for one
+    N^3 stack per payload, and at least one; one that would not fit raises
+    SystemSizeError as soon as dim and field are read, before P is decoded or
+    any payload is stacked.
     """
+    # one read serves both bounds: the parse, sized before json.loads builds
+    # the document's lists, and the stack, once dim and field are known
+    available = sampler._available_memory()
+    _check_fits(
+        len(source) * _READ_BYTES_PER_BYTE,
+        f"reading a {len(source) / 2**20:.0f} MiB document",
+        available,
+    )
     if isinstance(source, bytes):
         try:
             source = source.decode("utf-8")
@@ -230,7 +257,7 @@ def read_sample(source: str | bytes) -> LieAlgebraSample:
     # and validated or any payload is stacked
     cx = field == "complex"
     payloads = ("adjoint" in data) + ("structure_constants" in data)
-    _check_stack_fits(dim, _DTYPES[field], max(1, payloads))
+    _check_stack_fits(dim, _DTYPES[field], max(1, payloads), available)
     seed = data["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise _fail(f"seed must be a uint64, got {seed!r}")

@@ -132,3 +132,18 @@ def exhaustive_tproduct(null_vector: np.ndarray, adj: np.ndarray) -> float:
     residual -= n[:, None, None, None] * adj.transpose(1, 0, 2)
     return float(np.abs(residual).max(initial=0.0))
 
+
+
+def exhaustive_almost_abelian(null_vector: np.ndarray, adj: np.ndarray) -> float:
+    """The larger of max |n.[e_i, e_j]| over every pair and max |[v, w]| over
+    every pair of an orthonormal basis of ker n, with [u, v] = A_u v.
+
+    ker n = {v : sum_i n{i} v{i} = 0}: the right singular vectors of the row
+    n past the first, conjugated, so that n @ basis = 0 over either field.
+    """
+    n = np.asarray(null_vector)
+    outside = np.einsum("r,irj->ij", n, adj)  # n.[e_i, e_j] = n @ A_i[:, j]
+    basis = np.linalg.svd(n[None, :])[2][1:].conj().T  # (N, N - 1)
+    a_basis = np.einsum("ip,irc->prc", basis, adj)  # A_v for each basis vector v
+    inside = a_basis @ basis  # [v_p, v_q] as (p, r, q)
+    return float(np.max([np.abs(outside).max(initial=0.0), np.abs(inside).max(initial=0.0)]))

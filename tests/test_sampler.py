@@ -439,9 +439,9 @@ def test_the_stack_is_sized_once_per_build_and_never_for_the_scale(monkeypatch):
     sized, reads = [], []
     check_fits, available = sampler_module._check_fits, sampler_module._available_memory
 
-    def spy_fits(nbytes, what):
+    def spy_fits(nbytes, what, available=None):
         sized.append(what)
-        check_fits(nbytes, what)
+        check_fits(nbytes, what, available)
 
     def spy_available():
         reads.append(1)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lieforge.sampler as sampler_module
+import lieforge.serialize as serialize_module
 from lieforge.analysis import cartan_residual, verify_all
 from lieforge.errors import (
     ContractViolation,
@@ -515,6 +516,8 @@ def test_a_document_with_both_payloads_is_sized_for_two_stacks(
     both = write_sample(sample, include_adjoint=True, include_structure=True)
     stack = 60**3 * (16 if field == "complex" else 8)
     monkeypatch.setattr(sampler_module, "_available_memory", lambda: stack * 3 // 2)
+    # the document's own length bound would refuse it first; this is the stacks'
+    monkeypatch.setattr(serialize_module, "_READ_BYTES_PER_BYTE", 0)
     with pytest.raises(SystemSizeError, match="holding 2 N=60 stacks needs"):
         read_sample(both)
     path = tmp_path / "both.json"
@@ -533,7 +536,6 @@ def test_the_stack_is_sized_before_the_parameter_matrix_is_decoded(
     """Every sample holds an N^3 adjoint, stored or rebuilt, so a document
     too large for memory fails on dim and field alone, before P is validated
     or a stored adjoint payload is stacked."""
-    import lieforge.serialize as serialize_module
     from lieforge.cli import main
 
     def no_validation(*args, **kwargs):
@@ -546,6 +548,7 @@ def test_the_stack_is_sized_before_the_parameter_matrix_is_decoded(
     )
     mib = 12**3 * (16 if field == "complex" else 8) / 2**20
     monkeypatch.setattr(sampler_module, "_available_memory", lambda: 0)
+    monkeypatch.setattr(serialize_module, "_READ_BYTES_PER_BYTE", 0)
     monkeypatch.setattr(serialize_module, "validate_parameter_matrix", no_validation)
     with pytest.raises(SystemSizeError, match=f"the N=12 adjoint stack needs {mib:.0f} MiB"):
         read_sample(doc)
@@ -554,6 +557,42 @@ def test_the_stack_is_sized_before_the_parameter_matrix_is_decoded(
     assert main(["verify", str(path)]) == 65
     err = capsys.readouterr().err
     assert err.startswith("lieforge verify: the N=12 adjoint stack needs") and err.count("\n") == 1
+
+
+def test_a_document_too_long_to_parse_fails_before_json_loads(monkeypatch, tmp_path, capsys):
+    """A structure document passes the stack bound with room to spare, but
+    its parse holds _READ_BYTES_PER_BYTE bytes per document byte, so with
+    less room than that it is refused before json.loads builds any list, as
+    text and as bytes (exit 65 from verify). Memory is read once for both
+    bounds."""
+    from lieforge.cli import main
+
+    doc = write_sample(generate(20, 1))
+    need = len(doc) * serialize_module._READ_BYTES_PER_BYTE
+    assert 20**3 * 8 < need - 1
+    reads = []
+
+    def available(room):
+        reads.append(room)
+        return room
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("parsed a document too long for memory")
+
+    monkeypatch.setattr(sampler_module, "_available_memory", lambda: available(need - 1))
+    monkeypatch.setattr(serialize_module.json, "loads", no_parse)
+    with pytest.raises(SystemSizeError, match="reading a 0 MiB document needs"):
+        read_sample(doc)
+    assert len(reads) == 1
+    path = tmp_path / "doc.json"
+    path.write_text(doc, encoding="utf-8")
+    assert main(["verify", str(path)]) == 65
+    assert capsys.readouterr().err.startswith("lieforge verify: reading a 0 MiB document needs")
+    # with room for the parse, the same document reads, on one read of memory
+    monkeypatch.undo()
+    monkeypatch.setattr(sampler_module, "_available_memory", lambda: available(need))
+    reads.clear()
+    assert read_sample(doc).dim == 20 and reads == [need]
 
 
 # --- per-entry reference codec -----------------------------------------------
