@@ -80,8 +80,9 @@ _UNIT_NORM_SLOP = 1e-12
 #   both       real 6.6 / 6.3 / 6.1 (5.7 / 5.7 / 5.6)
 #              complex 7.0 / 6.7 / not run (6.0 / 6.0 / not run)
 # The payloads are not known before the parse, so one factor covers the
-# largest; a payload-free document's parse is O(N^2), and its stack is
-# sized once dim is read
+# largest, and an adjoint or both document is refused at about twice its
+# need; a payload-free document's parse is O(N^2), and its stack is sized
+# once dim is read
 _READ_BYTES_PER_BYTE = 11
 
 

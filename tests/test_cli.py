@@ -133,7 +133,10 @@ def test_verify_passes_fresh_document(tmp_path, capsys):
     assert main(["verify", str(path)]) == 0
     out = capsys.readouterr().out
     assert "result: PASS" in out
-    for name in ("payload", "jacobi", "almost_abelian", "series"):
+    for name in (
+        "payload", "jacobi", "almost_abelian", "closure", "derived", "killing", "series",
+        "tproduct",
+    ):
         assert name in out
 
 
@@ -150,14 +153,6 @@ def test_verify_rejects_unknown_check(tmp_path, capsys):
     for path in (_generate_doc(tmp_path), tmp_path / "missing.json"):
         assert main(["verify", str(path), "--checks", "jacobi,unitarity"]) == 64
         assert "unitarity" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("name", ["closure", "derived", "killing", "tproduct"])
-def test_verify_rejects_a_removed_check(name, tmp_path, capsys):
-    """almost_abelian, payload and jacobi cover what these checks tested, so
-    naming one is a usage error like any unknown name."""
-    assert main(["verify", str(_generate_doc(tmp_path)), "--checks", name]) == 64
-    assert f"unknown checks ['{name}']" in capsys.readouterr().err
 
 
 def test_verify_rejects_empty_check_list(tmp_path, capsys):
@@ -188,7 +183,7 @@ def test_every_check_reads_the_stored_structure(dim, field, tmp_path, capsys):
     entry = doc["structure_constants"][0]
     entry[3] = [1.5 * x for x in entry[3]] if field == "complex" else 1.5 * entry[3]
     path.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
-    for name in ("jacobi", "almost_abelian", "series"):
+    for name in ("jacobi", "almost_abelian", "closure", "derived", "killing", "series", "tproduct"):
         assert main(["verify", "--checks", name, str(path)]) == 1, name
         assert _check_line(capsys.readouterr().out, name)[3] == "FAIL", name
 
