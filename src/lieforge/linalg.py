@@ -23,16 +23,17 @@ __all__ = [
 
 EPS = float(np.finfo(np.float64).eps)
 
-# entries per temporary in every chunked kernel (the adjoint build, its scale
-# pass and the payload check's rebuild, one block of adjoint matrices a chunk;
-# the series' row sums; inf_norm; a pass of normal draws): 1 MB of complex128,
-# so a chunk works in cache; _chunk_map splits it among its threads
+# entries per temporary in every chunked kernel (the adjoint build and the
+# payload check's rebuild, one block of adjoint matrices a chunk; the scale
+# pass's rows; the series' row sums; inf_norm; a pass of normal draws): 1 MB
+# of complex128, so a chunk works in cache; _chunk_map splits it among its threads
 _SLAB_CHUNK = 1 << 16
 
 # _chunk_map threads a pass only over more than this many bytes, and then on
 # at most _MAX_THREADS. Measured on the adjoint build (ROADMAP aim 1): right
 # after its SVD, stacks up to 128 MiB gained nothing from a second thread and
-# larger ones gained; no box with more than two CPUs was measured
+# larger ones gained; no box with more than two CPUs was measured. The scale
+# pass of a generated sample walks no stack and is not threaded
 _THREAD_MIN_BYTES = 128 << 20
 _MAX_THREADS = 2
 

@@ -7,10 +7,10 @@
 of the grid: the SHA-256 of the document each --emit writes and whether its
 read -> write round trip gives the same bytes, the sample's scale as
 float.hex, and verify_all's as_dict without seconds on the built sample, on
-each read document and on the structure document with one constant scaled by
-1.5. Up to N = 20 it also holds the reports on two more tampered structure
-documents: every constant doubled, and the constants of the cell's sample at
-seed + len(seeds) swapped in. Run it with PYTHONPATH=src, at
+each read document and on the structure document with its constant of
+largest magnitude scaled by 1.5. Up to N = 20 it also holds the reports on
+two more tampered structure documents: every constant doubled, and the
+constants of the cell's sample at seed + len(seeds) swapped in. Run it with PYTHONPATH=src, at
 OPENBLAS_NUM_THREADS=1: the complex SVD's last bits follow the BLAS thread
 count.
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import sys
 from collections import defaultdict
 
@@ -63,19 +64,28 @@ def _scaled(entry: list, factor: float) -> list:
     return [*index, [factor * x for x in value] if isinstance(value, list) else factor * value]
 
 
+def _magnitude(entry: list) -> float:
+    """|value| of a structure entry [i, j, k, value], real or [re, im]."""
+    value = entry[-1]
+    return math.hypot(*value) if isinstance(value, list) else abs(value)
+
+
 def _tampered(sample, swap_seed: int):
     """(name, document) for each tamper of sample's structure document.
 
-    "tampered" scales the first constant by 1.5. Up to N = TAMPER_MAX_DIM,
-    "doubled" doubles every constant and "swapped" holds the constants of the
-    same (N, field, mode) sample at swap_seed. A sample without constants has
-    no tamper.
+    "tampered" scales the constant of largest magnitude, the first of equals,
+    by 1.5; a small one, such as a nilpotent sample's rounding-level first
+    constant, would move by less than the checks' bands. Up to N =
+    TAMPER_MAX_DIM, "doubled" doubles every constant and "swapped" holds the
+    constants of the same (N, field, mode) sample at swap_seed. A sample
+    without constants has no tamper.
     """
     data = json.loads(write_sample(sample, *EMITS["structure"]))
     entries = data["structure_constants"]
     if not entries:
         return
-    tampers = {"tampered": [_scaled(entries[0], 1.5), *entries[1:]]}
+    big = max(range(len(entries)), key=lambda i: _magnitude(entries[i]))
+    tampers = {"tampered": [*entries[:big], _scaled(entries[big], 1.5), *entries[big + 1:]]}
     if sample.dim <= TAMPER_MAX_DIM:
         tampers["doubled"] = [_scaled(entry, 2.0) for entry in entries]
         partner = generate(sample.dim, swap_seed, field=sample.field, mode=sample.mode)

@@ -376,15 +376,15 @@ def test_a_column_slice_of_the_block_kernel_is_that_slice_of_the_build(field):
             assert np.array_equal(_bits(got), _bits(whole[rows][:, :, cols]))
 
 
-def _scale_cells():
-    """(p, n) on acceptance 2's grid, then N = 64, 130 and 200 in several chunks."""
-    for dim, seed, field, mode in itertools.product(range(2, 21), range(1, 11), FIELDS, MODES):
-        s = generate(dim, seed, field=field, mode=mode)
-        yield s.p.matrix, s.null.vector
-    for dim, field in itertools.product((64, 130, 200), FIELDS):
-        p, n = _random_pn(dim, field, seed=dim)
-        yield p, n
-        yield np.triu(p, 1), n  # nilpotent shape
+def _unimodular(dim, field, seed):
+    """(p, n) with every |P{r, c}| equal and every |n{c}| equal."""
+    rng = np.random.default_rng(seed)
+    if field == "real":
+        return np.sign(rng.standard_normal((dim, dim))), np.sign(rng.standard_normal(dim))
+    return np.exp(2j * np.pi * rng.random((dim, dim))), np.exp(2j * np.pi * rng.random(dim)) / 3
+
+
+def _overflow_cells():
     p, n = _random_pn(40, "real")
     p, n = p * (1.5e308 / np.abs(p).max()), n / np.abs(n).max()
     p[0, 1], p[0, 2], n[1], n[2] = 1.5e308, -1.5e308, 1.0, 1.0
@@ -392,9 +392,33 @@ def _scale_cells():
     yield p, 4 * n  # products overflow too, and inf - inf is NaN
 
 
+def _scale_cells():
+    """(p, n) on acceptance 2's grid, then N = 64, 130 and 200 in several
+    chunks, then the inputs where the row bounds prune nothing, underflow or tie."""
+    for dim, seed, field, mode in itertools.product(range(2, 21), range(1, 11), FIELDS, MODES):
+        s = generate(dim, seed, field=field, mode=mode)
+        yield s.p.matrix, s.null.vector
+    for dim, field in itertools.product((64, 130, 200), FIELDS):
+        p, n = _random_pn(dim, field, seed=dim)
+        yield p, n
+        yield np.triu(p, 1), n  # nilpotent shape
+    yield from _overflow_cells()
+    for dim, field in itertools.product((2, 7, 64, 150), FIELDS):
+        yield _unimodular(dim, field, seed=dim)  # every row's bound is equal: none is pruned
+    for dim, field in itertools.product((10, 64), FIELDS):
+        p, n = _random_pn(dim, field, seed=dim)
+        yield p * 2.0**-1060, n * 2.0**-20  # products in the subnormal range
+    for field in FIELDS:
+        p, n = _random_pn(41, field, seed=41)
+        # rows (a, 2r) and (a, 2r + 1) tie, and so do the N-th and (N + 1)-th largest bounds
+        p[1::2] = p[:-1:2]
+        yield p, n
+
+
 def test_the_scale_pass_is_the_inf_norm_of_the_build_bit_for_bit(monkeypatch):
-    """_adjoint_scale reads only the columns c >= a of each pair, on three
-    threads here, yet gives inf_norm(build_adjoint(p, n)), NaN included."""
+    """_adjoint_scale builds only the rows its bounds cannot rule out, yet
+    gives inf_norm(build_adjoint(p, n)), NaN and inf included; the build it
+    is held to runs on three threads here."""
     monkeypatch.setattr(linalg, "_THREAD_MIN_BYTES", 0)
     monkeypatch.setattr(linalg, "_MAX_THREADS", 3)
     monkeypatch.setattr(linalg, "_cpus", lambda: 3)
@@ -404,7 +428,33 @@ def test_the_scale_pass_is_the_inf_norm_of_the_build_bit_for_bit(monkeypatch):
             want = inf_norm(build_adjoint(p, n)).hex()
             assert sampler_module._adjoint_scale(p, n).hex() == want
             seen[want if want in ("inf", "nan") else "finite"] += 1
-    assert seen == {"finite": 772, "inf": 1, "nan": 1}
+    assert seen == {"finite": 786, "inf": 1, "nan": 1}
+
+
+def test_each_row_bound_caps_its_row_as_computed():
+    """_row_bounds caps every row of the computed stack, also where complex
+    products round above |x| |y| and where products underflow; the exact
+    arithmetic bound alone fails some of these rows. A row holding NaN has an
+    inf or NaN bound, so _adjoint_scale keeps it."""
+    rng = np.random.default_rng(5)
+    cells = []
+    for _ in range(200):  # adj[0, r, 1] = 2 n{0} w, its exact cap
+        n0, w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        cells.append((np.full((2, 2), w), np.array([n0, -n0])))
+    for _ in range(100):  # products a few subnormals wide
+        p, n = _random_pn(6, "complex", seed=int(rng.integers(1 << 30)))
+        cells.append((p * 2.0**-1060, n * 2.0**-14))
+    cells += [_random_pn(30, field) for field in FIELDS] + list(_overflow_cells())
+    exceeded = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, n in cells:
+            rows = np.abs(build_adjoint(p, n)).max(axis=2)
+            bound = sampler_module._row_bounds(p, n)
+            assert not (rows > bound).any()
+            assert not np.isfinite(bound[np.isnan(rows)]).any()
+            abs_p, abs_n = np.abs(p), np.abs(n)
+            exceeded += (rows > abs_n[:, None] * abs_p.max(axis=1) + abs_n.max() * abs_p.T).any()
+    assert exceeded > 100
 
 
 def test_generate_and_its_scale_hold_no_stack():
@@ -691,7 +741,7 @@ def test_a_nan_adjoint_gives_a_nan_scale(dim):
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_scale_is_one_pass_and_the_adjoint_one_build(monkeypatch, field):
-    """A generated sample takes scale in one _chunk_map pass that builds no
+    """A generated sample takes scale in one _adjoint_scale pass that builds no
     stack, and its adjoint in one build, each on first use; a given payload
     is read once for scale."""
     calls = Counter()
@@ -705,14 +755,14 @@ def test_scale_is_one_pass_and_the_adjoint_one_build(monkeypatch, field):
 
         monkeypatch.setattr(sampler_module, name, counted)
 
-    for name in ("_chunk_map", "inf_norm", "build_adjoint", "_adjoint_scale"):
+    for name in ("inf_norm", "build_adjoint", "_adjoint_scale"):
         spy(name)
     s = generate(70, 3, field=field)
     assert not calls
     assert s.scale == s.scale
-    assert calls == {"_adjoint_scale": 1, "_chunk_map": 1}
+    assert calls == {"_adjoint_scale": 1}
     assert s.adjoint is s.adjoint and s.structure is s.structure
-    assert calls == {"_adjoint_scale": 1, "_chunk_map": 2, "build_adjoint": 1}
+    assert calls == {"_adjoint_scale": 1, "build_adjoint": 1}
     stored = assemble_sample(s.p, s.null, seed=3, adjoint=s.adjoint)
     assert stored.scale == stored.scale == s.scale
-    assert calls == {"_adjoint_scale": 1, "_chunk_map": 2, "build_adjoint": 1, "inf_norm": 1}
+    assert calls == {"_adjoint_scale": 1, "build_adjoint": 1, "inf_norm": 1}
