@@ -1,13 +1,18 @@
 """Dense linear-algebra kernel: rank, left null vectors, and chunked reads.
 
-Factorizations delegate to the platform SVD/BLAS through numpy; the policy
-layered on top (rank threshold, residual bands, null-vector sign convention)
-is what this module owns.
+Factorizations delegate to the platform LAPACK/BLAS through numpy; the
+policy layered on top (rank threshold, residual bands, null-vector
+normalisation, the one BLAS thread of the null-vector solve) is what this
+module owns.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -36,11 +41,6 @@ _SLAB_CHUNK = 1 << 16
 # pass of a generated sample walks no stack and is not threaded
 _THREAD_MIN_BYTES = 128 << 20
 _MAX_THREADS = 2
-
-# components smaller than this are never used as the sign/phase anchor;
-# a unit vector always has a component >= 1/sqrt(N), far above it
-_ANCHOR_CUTOFF = 1e-12
-
 
 def as_field_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a square float64 or complex128 array with finite entries."""
@@ -126,44 +126,95 @@ def inf_norm(a: np.ndarray) -> float:
 
 
 def null_residual_tol(p: np.ndarray) -> float:
-    """Residual band for an SVD-derived left null vector: 64 * N * eps * ||P||_inf."""
+    """Residual band for a computed left null vector: 64 * N * eps * ||P||_inf."""
     p = as_field_matrix(p, "p")
     return 64.0 * p.shape[0] * EPS * inf_norm(p)
 
 
-def _fix_phase(n: np.ndarray) -> np.ndarray:
-    """Make the first non-negligible component real and positive."""
-    anchors = np.nonzero(np.abs(n) > _ANCHOR_CUTOFF)[0]
-    if anchors.size == 0:
-        raise ContractViolation("null vector has no usable anchor component")
-    a = n[anchors[0]]
-    if n.dtype.kind == "c":
-        # multiplying by conj(a) makes the anchor exactly real; |a| rescales it
-        n = n * (np.conjugate(a) / abs(a))
-        n[anchors[0]] = abs(n[anchors[0]])
-        return n
-    return -n if a < 0 else n
+@functools.lru_cache(maxsize=None)
+def _blas_thread_calls():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS; None without one.
+
+    The library is found in numpy's wheel folders (numpy.libs, numpy/.dylibs)
+    and its symbol under the names numpy 2.x (scipy_openblas*) and numpy 1.x
+    (openblas*) give it. numpy has loaded it already, so this handle is the
+    library numpy calls.
+    """
+    root = Path(np.__file__).resolve().parent
+    for folder in (root.parent / "numpy.libs", root / ".dylibs"):
+        for lib in sorted(folder.glob("*openblas*")):
+            try:
+                handle = ctypes.CDLL(str(lib))
+            except OSError:
+                continue
+            for prefix in ("scipy_openblas", "openblas"):
+                for suffix in ("64_", ""):
+                    get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+                    put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+                    if get is not None and put is not None:
+                        get.argtypes, get.restype = [], ctypes.c_int
+                        put.argtypes, put.restype = [ctypes.c_int], None
+                        return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one thread of numpy's OpenBLAS, then restore its count.
+
+    The count is process-wide, so a BLAS call another thread makes meanwhile
+    runs on one thread too. Without a bundled OpenBLAS the block runs unpinned.
+    """
+    calls = _blas_thread_calls()
+    before = calls[0]() if calls else 1
+    if before == 1:
+        yield
+        return
+    calls[1](1)
+    try:
+        yield
+    finally:
+        calls[1](before)
+
+
+def _left_null(p: np.ndarray) -> np.ndarray | None:
+    """[1, x] / ||[1, x]|| for the x that solves P[1:, 1:]^T x = -P[0, 1:].
+
+    One LU solve, on one BLAS thread. None where P[1:, 1:] is singular to
+    working precision: LAPACK meets a zero pivot, or ||[1, x]|| overflows.
+    """
+    try:
+        with _one_blas_thread():
+            x = np.linalg.solve(p[1:, 1:].T, -p[0, 1:])
+    except np.linalg.LinAlgError:
+        return None
+    n = np.concatenate([np.ones(1, p.dtype), x])
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(n)
+    # + 0.0 turns the -0.0 a solve can give into 0.0
+    return n / norm + 0.0 if np.isfinite(norm) else None
 
 
 def rank_and_left_null(p, tol_rank: float = 0.0):
     """Numerical rank of `p` and, when the rank is N-1, a unit left null vector.
 
-    The effective threshold is max(tol_rank, N * eps * sigma_max); singular
-    values strictly above it count toward the rank. The null vector `n`
-    satisfies n @ p ~ 0 (within ``null_residual_tol(p)`` under the default
-    threshold), has unit 2-norm, and its first component above 1e-12 in
-    magnitude is made real and positive so the result is reproducible.
+    The rank counts the singular values strictly above max(tol_rank, N * eps
+    * sigma_max); no singular vector is computed. The null vector is
+    _left_null's [1, x] / ||[1, x]||, whose bits do not follow the thread
+    count of numpy's bundled OpenBLAS. It satisfies n @ p ~ 0 (within ``null_residual_tol(p)``
+    under the default threshold), has unit 2-norm, a real positive first
+    component, and no -0.0.
 
-    Returns (rank, n, singular_values), where n is None unless rank == N-1
-    and the singular values are in descending order.
+    Returns (rank, n, singular_values), the singular values in descending
+    order. n is None unless rank == N-1 and P[1:, 1:] is nonsingular to
+    working precision; for a p whose first column is zero, as a parameter
+    matrix's is, a singular P[1:, 1:] at rank N-1 means n{1} = 0.
     """
     p = as_field_matrix(p, "p")
     if tol_rank < 0:
         raise ContractViolation("tol_rank must be nonnegative")
-    u, s, _ = np.linalg.svd(p)
+    s = np.linalg.svd(p, compute_uv=False)
     tau = max(float(tol_rank), p.shape[0] * EPS * float(s[0]))
     rank = int(np.count_nonzero(s > tau))
-    n = None
-    if rank == p.shape[0] - 1:
-        n = _fix_phase(np.conjugate(u[:, -1]).copy())
+    n = _left_null(p) if rank == p.shape[0] - 1 else None
     return rank, n, s

@@ -131,10 +131,11 @@ class ParameterMatrix:
 class NullData:
     """Unit left null vector of P with derived quantities.
 
-    scale_factor is 1/n{1} when |n{1}| >= tau_n1 and None otherwise (always
-    None in practice for nilpotent mode, where n{1} = 0 exactly in theory).
-    smallest_retained_sv is the smallest singular value counted toward the
-    rank, a conditioning diagnostic.
+    In generic mode vector is rank_and_left_null's n, with a real positive
+    n{1}; in nilpotent mode it is e_N exactly. scale_factor is 1/n{1} when
+    |n{1}| >= tau_n1 and None otherwise: always None in nilpotent mode,
+    where n{1} = 0. smallest_retained_sv is sigma_{N-1} of P, a conditioning
+    diagnostic; in nilpotent mode the superdiagonal, not it, decides the rank.
     """
 
     vector: np.ndarray
@@ -245,12 +246,32 @@ def validate_parameter_matrix(
 ) -> NullData:
     """Check rank N-1 and extract the left null vector.
 
+    Generic mode takes the rank and n from rank_and_left_null, under the
+    threshold max(tol_rank, N * eps * sigma_max). Nilpotent mode reads them
+    off P's structure: a strictly upper-triangular P has a zero last row, so
+    n = e_N exactly, and its rank is N-1 exactly when no superdiagonal entry
+    is zero. There tol_rank is the floor that every |P{i, i+1}| must exceed.
+    smallest_retained_sv is sigma_{N-1} of P in both modes.
+
     Raises DegenerateParametersError when the rank is off and, in generic
     mode, NullFirstComponentError when |n{1}| < tau_n1 (1/n{1} would blow up).
     Both are retryable rejection events, not hard failures.
     """
     tol = tolerances or Tolerances()
     n_dim = pm.dim
+    if pm.mode == "nilpotent":
+        superdiagonal = np.abs(np.diagonal(pm.matrix, 1))
+        if not np.all(superdiagonal > tol.tol_rank):
+            i = int(np.argmin(superdiagonal))
+            raise DegenerateParametersError(
+                f"parameter matrix not of rank {n_dim - 1} at tol_rank {tol.tol_rank:.1e}:"
+                f" superdiagonal entry |P{{{i + 1},{i + 2}}}| = {superdiagonal[i]:.3e}"
+                " is not above it"
+            )
+        nvec = np.zeros(n_dim, pm.matrix.dtype)
+        nvec[-1] = 1.0
+        svals = np.linalg.svd(pm.matrix, compute_uv=False)
+        return NullData(vector=nvec, scale_factor=None, smallest_retained_sv=float(svals[-2]))
     rank, nvec, svals = rank_and_left_null(pm.matrix, tol.tol_rank)
     if rank != n_dim - 1:
         smallest = float(svals[rank - 1]) if rank > 0 else 0.0
@@ -258,18 +279,15 @@ def validate_parameter_matrix(
             f"parameter matrix rank {rank} != {n_dim - 1}"
             f" (smallest retained singular value {smallest:.3e})"
         )
-    first = nvec[0]
-    usable = abs(first) >= tol.tau_n1
-    if pm.mode == "generic" and not usable:
+    # no n: P[1:, 1:] is singular, so n{1} = 0
+    first = 0.0 if nvec is None else nvec[0]
+    if abs(first) < tol.tau_n1:
         raise NullFirstComponentError(
             f"|n{{1}}| = {abs(first):.3e} below cutoff {tol.tau_n1:.1e};"
             " scale factor 1/n{1} undefined"
         )
-    if usable:
-        c = 1.0 / first
-        c = complex(c) if pm.field == "complex" else float(c)
-    else:
-        c = None
+    c = 1.0 / first
+    c = complex(c) if pm.field == "complex" else float(c)
     return NullData(
         vector=nvec,
         scale_factor=c,
@@ -363,11 +381,12 @@ def _check_stack_fits(dim: int, dtype, stacks: int = 1, available: int | None = 
 
 
 # a draw and its validation hold at most this many N x N arrays of the
-# field's dtype at once. Measured at N = 500-1500, both fields: the
+# field's dtype at once. Measured at N = 500-2500, both fields and modes: the
 # tracemalloc peak of sample_parameter_matrix plus validate_parameter_matrix
-# is 3.0 of them, and the process's peak RSS grows by 8.7-10.2, the rest
-# being gesdd's workspace, which LAPACK allocates out of tracemalloc's sight
-_WORKING_SET_MATRICES = 11
+# is 2.0-2.6 of them, and the process's peak RSS grows by 2.3-3.1, the rest
+# being the copies LAPACK's singular-value and LU calls work on, out of
+# tracemalloc's sight. A full SVD's U and V^H took it to 8.7-10.8
+_WORKING_SET_MATRICES = 4
 
 
 def _pn(p, null_vector) -> tuple[np.ndarray, np.ndarray, np.dtype]:
@@ -535,7 +554,7 @@ def generate(
     document produced for a given (dim, field, mode, seed) is unique even
     when early draws are rejected. Raises GenerationFailedError after
     `max_attempts` rejections, and SystemSizeError before the first draw
-    when a draw and its SVD would not fit in memory. The N^3 adjoint stack
+    when a draw and its validation would not fit in memory. The N^3 adjoint stack
     is neither sized nor built here: the sample builds it on first use.
     """
     if dim < 2:

@@ -11,8 +11,8 @@ each read document and on the structure document with its constant of
 largest magnitude scaled by 1.5. Up to N = 20 it also holds the reports on
 two more tampered structure documents: every constant doubled, and the
 constants of the cell's sample at seed + len(seeds) swapped in. Run it with PYTHONPATH=src, at
-OPENBLAS_NUM_THREADS=1: the complex SVD's last bits follow the BLAS thread
-count.
+OPENBLAS_NUM_THREADS=1: the null vector's solve pins itself to one BLAS
+thread, but the checks' residuals come from GEMMs on the BLAS's threads.
 
 `diff` prints the records that differ, grouped by kind (document bytes,
 scale, residual, verdict, detail, and records only one dump holds), and

@@ -3,7 +3,7 @@
 import numpy as np
 
 from lieforge.errors import ContractViolation
-from lieforge.linalg import as_field_matrix
+from lieforge.linalg import EPS, as_field_matrix
 
 
 def _check_same_space(a: np.ndarray, b: np.ndarray) -> None:
@@ -19,6 +19,23 @@ def commutator(a, b) -> np.ndarray:
     b = as_field_matrix(b, "b")
     _check_same_space(a, b)
     return a @ b - b @ a
+
+
+def svd_left_null(p, tol_rank: float = 0.0):
+    """(rank, n) from a full SVD, as the library took them before its LU solve.
+
+    The rank counts singular values above max(tol_rank, N * eps * sigma_max).
+    n is the conjugated last left singular vector, its first component above
+    1e-12 in magnitude made real and positive; None unless rank == N-1.
+    """
+    p = as_field_matrix(p, "p")
+    u, s, _ = np.linalg.svd(p)
+    rank = int(np.count_nonzero(s > max(tol_rank, p.shape[0] * EPS * s[0])))
+    if rank != p.shape[0] - 1:
+        return rank, None
+    n = np.conjugate(u[:, -1])
+    anchor = n[np.flatnonzero(np.abs(n) > 1e-12)[0]]
+    return rank, n * (np.conjugate(anchor) / abs(anchor))
 
 
 def transfer_matrix(null_vector: np.ndarray, k: int) -> np.ndarray:

@@ -628,7 +628,7 @@ def test_series_ratio_is_bitwise_invariant_under_powers_of_two(dim, field):
     reports, checks = [], []
     for k in (-40, 0, 40):
         scaled = _rescaled(s, 2.0**k)
-        # the SVD of P * 2^k gives the same n, so the adjoint scales exactly
+        # the LU solve for P * 2^k gives the same n, so the adjoint scales exactly
         np.testing.assert_array_equal(scaled.null.vector, s.null.vector)
         reports.append(lower_central_series(scaled.adjoint, scaled.p, scaled.null))
         checks.append(_series_check(scaled))

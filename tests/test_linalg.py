@@ -16,7 +16,8 @@ from lieforge.linalg import (
     null_residual_tol,
     rank_and_left_null,
 )
-from reference import commutator
+from lieforge.sampler import generate
+from reference import commutator, svd_left_null
 
 
 def test_as_field_matrix_coerces_and_validates():
@@ -143,6 +144,8 @@ def test_rank_of_diagonal_example():
     rank, n, _ = rank_and_left_null(np.diag([0.0, 1.0]))
     assert rank == 1
     np.testing.assert_array_equal(n, [1.0, 0.0])
+    # the solve gives x = -0.0 here; the null vector holds 0.0
+    assert not np.signbit(n[1])
 
 
 def test_rank_full_matrix_has_no_null_vector():
@@ -183,6 +186,82 @@ def test_phase_convention_complex_anchor_real():
     anchor = next(v for v in n if abs(v) > 1e-12)
     assert abs(anchor.imag) <= 1e-12 * abs(anchor)
     assert anchor.real > 0
+
+
+def test_a_singular_block_gives_no_null_vector():
+    """Rank N-1 with P[1:, 1:] singular: n = e_N, which has no n{1} to normalise."""
+    heisenberg = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    rank, n, _ = rank_and_left_null(heisenberg)
+    assert rank == 2 and n is None
+
+
+def _with_null_vector(dim, field, first, rng):
+    """P with a zero first column whose left null space is spanned by a unit n
+    with n{1} = first; P[1:, 1:] then has a condition number of order 1/first."""
+    def normals(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if field == "complex" else x
+
+    rest = normals(dim - 1)
+    n = np.concatenate([[first], rest * (np.sqrt(1 - first**2) / np.linalg.norm(rest))])
+    g = normals(dim, dim - 1)
+    p = np.zeros((dim, dim), g.dtype)
+    p[:, 1:] = g - np.outer(np.conjugate(n), n @ g)  # n @ p = 0
+    return p
+
+
+def _null_cells():
+    """Acceptance 2's generic grid, then built cells with n{1} near tau_n1 = 1e-10."""
+    for dim in range(2, 21):
+        for seed in range(1, 11):
+            for field in ("real", "complex"):
+                yield generate(dim, seed, field=field).p.matrix
+    rng = np.random.default_rng(34)
+    for dim in (3, 10, 40):
+        for field in ("real", "complex"):
+            for first in (1e-6, 1e-8, 1.01e-10, 0.99e-10):
+                yield _with_null_vector(dim, field, first, rng)
+
+
+def test_the_lu_null_vector_is_the_svd_null_vector_to_rounding():
+    """On every cell n is unit within 4 eps, annihilates P within the residual
+    band, holds no -0.0, has a real positive n{1}, and spans the null space of
+    the reference SVD: after the phases are matched, the two differ by at most
+    4 N eps sigma_1 / sigma_{N-1}, the first-order bound on a rounding change."""
+    for p in _null_cells():
+        dim = p.shape[0]
+        rank, n, svals = rank_and_left_null(p)
+        assert rank == dim - 1
+        assert abs(np.linalg.norm(n) - 1.0) <= 4 * EPS
+        assert inf_norm(n @ p) <= null_residual_tol(p)
+        parts = (n.real, n.imag) if n.dtype.kind == "c" else (n,)
+        assert not any(np.any((part == 0) & np.signbit(part)) for part in parts)
+        assert n[0].real > 0 and n[0].imag == 0
+        _, ref = svd_left_null(p)
+        phase = np.vdot(ref, n)
+        gap = inf_norm(n - ref * (phase / abs(phase)))
+        assert gap <= 4 * dim * EPS * svals[0] / svals[-2], (dim, gap)
+
+
+def test_the_null_solve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    calls = linalg._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy has no bundled OpenBLAS whose thread count can be set")
+    get = calls[0]
+    before = get()
+    seen = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        seen.append(get())
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    rank_and_left_null(np.diag([0.0, 1.0, 2.0]))
+    # LAPACK raises on the singular block's zero pivot inside the pin
+    rank_and_left_null(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+    assert seen == [1, 1]
+    assert get() == before
 
 
 @given(

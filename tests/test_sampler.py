@@ -100,6 +100,37 @@ def test_heisenberg_example():
     np.testing.assert_array_equal(s.structure[1, 2, :], [-1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("dim", [48, 56, 64, 80, 200])
+def test_nilpotent_draws_are_taken_first_time_with_n_exactly_e_N(dim, field):
+    """Random triangular P have condition numbers growing like 2^N, which a
+    rank SVD would reject; the superdiagonal rule takes every draw."""
+    e_n = np.zeros(dim, np.complex128 if field == "complex" else np.float64)
+    e_n[-1] = 1.0
+    for seed in range(1, 31):
+        s = generate(dim, seed, field=field, mode="nilpotent")
+        assert s.attempts == 1
+        assert s.null.vector.dtype == e_n.dtype
+        assert s.null.vector.tobytes() == e_n.tobytes()
+        assert s.null.scale_factor is None
+        assert s.null.smallest_retained_sv > 0
+
+
+def test_nilpotent_rank_is_read_off_the_superdiagonal():
+    """Rank N-1 iff every |P{i, i+1}| exceeds tol_rank; smallest_retained_sv
+    is sigma_{N-1} however small."""
+    p = np.triu(np.ones((4, 4)), 1)
+    p[1, 2] = 1e-200
+    null = validate_parameter_matrix(ParameterMatrix(p, "nilpotent"), Tolerances())
+    np.testing.assert_array_equal(null.vector, [0.0, 0.0, 0.0, 1.0])
+    assert null.smallest_retained_sv == np.linalg.svd(p, compute_uv=False)[2]
+    with pytest.raises(DegenerateParametersError, match="P\\{2,3\\}"):
+        validate_parameter_matrix(ParameterMatrix(p, "nilpotent"), Tolerances(tol_rank=1e-100))
+    p[1, 2] = 0.0  # rank 2: the rows of P[:3, 1:] are no longer independent
+    with pytest.raises(DegenerateParametersError, match="P\\{2,3\\}"):
+        validate_parameter_matrix(ParameterMatrix(p, "nilpotent"), Tolerances())
+
+
 def test_generic_mode_rejects_zero_first_null_component():
     pm = ParameterMatrix(HEISENBERG_P, "generic")
     with pytest.raises(NullFirstComponentError):
@@ -704,9 +735,9 @@ for dim, field, mode, seed in {_MULTI_CHUNK_BUILDS!r}:
 def test_the_worker_count_cannot_change_the_output():
     src = os.path.dirname(os.path.dirname(os.path.abspath(sampler_module.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    # the complex SVD's last bits follow the BLAS thread count, which pinning
-    # would change too; one BLAS thread leaves only the build's threads to vary
-    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    # pinning changes the BLAS thread count too, which the null vector's
+    # solve, run on one BLAS thread, does not follow
+    env = {**os.environ, "PYTHONPATH": path}
     runs = {}
     for how in ("pinned", "unpinned", "three"):
         out = subprocess.run(

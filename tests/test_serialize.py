@@ -21,7 +21,6 @@ from lieforge.errors import (
     NullFirstComponentError,
     SystemSizeError,
 )
-from lieforge.linalg import rank_and_left_null
 from lieforge.oracle import assemble_system
 from lieforge.sampler import (
     MODES,
@@ -32,6 +31,7 @@ from lieforge.sampler import (
     validate_parameter_matrix,
 )
 from lieforge.serialize import FORMAT_VERSION, read_sample, write_sample
+from reference import svd_left_null
 
 AFFINE_DOC = (
     '{"format_version":"lieforge/1","dim":2,"field":"real","mode":"generic",'
@@ -370,8 +370,9 @@ def test_reader_rejects_exactly_what_the_generator_rejects(name, mode):
         generator_rejects = False
     except (ContractViolation, DegenerateParametersError, NullFirstComponentError):
         generator_rejects = True
-    # the stored null vector and c agree with P, so only the generator's rules can fail
-    _, n, _ = rank_and_left_null(matrix)
+    # the stored null vector and c agree with P, so only the generator's rules can
+    # fail; the SVD gives one where P[1:, 1:] is singular, as the Heisenberg block is
+    _, n = svd_left_null(matrix)
     # a rank defect gives no null vector; e_N annihilates the zero matrix
     n = np.eye(dim)[-1] if n is None else n
     doc = json.loads(AFFINE_DOC)
