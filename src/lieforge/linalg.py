@@ -2,8 +2,8 @@
 
 Factorizations delegate to the platform LAPACK/BLAS through numpy; the
 policy layered on top (rank threshold, residual bands, null-vector
-normalisation, the one BLAS thread of the null-vector solve) is what this
-module owns.
+normalisation, which factorizations run on one BLAS thread, and which passes
+run on two threads) is what this module owns.
 """
 
 from __future__ import annotations
@@ -41,6 +41,17 @@ _SLAB_CHUNK = 1 << 16
 # pass of a generated sample walks no stack and is not threaded
 _THREAD_MIN_BYTES = 128 << 20
 _MAX_THREADS = 2
+
+# rank_and_left_null takes the singular values of a P of at most this many
+# bytes (real N <= 512, complex N <= 362) on one BLAS thread, in the pin its
+# LU solve takes anyway. Measured on 2 CPUs, the median of 15 SVDs (7 above
+# N = 320) on one thread and on two, alternating: one thread took 4-40% less
+# time at real N = 192-512 and complex N = 192-362 and 5-12% less at complex
+# N = 384 in two processes of three (in a loaded third, complex N = 320-384
+# read 2-23% more), about the same at real N = 640, and 29-42% more at
+# complex N = 500 (3.8 MiB) in all three
+_ONE_THREAD_MAX_BYTES = 2 << 20
+
 
 def as_field_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a square float64 or complex128 array with finite entries."""
@@ -92,19 +103,29 @@ def _chunk_map(fn, stop: int, row: int, itemsize: int) -> list:
     chunks = _row_chunks(stop, row * threads)
     if threads == 1:
         return [fn(rows) for rows in chunks]
-    from concurrent.futures import ThreadPoolExecutor
+
+    def share(first: int) -> list:
+        return [fn(rows) for rows in chunks[first::threads]]
 
     results = [None] * len(chunks)
-
-    def work(first: int) -> None:
-        results[first::threads] = [fn(rows) for rows in chunks[first::threads]]
-
-    with ThreadPoolExecutor(threads - 1) as pool:
-        helpers = [pool.submit(work, first) for first in range(1, threads)]
-        work(0)
-        for helper in helpers:
-            helper.result()
+    shares = _on_threads([functools.partial(share, first) for first in range(threads)])
+    for first, got in enumerate(shares):
+        results[first::threads] = got
     return results
+
+
+def _on_threads(jobs: list) -> list:
+    """[job() for job in jobs]: the first on this thread, each other on a helper thread.
+
+    numpy's ufuncs and LAPACK calls release the GIL, so the jobs run at once.
+    Every helper has finished when this returns or raises; a helper's
+    exception is raised here.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(len(jobs) - 1) as pool:
+        helpers = [pool.submit(job) for job in jobs[1:]]
+        return [jobs[0](), *(helper.result() for helper in helpers)]
 
 
 def inf_norm(a: np.ndarray) -> float:
@@ -205,6 +226,13 @@ def rank_and_left_null(p, tol_rank: float = 0.0):
     under the default threshold), has unit 2-norm, a real positive first
     component, and no -0.0.
 
+    For a p of at most _ONE_THREAD_MAX_BYTES (2 MiB: real N <= 512, complex
+    N <= 362) the singular values and the LU solve run inside one pin to
+    one OpenBLAS thread, so their bits, and the rank, do not follow the
+    thread count either. A larger p takes its singular values on the
+    default thread count, faster there, and its rank can follow that count
+    for a draw whose sigma_{N-1} lies within rounding of the threshold.
+
     Returns (rank, n, singular_values), the singular values in descending
     order. n is None unless rank == N-1 and P[1:, 1:] is nonsingular to
     working precision; for a p whose first column is zero, as a parameter
@@ -213,8 +241,9 @@ def rank_and_left_null(p, tol_rank: float = 0.0):
     p = as_field_matrix(p, "p")
     if tol_rank < 0:
         raise ContractViolation("tol_rank must be nonnegative")
-    s = np.linalg.svd(p, compute_uv=False)
-    tau = max(float(tol_rank), p.shape[0] * EPS * float(s[0]))
-    rank = int(np.count_nonzero(s > tau))
-    n = _left_null(p) if rank == p.shape[0] - 1 else None
+    with _one_blas_thread() if p.nbytes <= _ONE_THREAD_MAX_BYTES else contextlib.nullcontext():
+        s = np.linalg.svd(p, compute_uv=False)
+        tau = max(float(tol_rank), p.shape[0] * EPS * float(s[0]))
+        rank = int(np.count_nonzero(s > tau))
+        n = _left_null(p) if rank == p.shape[0] - 1 else None
     return rank, n, s

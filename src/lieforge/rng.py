@@ -24,16 +24,22 @@ and no block ends inside a partial vector. The value of draw ``i`` therefore
 depends only on ``(seed, i)``, never on call granularity or pass length. The
 stream is a single sequence: consumers that retry (resampling loops) keep
 drawing from where they left off.
+
+Where the process may run on more than one CPU, a pass of at least
+``_SPLIT_MIN_BLOCKS`` blocks is evaluated as two halves of whole blocks, one
+on a helper thread; numpy's ufuncs release the GIL, so the halves overlap.
+By the rule above, each half gives the bits the whole pass gives there.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import _SLAB_CHUNK
+from .linalg import _SLAB_CHUNK, _cpus, _on_threads
 
 __all__ = ["RNG_ID", "SplitMix64", "NormalStream"]
 
@@ -45,6 +51,13 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # normals per evaluation block; must stay fixed or streams change
 _BLOCK_PAIRS = 128
 _BLOCK_DRAWS = 2 * _BLOCK_PAIRS
+
+# a pass of at least this many blocks (24,576 draws) runs in two halves on
+# two threads. Measured on 2 CPUs, the median of 41 passes: a split pass of
+# 16-48 blocks took 1.3-3x as long as one thread, since starting the helper
+# costs about 0.2-0.4 ms; 64-80 blocks read from 3% slower to 21% faster;
+# from 96 blocks the split won in every run, by 6-24% at 96 and 7-41% at 143-256
+_SPLIT_MIN_BLOCKS = 96
 
 
 def _check_seed(seed: int) -> int:
@@ -135,11 +148,19 @@ class NormalStream:
         self._buffer = self._buffer[got:]
         while got < count:
             blocks = min(-(-(count - got) // _BLOCK_DRAWS), _SLAB_CHUNK // _BLOCK_DRAWS)
-            drawn = self._compute_block(self._next_block, blocks)
-            self._next_block += blocks
-            take = min(drawn.size, count - got)
-            out[got : got + take] = drawn[:take]
-            got += take
+            first, self._next_block = self._next_block, self._next_block + blocks
+            if blocks >= _SPLIT_MIN_BLOCKS and _cpus() > 1:
+                half = blocks // 2
+                parts = _on_threads([
+                    functools.partial(self._compute_block, first, blocks - half),
+                    functools.partial(self._compute_block, first + blocks - half, half),
+                ])
+            else:
+                parts = [self._compute_block(first, blocks)]
+            for drawn in parts:
+                take = min(drawn.size, count - got)
+                out[got : got + take] = drawn[:take]
+                got += take
             # copy the tail, so that it does not keep the whole pass alive
             self._buffer = drawn[take:].copy()
         return out

@@ -8,7 +8,9 @@ of the grid: the SHA-256 of the document each --emit writes and whether its
 read -> write round trip gives the same bytes, the sample's scale as
 float.hex, and verify_all's as_dict without seconds on the built sample, on
 each read document and on the structure document with its constant of
-largest magnitude scaled by 1.5. Up to N = 20 it also holds the reports on
+largest magnitude scaled by 1.5. Where the sample has no [e_1, e_2] constant
+on e_2, as a nilpotent one from N = 3, it holds the report on the structure
+document with that constant added. Up to N = 20 it also holds the reports on
 two more tampered structure documents: every constant doubled, and the
 constants of the cell's sample at seed + len(seeds) swapped in. Run it with PYTHONPATH=src, at
 OPENBLAS_NUM_THREADS=1: the null vector's solve pins itself to one BLAS
@@ -75,9 +77,15 @@ def _tampered(sample, swap_seed: int):
 
     "tampered" scales the constant of largest magnitude, the first of equals,
     by 1.5; a small one, such as a nilpotent sample's rounding-level first
-    constant, would move by less than the checks' bands. Up to N =
-    TAMPER_MAX_DIM, "doubled" doubles every constant and "swapped" holds the
-    constants of the same (N, field, mode) sample at swap_seed. A sample
+    constant, would move by less than the checks' bands. "added" gives a
+    sample with no [e_1, e_2] constant on e_2, as every nilpotent one from N
+    = 3, that constant, equal to its constant of largest magnitude: e_1 and
+    e_2 lie in ker n = span(e_1 .. e_{N-1}), which then is not abelian, and
+    the Jacobi identity on (e_1, e_2, e_N) fails by it times P{1,2}. Scaling
+    a nilpotent sample's constants, all [e_i, e_N] ones, keeps a valid
+    almost-abelian algebra, which only the payload check tells apart. Up to
+    N = TAMPER_MAX_DIM, "doubled" doubles every constant and "swapped" holds
+    the constants of the same (N, field, mode) sample at swap_seed. A sample
     without constants has no tamper.
     """
     data = json.loads(write_sample(sample, *EMITS["structure"]))
@@ -86,6 +94,9 @@ def _tampered(sample, swap_seed: int):
         return
     big = max(range(len(entries)), key=lambda i: _magnitude(entries[i]))
     tampers = {"tampered": [*entries[:big], _scaled(entries[big], 1.5), *entries[big + 1:]]}
+    if sample.dim > 2 and all(entry[:3] != [0, 1, 1] for entry in entries):
+        added = [0, 1, 1, entries[big][-1]]
+        tampers["added"] = sorted([*entries, added], key=lambda entry: entry[:3])
     if sample.dim <= TAMPER_MAX_DIM:
         tampers["doubled"] = [_scaled(entry, 2.0) for entry in entries]
         partner = generate(sample.dim, swap_seed, field=sample.field, mode=sample.mode)

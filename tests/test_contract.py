@@ -15,16 +15,32 @@ DIMS, SEEDS = range(2, 9), (1,)
 # (field, dim, seed): above N = 110 an unpinned LU solve's bits follow the BLAS thread count
 THREAD_CELLS = [(f, n, s) for f in ("real", "complex") for n in (96, 130, 192) for s in (1, 2, 3)]
 
-# writes each cell's `generate --emit none` document to argv[2], then prints
-# the thread count numpy's OpenBLAS runs (0 without one)
+# prints the SHA-256 of each cell's `generate --emit none` document, written to argv[2]
 _GENERATE = """
-import json, sys
-from lieforge import linalg
+import hashlib, json, sys
 from lieforge.cli import main
 for field, dim, seed in json.loads(sys.argv[1]):
-    out = f"{sys.argv[2]}/{field}-{dim}-{seed}.json"
     argv = ["generate", "--dim", str(dim), "--field", field, "--seed", str(seed)]
-    assert main([*argv, "--emit", "none", "--out", out]) == 0
+    assert main([*argv, "--emit", "none", "--out", sys.argv[2]]) == 0
+    with open(sys.argv[2], "rb") as fh:
+        print(field, dim, seed, hashlib.sha256(fh.read()).hexdigest())
+"""
+
+
+# prints, for each (field, dim, seed) cell, the hex of every singular value
+# rank_and_left_null gives and of the sample's smallest_retained_sv
+_SINGULAR_VALUES = """
+import json, sys
+from lieforge import generate, linalg
+for field, dim, seed in json.loads(sys.argv[1]):
+    sample = generate(dim, seed, field=field)
+    _, _, svals = linalg.rank_and_left_null(sample.p.matrix)
+    print(*map(float.hex, svals.tolist()), sample.null.smallest_retained_sv.hex())
+"""
+
+# appended to a child's code: prints the thread count numpy's OpenBLAS runs (0 without one)
+_BLAS_THREADS = """
+from lieforge import linalg
 calls = linalg._blas_thread_calls()
 print(calls[0]() if calls else 0)
 """
@@ -43,10 +59,17 @@ def test_a_dump_has_the_same_bytes_in_a_child_process(tmp_path):
     code = f"import contract; contract.dump({str(child)!r}, range(2, 9), (1,))"
     subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True)
     assert here.read_bytes() == child.read_bytes()
-    # every cell, with its scale, five reports on clean samples and three tampered
-    keys = list(contract._load(str(here)))
-    assert len(keys) == len(DIMS) * len(SEEDS) * 4 * 13 - 6  # N=2 nilpotent has no constant
-    assert {key.rsplit(" ", 1)[1] for key in keys if " report " in key} >= {"doubled", "swapped"}
+    # every cell, with its scale, five reports on clean samples and three tampered,
+    # and in each nilpotent cell a fourth tamper, "added"; N=2 nilpotent has no constant
+    records = contract._load(str(here))
+    cells, nilpotent_n2 = len(DIMS) * len(SEEDS) * 4, 2 * len(SEEDS)
+    assert len(records) == cells * 13 + cells // 2 - nilpotent_n2 * 4
+    kinds = {key.rsplit(" ", 1)[1] for key in records if " report " in key}
+    assert kinds >= {"doubled", "swapped", "added"}
+    for key, report in records.items():
+        if key.endswith(" added"):
+            failed = {check["name"] for check in report["checks"] if not check["passed"]}
+            assert failed >= {"jacobi", "almost_abelian"}, key
     assert contract.main(["diff", str(here), str(child)]) == 0
 
 
@@ -78,20 +101,33 @@ def test_diff_groups_changes_by_kind(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_documents_do_not_follow_the_blas_thread_count(tmp_path):
-    """The null vector's LU solve runs on one BLAS thread, so a child at
-    OPENBLAS_NUM_THREADS=2 writes the bytes a child at 1 writes."""
-    threads = {}
+def _at_blas_threads(code: str, *args: str) -> dict:
+    """{count: stdout lines} of a child running code at OPENBLAS_NUM_THREADS=count,
+    for counts 1 and 2; skips where numpy's BLAS will not run two threads."""
+    lines = {}
     for count in (1, 2):
-        (tmp_path / str(count)).mkdir()
         proc = subprocess.run(
-            [sys.executable, "-c", _GENERATE, json.dumps(THREAD_CELLS), str(tmp_path / str(count))],
+            [sys.executable, "-c", code + _BLAS_THREADS, *args],
             env=_child_env(OPENBLAS_NUM_THREADS=str(count)),
             capture_output=True, text=True, check=True,
         )
-        threads[count] = int(proc.stdout.split()[-1])
-    if threads[2] < 2:
-        pytest.skip(f"numpy's BLAS runs {threads[2]} threads at OPENBLAS_NUM_THREADS=2 here")
-    for field, dim, seed in THREAD_CELLS:
-        name = f"{field}-{dim}-{seed}.json"
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+        *lines[count], threads = proc.stdout.splitlines()
+    if int(threads) < 2:
+        pytest.skip(f"numpy's BLAS runs {threads} threads at OPENBLAS_NUM_THREADS=2 here")
+    return lines
+
+
+def test_documents_do_not_follow_the_blas_thread_count(tmp_path):
+    """The null vector's LU solve runs on one BLAS thread, so a child at
+    OPENBLAS_NUM_THREADS=2 writes the bytes a child at 1 writes."""
+    lines = _at_blas_threads(_GENERATE, json.dumps(THREAD_CELLS), str(tmp_path / "doc.json"))
+    assert lines[1] == lines[2]
+
+
+def test_singular_values_below_the_pin_cutoff_do_not_follow_the_blas_thread_count():
+    """A P of at most 2 MiB takes its singular values on one BLAS thread, so
+    the rank verdict and smallest_retained_sv of a complex N = 192 or 256
+    draw do not depend on the thread count."""
+    cells = [("complex", dim, seed) for dim in (192, 256) for seed in (1, 2)]
+    lines = _at_blas_threads(_SINGULAR_VALUES, json.dumps(cells))
+    assert lines[1] == lines[2]

@@ -284,3 +284,40 @@ def test_rank_invariant_under_row_permutation(block, perm):
 @settings(max_examples=40, deadline=None)
 def test_commutator_antisymmetry_is_exact(a, b):
     np.testing.assert_array_equal(commutator(a, b), -commutator(b, a))
+
+
+# (dim, field, pinned): the largest P of at most _ONE_THREAD_MAX_BYTES in each field, and the next
+@pytest.mark.parametrize("dim, field, pinned", [
+    (20, "real", True), (512, "real", True), (362, "complex", True),
+    (513, "real", False), (363, "complex", False),
+])
+def test_a_validation_toggles_the_blas_thread_count_once(monkeypatch, dim, field, pinned):
+    """A P of at most _ONE_THREAD_MAX_BYTES takes its singular values and its
+    LU solve inside one pin to one BLAS thread; a larger one takes its SVD at
+    the default count and pins the LU solve alone."""
+    count, puts, seen = [2], [], []
+
+    def put(threads):
+        puts.append(threads)
+        count[0] = threads
+
+    def spy(name, call):
+        def run(*args, **kwargs):
+            seen.append((name, count[0]))
+            return call(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(linalg, "_blas_thread_calls", lambda: (lambda: count[0], put))
+    monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "solve", spy("solve", np.linalg.solve))
+    rng = np.random.default_rng(dim)
+    p = rng.standard_normal((dim, dim))
+    if field == "complex":
+        p = p + 1j * rng.standard_normal((dim, dim))
+    p[:, 0] = 0.0
+    assert (p.nbytes <= linalg._ONE_THREAD_MAX_BYTES) == pinned
+    rank, n, _ = rank_and_left_null(p)
+    assert rank == dim - 1 and n is not None
+    assert seen == [("svd", 1 if pinned else 2), ("solve", 1)]
+    assert puts == [1, 2] and count == [2]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lieforge import rng
 from lieforge.errors import ContractViolation
 from lieforge.rng import _GAMMA, RNG_ID, NormalStream, SplitMix64, _mix64_array
 
@@ -165,3 +166,38 @@ def test_split_calls_equal_per_block_evaluation(calls):
         for count in calls:
             assert stream.normals(count).tobytes() == reference.normals(count).tobytes()
         assert stream.normals(1)[0] == reference.normals(1)[0]
+
+
+# requests of N(N-1) and 2N(N-1) normals, as the sampler makes, and requests
+# within one draw of _SPLIT_MIN_BLOCKS - 1 and _SPLIT_MIN_BLOCKS whole blocks
+_SPLIT_COUNTS = [
+    *(k * dim * (dim - 1) for dim in (191, 192, 320) for k in (1, 2)),
+    *(
+        blocks * 256 + extra
+        for blocks in (rng._SPLIT_MIN_BLOCKS - 1, rng._SPLIT_MIN_BLOCKS)
+        for extra in (-1, 0, 1)
+    ),
+]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("count", _SPLIT_COUNTS)
+def test_a_split_pass_equals_the_one_thread_pass(monkeypatch, cpus, count):
+    """On more than one CPU a pass of at least _SPLIT_MIN_BLOCKS blocks runs
+    in two halves on two threads; the draws are the same bits either way,
+    and a second request continues the stream without a seam."""
+    splits, on_threads = [], rng._on_threads
+
+    def spy(jobs):
+        splits.append(len(jobs))
+        return on_threads(jobs)
+
+    monkeypatch.setattr(rng, "_cpus", lambda: cpus)
+    monkeypatch.setattr(rng, "_on_threads", spy)
+    for seed in (0, 7, 2**64 - 1):
+        stream, reference = NormalStream(seed), _PerBlockStream(seed)
+        for _ in range(2):
+            assert stream.normals(count).tobytes() == reference.normals(count).tobytes()
+    blocks = -(-count // 256)
+    split = cpus > 1 and min(blocks, 256) >= rng._SPLIT_MIN_BLOCKS
+    assert bool(splits) == split and set(splits) <= {2}
