@@ -42,16 +42,6 @@ _SLAB_CHUNK = 1 << 16
 _THREAD_MIN_BYTES = 128 << 20
 _MAX_THREADS = 2
 
-# rank_and_left_null takes the singular values of a P of at most this many
-# bytes (real N <= 512, complex N <= 362) on one BLAS thread, in the pin its
-# LU solve takes anyway. Measured on 2 CPUs, the median of 15 SVDs (7 above
-# N = 320) on one thread and on two, alternating: one thread took 4-40% less
-# time at real N = 192-512 and complex N = 192-362 and 5-12% less at complex
-# N = 384 in two processes of three (in a loaded third, complex N = 320-384
-# read 2-23% more), about the same at real N = 640, and 29-42% more at
-# complex N = 500 (3.8 MiB) in all three
-_ONE_THREAD_MAX_BYTES = 2 << 20
-
 
 def as_field_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a square float64 or complex128 array with finite entries."""
@@ -216,6 +206,19 @@ def _left_null(p: np.ndarray) -> np.ndarray | None:
     return n / norm + 0.0 if np.isfinite(norm) else None
 
 
+def _singular_values(p: np.ndarray) -> np.ndarray:
+    """The singular values of p, descending, taken on one OpenBLAS thread.
+
+    The values' bits then do not follow the thread count. Measured on 2 CPUs
+    against two threads, one thread is also the faster up to about real
+    N = 512 and complex N = 362; about level at real N = 640, and about a
+    quarter slower at complex N = 500. Inside a pin already taken, as
+    rank_and_left_null's, the count is not switched again.
+    """
+    with _one_blas_thread():
+        return np.linalg.svd(p, compute_uv=False)
+
+
 def rank_and_left_null(p, tol_rank: float = 0.0):
     """Numerical rank of `p` and, when the rank is N-1, a unit left null vector.
 
@@ -226,12 +229,9 @@ def rank_and_left_null(p, tol_rank: float = 0.0):
     under the default threshold), has unit 2-norm, a real positive first
     component, and no -0.0.
 
-    For a p of at most _ONE_THREAD_MAX_BYTES (2 MiB: real N <= 512, complex
-    N <= 362) the singular values and the LU solve run inside one pin to
-    one OpenBLAS thread, so their bits, and the rank, do not follow the
-    thread count either. A larger p takes its singular values on the
-    default thread count, faster there, and its rank can follow that count
-    for a draw whose sigma_{N-1} lies within rounding of the threshold.
+    The singular values and the LU solve run inside one pin to one OpenBLAS
+    thread, one switch of the thread count, so their bits, and the rank, do
+    not follow that count either.
 
     Returns (rank, n, singular_values), the singular values in descending
     order. n is None unless rank == N-1 and P[1:, 1:] is nonsingular to
@@ -241,8 +241,8 @@ def rank_and_left_null(p, tol_rank: float = 0.0):
     p = as_field_matrix(p, "p")
     if tol_rank < 0:
         raise ContractViolation("tol_rank must be nonnegative")
-    with _one_blas_thread() if p.nbytes <= _ONE_THREAD_MAX_BYTES else contextlib.nullcontext():
-        s = np.linalg.svd(p, compute_uv=False)
+    with _one_blas_thread():
+        s = _singular_values(p)
         tau = max(float(tol_rank), p.shape[0] * EPS * float(s[0]))
         rank = int(np.count_nonzero(s > tau))
         n = _left_null(p) if rank == p.shape[0] - 1 else None

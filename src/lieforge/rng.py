@@ -52,11 +52,12 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _BLOCK_PAIRS = 128
 _BLOCK_DRAWS = 2 * _BLOCK_PAIRS
 
-# a pass of at least this many blocks (24,576 draws) runs in two halves on
-# two threads. Measured on 2 CPUs, the median of 41 passes: a split pass of
-# 16-48 blocks took 1.3-3x as long as one thread, since starting the helper
-# costs about 0.2-0.4 ms; 64-80 blocks read from 3% slower to 21% faster;
-# from 96 blocks the split won in every run, by 6-24% at 96 and 7-41% at 143-256
+# a pass of at least this many blocks (more than 24,320 draws left to take)
+# runs in two halves on two threads. Measured on 2 CPUs, the median of 41
+# passes: a split pass of 16-48 blocks took 1.3-3x as long as one thread,
+# since starting the helper costs about 0.2-0.4 ms; 64-80 blocks read from 3%
+# slower to 21% faster; from 96 blocks the split won in every run, by 6-24%
+# at 96 and 7-41% at 143-256
 _SPLIT_MIN_BLOCKS = 96
 
 

@@ -34,7 +34,15 @@ from .errors import (
     NullFirstComponentError,
     SystemSizeError,
 )
-from .linalg import EPS, _chunk_map, _row_chunks, as_field_matrix, inf_norm, rank_and_left_null
+from .linalg import (
+    EPS,
+    _chunk_map,
+    _row_chunks,
+    _singular_values,
+    as_field_matrix,
+    inf_norm,
+    rank_and_left_null,
+)
 from .rng import RNG_ID, NormalStream
 
 __all__ = [
@@ -270,7 +278,7 @@ def validate_parameter_matrix(
             )
         nvec = np.zeros(n_dim, pm.matrix.dtype)
         nvec[-1] = 1.0
-        svals = np.linalg.svd(pm.matrix, compute_uv=False)
+        svals = _singular_values(pm.matrix)
         return NullData(vector=nvec, scale_factor=None, smallest_retained_sv=float(svals[-2]))
     rank, nvec, svals = rank_and_left_null(pm.matrix, tol.tol_rank)
     if rank != n_dim - 1:

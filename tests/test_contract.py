@@ -32,9 +32,9 @@ for field, dim, seed in json.loads(sys.argv[1]):
 _SINGULAR_VALUES = """
 import json, sys
 from lieforge import generate, linalg
-for field, dim, seed in json.loads(sys.argv[1]):
-    sample = generate(dim, seed, field=field)
-    _, _, svals = linalg.rank_and_left_null(sample.p.matrix)
+for field, dim, seed, mode in json.loads(sys.argv[1]):
+    sample = generate(dim, seed, field=field, mode=mode)
+    svals = linalg._singular_values(sample.p.matrix)
     print(*map(float.hex, svals.tolist()), sample.null.smallest_retained_sv.hex())
 """
 
@@ -124,10 +124,11 @@ def test_documents_do_not_follow_the_blas_thread_count(tmp_path):
     assert lines[1] == lines[2]
 
 
-def test_singular_values_below_the_pin_cutoff_do_not_follow_the_blas_thread_count():
-    """A P of at most 2 MiB takes its singular values on one BLAS thread, so
-    the rank verdict and smallest_retained_sv of a complex N = 192 or 256
-    draw do not depend on the thread count."""
-    cells = [("complex", dim, seed) for dim in (192, 256) for seed in (1, 2)]
+def test_singular_values_do_not_follow_the_blas_thread_count():
+    """A validation takes its singular values on one BLAS thread, so the rank
+    verdict and smallest_retained_sv of a complex N = 192 or 256 draw do not
+    depend on the thread count, nor those of a complex nilpotent N = 96 draw."""
+    cells = [("complex", dim, seed, "generic") for dim in (192, 256) for seed in (1, 2)]
+    cells += [("complex", 96, seed, "nilpotent") for seed in (1, 2)]
     lines = _at_blas_threads(_SINGULAR_VALUES, json.dumps(cells))
     assert lines[1] == lines[2]

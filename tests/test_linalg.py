@@ -16,7 +16,8 @@ from lieforge.linalg import (
     null_residual_tol,
     rank_and_left_null,
 )
-from lieforge.sampler import generate
+from lieforge.rng import NormalStream
+from lieforge.sampler import generate, sample_parameter_matrix, validate_parameter_matrix
 from reference import commutator, svd_left_null
 
 
@@ -286,38 +287,51 @@ def test_commutator_antisymmetry_is_exact(a, b):
     np.testing.assert_array_equal(commutator(a, b), -commutator(b, a))
 
 
-# (dim, field, pinned): the largest P of at most _ONE_THREAD_MAX_BYTES in each field, and the next
-@pytest.mark.parametrize("dim, field, pinned", [
-    (20, "real", True), (512, "real", True), (362, "complex", True),
-    (513, "real", False), (363, "complex", False),
-])
-def test_a_validation_toggles_the_blas_thread_count_once(monkeypatch, dim, field, pinned):
-    """A P of at most _ONE_THREAD_MAX_BYTES takes its singular values and its
-    LU solve inside one pin to one BLAS thread; a larger one takes its SVD at
-    the default count and pins the LU solve alone."""
-    count, puts, seen = [2], [], []
+class _ThreadCountSpy:
+    """A fake OpenBLAS thread count at 2, and the count each SVD and solve runs at."""
 
-    def put(threads):
-        puts.append(threads)
-        count[0] = threads
+    def __init__(self, monkeypatch):
+        self.count, self.puts, self.seen = 2, [], []
+        monkeypatch.setattr(linalg, "_blas_thread_calls", lambda: (lambda: self.count, self.put))
+        monkeypatch.setattr(np.linalg, "svd", self.spy("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "solve", self.spy("solve", np.linalg.solve))
 
-    def spy(name, call):
+    def put(self, threads):
+        self.puts.append(threads)
+        self.count = threads
+
+    def spy(self, name, call):
         def run(*args, **kwargs):
-            seen.append((name, count[0]))
+            self.seen.append((name, self.count))
             return call(*args, **kwargs)
 
         return run
 
-    monkeypatch.setattr(linalg, "_blas_thread_calls", lambda: (lambda: count[0], put))
-    monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
-    monkeypatch.setattr(np.linalg, "solve", spy("solve", np.linalg.solve))
+
+# (dim, field): P of 3 KiB up to 2.4 MiB
+@pytest.mark.parametrize("dim, field", [(20, "real"), (256, "complex"), (400, "complex")])
+def test_a_validation_toggles_the_blas_thread_count_once(monkeypatch, dim, field):
+    """A validation takes its singular values and its LU solve inside one pin
+    to one BLAS thread, at every size: one switch down, one back."""
+    spy = _ThreadCountSpy(monkeypatch)
     rng = np.random.default_rng(dim)
     p = rng.standard_normal((dim, dim))
     if field == "complex":
         p = p + 1j * rng.standard_normal((dim, dim))
     p[:, 0] = 0.0
-    assert (p.nbytes <= linalg._ONE_THREAD_MAX_BYTES) == pinned
     rank, n, _ = rank_and_left_null(p)
     assert rank == dim - 1 and n is not None
-    assert seen == [("svd", 1 if pinned else 2), ("solve", 1)]
-    assert puts == [1, 2] and count == [2]
+    assert spy.seen == [("svd", 1), ("solve", 1)]
+    assert spy.puts == [1, 2] and spy.count == 2
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_a_nilpotent_validation_takes_its_singular_values_on_one_blas_thread(monkeypatch, field):
+    """smallest_retained_sv of a nilpotent draw comes from the same pinned SVD
+    as a generic draw's; its rank and n need no BLAS call."""
+    pm = sample_parameter_matrix(64, NormalStream(1), field=field, mode="nilpotent")
+    spy = _ThreadCountSpy(monkeypatch)
+    null = validate_parameter_matrix(pm)
+    assert spy.seen == [("svd", 1)]
+    assert spy.puts == [1, 2] and spy.count == 2
+    assert null.smallest_retained_sv > 0.0
