@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import EPS, _chunk_map, inf_norm
+from .linalg import EPS, _row_chunks, inf_norm
 from .rng import NormalStream, SplitMix64, _check_seed
 from .sampler import LieAlgebraSample, _adjoint_block
 
@@ -139,12 +139,13 @@ def _probe(t: np.ndarray, seed: int, check: str, arity: int) -> tuple[np.ndarray
 
 
 def _power_of_two_above(x: float) -> float:
-    """The smallest power of two at or above x; 1.0 unless x > 0 is finite."""
+    """The smallest power of two at or above x, or 2^1023, the largest float
+    power of two, where x is above that; 1.0 unless x > 0 is finite."""
     if not x > 0.0:
         return 1.0
     # frexp's mantissa is in [1/2, 1); a mantissa of exactly 1/2 is a power of two
     mantissa, exponent = math.frexp(x)
-    return math.ldexp(1.0, exponent - (mantissa == 0.5))
+    return math.ldexp(1.0, min(exponent - (mantissa == 0.5), 1023))
 
 
 def _lift(size: float) -> int:
@@ -364,9 +365,9 @@ def canonical_series_path(dim: int, depth: int) -> tuple[tuple[int, int], tuple[
 
 
 def _row_sum_norm(adj: np.ndarray) -> float:
-    """max_k ||A_k||_inf, read in one _chunk_map pass; NaN propagates."""
+    """max_k ||A_k||_inf, read in one pass over _row_chunks; NaN propagates."""
     dim = adj.shape[0]
-    sums = _chunk_map(lambda ks: np.abs(adj[ks]).sum(axis=2).max(), dim, dim * dim, adj.itemsize)
+    sums = [np.abs(adj[ks]).sum(axis=2).max() for ks in _row_chunks(dim, dim * dim)]
     return float(np.max(sums))
 
 
@@ -388,9 +389,11 @@ def lower_central_series(
     sigma the smallest power of two at or above 2 max_k ||A_k||_inf, scaling
     only the adjoint slices the path touches. Scaling by a power of two is
     exact, and since ||[A, D]||_inf <= 2 ||A||_inf ||D||_inf no level can
-    grow, so nothing overflows. Against underflow, the iterates are lifted by
-    an exact power of two (_lift) once their peak falls below _LIFT_BELOW,
-    and the lift is divided out of the reported values.
+    grow, so nothing overflows. Only where 2S exceeds 2^1023, the largest
+    float power of two, is sigma held there, and a level may overflow to inf
+    or NaN. Against underflow, the iterates are lifted by an exact power of
+    two (_lift) once their peak falls below _LIFT_BELOW, and the lift is
+    divided out of the reported values.
 
     The default path is the canonical one. Termination is decided on the
     closed-form iterate, which is free of the direct path's cancellation
@@ -523,7 +526,7 @@ def _check_payload(sample: LieAlgebraSample, seed: int, tau: float) -> tuple:
             hits.append((float(diff[a, r, c]), tuple(int(x) for x in where)))
         return hits
 
-    found = _chunk_map(compare, sample.dim, sample.dim**2, np.result_type(p, n).itemsize)
+    found = [compare(rows) for rows in _row_chunks(sample.dim, sample.dim**2)]
     # np.argmax keeps the first maximum and the first NaN, across chunks as within one
     worst = {
         name: hits[int(np.argmax([d for d, _ in hits]))]
@@ -652,8 +655,9 @@ def verify_all(sample: LieAlgebraSample, config: VerifyConfig | None = None) -> 
         if name not in cfg.checks:
             continue
         begin = time.perf_counter()
-        # an inf entry makes inf - inf somewhere: its NaN is the residual, not a warning
-        with np.errstate(invalid="ignore"):
+        # an inf entry makes inf - inf somewhere, and entries near the float
+        # range overflow: the inf or NaN is the residual, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
             residual, tolerance, passed, detail = check(sample, cfg.seed, tau)
         results.append(
             CheckResult(name, residual, tolerance, passed, time.perf_counter() - begin, detail)

@@ -288,9 +288,11 @@ def cmd_oracle(args) -> int:
         f"separation: {diagnostics.separation:.6e}"
         f"  separation threshold: {diagnostics.separation_threshold:.6e}"
     )
+    # a nilpotent draw takes no singular value; at N=2 its empty system gets here
+    sv = sample.null.smallest_retained_sv
     print(
         f"attempts: {sample.attempts}"
-        f"  smallest retained singular value: {sample.null.smallest_retained_sv:.6e}"
+        + (f"  smallest retained singular value: {sv:.6e}" if sv is not None else "")
     )
     print(f"solve residual: {diagnostics.residual:.6e}")
     print(

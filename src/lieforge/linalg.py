@@ -2,8 +2,8 @@
 
 Factorizations delegate to the platform LAPACK/BLAS through numpy; the
 policy layered on top (rank threshold, residual bands, null-vector
-normalisation, which factorizations run on one BLAS thread, and which passes
-run on two threads) is what this module owns.
+normalisation, and the one pin of a validation to one BLAS thread) is what
+this module owns. Every chunked pass runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import os
 from pathlib import Path
 
 import numpy as np
@@ -31,16 +30,8 @@ EPS = float(np.finfo(np.float64).eps)
 # entries per temporary in every chunked kernel (the adjoint build and the
 # payload check's rebuild, one block of adjoint matrices a chunk; the scale
 # pass's rows; the series' row sums; inf_norm; a pass of normal draws): 1 MB
-# of complex128, so a chunk works in cache; _chunk_map splits it among its threads
+# of complex128, so a chunk works in cache
 _SLAB_CHUNK = 1 << 16
-
-# _chunk_map threads a pass only over more than this many bytes, and then on
-# at most _MAX_THREADS. Measured on the adjoint build (ROADMAP aim 1): right
-# after its SVD, stacks up to 128 MiB gained nothing from a second thread and
-# larger ones gained; no box with more than two CPUs was measured. The scale
-# pass of a generated sample walks no stack and is not threaded
-_THREAD_MIN_BYTES = 128 << 20
-_MAX_THREADS = 2
 
 
 def as_field_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -67,55 +58,6 @@ def _row_chunks(stop: int, row: int) -> list[slice]:
     """
     step = max(1, _SLAB_CHUNK // row)
     return [slice(i, min(i + step, stop)) for i in range(0, stop, step)]
-
-
-def _cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _chunk_map(fn, stop: int, row: int, itemsize: int) -> list:
-    """[fn(rows) for rows in slices covering range(stop)], rows of `row` itemsize-byte entries.
-
-    A pass over more than _THREAD_MIN_BYTES runs on min(_MAX_THREADS,
-    _cpus()) threads: this one and a helper per further thread, each taking
-    every threads-th slice (numpy ufuncs release the GIL). A slice holds a
-    1/threads share of _SLAB_CHUNK entries and at least one row, so the
-    temporaries in flight hold at most max(_SLAB_CHUNK, threads * row)
-    entries. Otherwise fn runs inline on _row_chunks(stop, row). fn must
-    depend only on its own rows, so that the split cannot change the result.
-    """
-    threads = _MAX_THREADS if stop * row * itemsize > _THREAD_MIN_BYTES else 1
-    threads = min(threads, _cpus(), len(_row_chunks(stop, row)))
-    chunks = _row_chunks(stop, row * threads)
-    if threads == 1:
-        return [fn(rows) for rows in chunks]
-
-    def share(first: int) -> list:
-        return [fn(rows) for rows in chunks[first::threads]]
-
-    results = [None] * len(chunks)
-    shares = _on_threads([functools.partial(share, first) for first in range(threads)])
-    for first, got in enumerate(shares):
-        results[first::threads] = got
-    return results
-
-
-def _on_threads(jobs: list) -> list:
-    """[job() for job in jobs]: the first on this thread, each other on a helper thread.
-
-    numpy's ufuncs and LAPACK calls release the GIL, so the jobs run at once.
-    Every helper has finished when this returns or raises; a helper's
-    exception is raised here.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(len(jobs) - 1) as pool:
-        helpers = [pool.submit(job) for job in jobs[1:]]
-        return [jobs[0](), *(helper.result() for helper in helpers)]
 
 
 def inf_norm(a: np.ndarray) -> float:
@@ -191,12 +133,11 @@ def _one_blas_thread():
 def _left_null(p: np.ndarray) -> np.ndarray | None:
     """[1, x] / ||[1, x]|| for the x that solves P[1:, 1:]^T x = -P[0, 1:].
 
-    One LU solve, on one BLAS thread. None where P[1:, 1:] is singular to
-    working precision: LAPACK meets a zero pivot, or ||[1, x]|| overflows.
+    One LU solve. None where P[1:, 1:] is singular to working precision:
+    LAPACK meets a zero pivot, or ||[1, x]|| overflows.
     """
     try:
-        with _one_blas_thread():
-            x = np.linalg.solve(p[1:, 1:].T, -p[0, 1:])
+        x = np.linalg.solve(p[1:, 1:].T, -p[0, 1:])
     except np.linalg.LinAlgError:
         return None
     n = np.concatenate([np.ones(1, p.dtype), x])
@@ -206,32 +147,21 @@ def _left_null(p: np.ndarray) -> np.ndarray | None:
     return n / norm + 0.0 if np.isfinite(norm) else None
 
 
-def _singular_values(p: np.ndarray) -> np.ndarray:
-    """The singular values of p, descending, taken on one OpenBLAS thread.
-
-    The values' bits then do not follow the thread count. Measured on 2 CPUs
-    against two threads, one thread is also the faster up to about real
-    N = 512 and complex N = 362; about level at real N = 640, and about a
-    quarter slower at complex N = 500. Inside a pin already taken, as
-    rank_and_left_null's, the count is not switched again.
-    """
-    with _one_blas_thread():
-        return np.linalg.svd(p, compute_uv=False)
-
-
 def rank_and_left_null(p, tol_rank: float = 0.0):
     """Numerical rank of `p` and, when the rank is N-1, a unit left null vector.
 
     The rank counts the singular values strictly above max(tol_rank, N * eps
     * sigma_max); no singular vector is computed. The null vector is
-    _left_null's [1, x] / ||[1, x]||, whose bits do not follow the thread
-    count of numpy's bundled OpenBLAS. It satisfies n @ p ~ 0 (within ``null_residual_tol(p)``
-    under the default threshold), has unit 2-norm, a real positive first
-    component, and no -0.0.
+    _left_null's [1, x] / ||[1, x]||. It satisfies n @ p ~ 0 (within
+    ``null_residual_tol(p)`` under the default threshold), has unit 2-norm, a
+    real positive first component, and no -0.0.
 
-    The singular values and the LU solve run inside one pin to one OpenBLAS
-    thread, one switch of the thread count, so their bits, and the rank, do
-    not follow that count either.
+    The singular values and the LU solve run inside one pin to one thread of
+    numpy's bundled OpenBLAS, one switch of the thread count, so their bits,
+    the rank and n do not follow that count. Measured on 2 CPUs against two
+    threads, one thread is also the faster SVD up to about real N = 512 and
+    complex N = 362; about level at real N = 640, and about a quarter slower
+    at complex N = 500.
 
     Returns (rank, n, singular_values), the singular values in descending
     order. n is None unless rank == N-1 and P[1:, 1:] is nonsingular to
@@ -242,7 +172,7 @@ def rank_and_left_null(p, tol_rank: float = 0.0):
     if tol_rank < 0:
         raise ContractViolation("tol_rank must be nonnegative")
     with _one_blas_thread():
-        s = _singular_values(p)
+        s = np.linalg.svd(p, compute_uv=False)
         tau = max(float(tol_rank), p.shape[0] * EPS * float(s[0]))
         rank = int(np.count_nonzero(s > tau))
         n = _left_null(p) if rank == p.shape[0] - 1 else None

@@ -29,17 +29,19 @@ Where the process may run on more than one CPU, a pass of at least
 ``_SPLIT_MIN_BLOCKS`` blocks is evaluated as two halves of whole blocks, one
 on a helper thread; numpy's ufuncs release the GIL, so the halves overlap.
 By the rule above, each half gives the bits the whole pass gives there.
+This split is the only place the package starts a thread of its own.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import _SLAB_CHUNK, _cpus, _on_threads
+from .linalg import _SLAB_CHUNK
 
 __all__ = ["RNG_ID", "SplitMix64", "NormalStream"]
 
@@ -59,6 +61,27 @@ _BLOCK_DRAWS = 2 * _BLOCK_PAIRS
 # slower to 21% faster; from 96 blocks the split won in every run, by 6-24%
 # at 96 and 7-41% at 143-256
 _SPLIT_MIN_BLOCKS = 96
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _on_threads(jobs: list) -> list:
+    """[job() for job in jobs]: the first on this thread, each other on a helper thread.
+
+    numpy's ufuncs release the GIL, so the jobs run at once. Every helper has
+    finished when this returns or raises; a helper's exception is raised here.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(len(jobs) - 1) as pool:
+        helpers = [pool.submit(job) for job in jobs[1:]]
+        return [jobs[0](), *(helper.result() for helper in helpers)]
 
 
 def _check_seed(seed: int) -> int:

@@ -34,15 +34,7 @@ from .errors import (
     NullFirstComponentError,
     SystemSizeError,
 )
-from .linalg import (
-    EPS,
-    _chunk_map,
-    _row_chunks,
-    _singular_values,
-    as_field_matrix,
-    inf_norm,
-    rank_and_left_null,
-)
+from .linalg import EPS, _row_chunks, as_field_matrix, inf_norm, rank_and_left_null
 from .rng import RNG_ID, NormalStream
 
 __all__ = [
@@ -142,13 +134,14 @@ class NullData:
     In generic mode vector is rank_and_left_null's n, with a real positive
     n{1}; in nilpotent mode it is e_N exactly. scale_factor is 1/n{1} when
     |n{1}| >= tau_n1 and None otherwise: always None in nilpotent mode,
-    where n{1} = 0. smallest_retained_sv is sigma_{N-1} of P, a conditioning
-    diagnostic; in nilpotent mode the superdiagonal, not it, decides the rank.
+    where n{1} = 0. smallest_retained_sv is sigma_{N-1} of P in generic
+    mode, a conditioning diagnostic, and None in nilpotent mode, where the
+    superdiagonal decides the rank and no singular value is taken.
     """
 
     vector: np.ndarray
     scale_factor: float | complex | None
-    smallest_retained_sv: float
+    smallest_retained_sv: float | None
 
     def __post_init__(self):
         v = np.asarray(self.vector)
@@ -258,8 +251,9 @@ def validate_parameter_matrix(
     threshold max(tol_rank, N * eps * sigma_max). Nilpotent mode reads them
     off P's structure: a strictly upper-triangular P has a zero last row, so
     n = e_N exactly, and its rank is N-1 exactly when no superdiagonal entry
-    is zero. There tol_rank is the floor that every |P{i, i+1}| must exceed.
-    smallest_retained_sv is sigma_{N-1} of P in both modes.
+    is zero. There tol_rank is the floor that every |P{i, i+1}| must exceed,
+    no LAPACK call is made, and smallest_retained_sv is None; in generic mode
+    it is sigma_{N-1} of P.
 
     Raises DegenerateParametersError when the rank is off and, in generic
     mode, NullFirstComponentError when |n{1}| < tau_n1 (1/n{1} would blow up).
@@ -278,8 +272,7 @@ def validate_parameter_matrix(
             )
         nvec = np.zeros(n_dim, pm.matrix.dtype)
         nvec[-1] = 1.0
-        svals = _singular_values(pm.matrix)
-        return NullData(vector=nvec, scale_factor=None, smallest_retained_sv=float(svals[-2]))
+        return NullData(vector=nvec, scale_factor=None, smallest_retained_sv=None)
     rank, nvec, svals = rank_and_left_null(pm.matrix, tol.tol_rank)
     if rank != n_dim - 1:
         smallest = float(svals[rank - 1]) if rank > 0 else 0.0
@@ -409,24 +402,20 @@ def _pn(p, null_vector) -> tuple[np.ndarray, np.ndarray, np.dtype]:
 def build_adjoint(p: np.ndarray, null_vector: np.ndarray) -> np.ndarray:
     """All adjoint matrices at once, adj[k] = n{k} * P - p_k (x) n.
 
-    Equals P @ T_k for each k but runs in O(N^3) total, in one pass of
-    _chunk_map: each chunk of rows a is built by _adjoint_block straight into
-    the stack. _chunk_map runs the chunks of a stack above _THREAD_MIN_BYTES
-    on threads, which hold at most max(_SLAB_CHUNK, _MAX_THREADS * N^2)
-    entries of temporaries in flight; neither the thread count nor the split
-    changes a bit. It is the sampler's only threaded pass: a generated
-    sample's scale comes from _adjoint_scale, which builds a few rows inline
-    and no stack. Raises SystemSizeError, before it allocates, when the N^3
-    stack exceeds the memory the OS reports available.
+    Equals P @ T_k for each k but runs in O(N^3) total, in one pass over
+    _row_chunks on this thread: each chunk of rows a is built by
+    _adjoint_block straight into the stack, with at most max(_SLAB_CHUNK,
+    N^2) entries of temporaries. A generated sample's scale comes from
+    _adjoint_scale, which builds a few rows and no stack. Raises
+    SystemSizeError, before it allocates, when the N^3 stack exceeds the
+    memory the OS reports available.
     """
     p, n, dtype = _pn(p, null_vector)
     dim = p.shape[0]
     _check_stack_fits(dim, dtype)
     out = np.empty((dim, dim, dim), dtype=dtype)
-    _chunk_map(
-        lambda rows: _adjoint_block(p, n, rows, out=out[rows]),
-        dim, dim * dim, dtype.itemsize,
-    )
+    for rows in _row_chunks(dim, dim * dim):
+        _adjoint_block(p, n, rows, out=out[rows])
     return out
 
 

@@ -3,12 +3,17 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lieforge.rng as rng_module
 from lieforge import analysis, linalg
 from lieforge.analysis import (
     CHECK_NAMES,
@@ -802,34 +807,57 @@ def test_payload_check_passes_a_sample_with_no_stored_payload(monkeypatch):
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("dim", [64, 130, 200])
-def test_payload_and_row_sum_passes_match_inline_on_three_threads(monkeypatch, dim, field):
-    """_check_payload and _row_sum_norm walk the stack through _chunk_map;
-    on three threads, with each chunk a third the size, they report the same
-    hits and the same bits as inline, NaN included."""
+def test_payload_and_row_sum_passes_match_a_one_shot_evaluation(dim, field):
+    """_check_payload and _row_sum_norm walk the stack a chunk at a time; they
+    report the hits and the bits that one numpy pass over the whole stack
+    gives, NaN included."""
     s = generate(dim, 2, field=field)
-    scaled = build_adjoint(s.p.matrix, s.null.vector)
-    with_nan = scaled.copy()
+    rebuilt = build_adjoint(s.p.matrix, s.null.vector)
+    scaled, with_nan = rebuilt.copy(), rebuilt.copy()
     scaled[2 * dim // 3, 1, 3] *= 1.5
     with_nan[dim // 2, 3, 1] = np.nan
     sample = assemble_sample(
         s.p, s.null, seed=s.seed, structure=with_nan.transpose(0, 2, 1), adjoint=scaled
     )
+    residual, _, passed, detail = analysis._check_payload(sample, 0, 1e-9)
+    hits = []
+    for stored in (with_nan, scaled):  # structure, then adjoint, both in adjoint layout
+        diff = np.abs(stored - rebuilt)
+        where = np.unravel_index(int(np.argmax(diff)), diff.shape)
+        hits.append((diff[where], tuple(int(x) for x in where)))
+    (d_nan, nan_at), (d_adj, adj_at) = hits
+    assert math.isnan(d_nan) and nan_at == (dim // 2, 3, 1) and adj_at == (2 * dim // 3, 1, 3)
+    assert math.isnan(residual) and not passed
+    # the NaN's index is named like any other difference's, in structure layout
+    assert detail == (
+        f"max |stored - rebuilt|: structure nan at ({dim // 2}, 1, 3),"
+        f" adjoint {d_adj:.3e} at {adj_at}"
+    )
+    for adj in (scaled, with_nan):
+        assert analysis._row_sum_norm(adj).hex() == float(np.abs(adj).sum(axis=2).max()).hex()
+    assert math.isnan(analysis._row_sum_norm(with_nan))
 
-    def passes():
-        residual, band, passed, detail = analysis._check_payload(sample, 0, 1e-9)
-        sums = [analysis._row_sum_norm(adj).hex() for adj in (scaled, with_nan)]
-        return residual.hex(), band.hex(), passed, detail, sums
 
-    inline = passes()
-    monkeypatch.setattr(linalg, "_THREAD_MIN_BYTES", 0)
-    monkeypatch.setattr(linalg, "_MAX_THREADS", 3)
-    monkeypatch.setattr(linalg, "_cpus", lambda: 3)
-    assert passes() == inline
-    assert inline[0] == "nan" and not inline[2] and inline[4][1] == "nan"
-    # the NaN's index is named like any other difference's
-    nan_at = f"structure nan at ({dim // 2}, 1, 3)"
-    assert inline[3].startswith(f"max |stored - rebuilt|: {nan_at}, adjoint ")
-    assert inline[3].endswith(f" at ({2 * dim // 3}, 1, 3)")
+def test_no_thread_starts_to_build_or_verify_an_n260_stack(monkeypatch):
+    """The build, the payload rebuild and the series' row sums of a real
+    N = 260 stack (134 MiB) run on the calling thread; only the draw splits."""
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    monkeypatch.setattr(rng_module, "_cpus", lambda: 2)
+    s = generate(260, 1)
+    assert started  # the spy sees the draw's helper thread
+    started.clear()
+    adj = build_adjoint(s.p.matrix, s.null.vector)
+    assert adj.nbytes > 128 << 20
+    report = verify_all(assemble_sample(s.p, s.null, seed=s.seed, adjoint=adj))
+    assert report.passed
+    assert started == []
 
 
 def test_verify_report_as_dict_is_json_ready():
@@ -855,6 +883,29 @@ def test_verify_report_as_dict_is_json_ready():
     assert checks["series"]["residual"] == "inf"
     for name in BILINEAR[1:]:
         assert checks[name]["residual"] == checks[name]["tolerance"] == "nan", checks[name]
+
+
+@pytest.mark.parametrize("mode", ["generic", "nilpotent"])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_a_document_near_the_float_range_gets_a_report_and_no_traceback(tmp_path, field, mode):
+    """P * 2^1020 puts 2S, the series' unit, above 2^1023: the unit stays a
+    float, the checks that overflow fail, and verify exits 1 quietly."""
+    s = _rescaled(generate(6, 3, field=field, mode=mode), 2.0**1020)
+    path = tmp_path / "big.json"
+    path.write_text(write_sample(s))
+    read = read_sample(path.read_text())
+    assert 2.0 * analysis._row_sum_norm(read.adjoint) > 2.0**1023
+    report = verify_all(read)
+    assert not report.passed
+    assert next(c for c in report.checks if c.name == "series").passed
+    src = os.path.dirname(os.path.dirname(os.path.abspath(analysis.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lieforge.cli", "verify", str(path)],
+        env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr, proc.stderr
 
 
 def test_verify_report_seconds_are_recorded():

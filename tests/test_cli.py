@@ -323,6 +323,16 @@ def test_oracle_two_dim_empty_system(capsys):
     assert "result: PASS" in out
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_a_nilpotent_two_dim_oracle_prints_no_singular_value(capsys, field):
+    """A nilpotent draw takes no singular value, and at N=2 its empty system
+    reaches the report: the attempts line then stands alone."""
+    argv = ["oracle", "--dim", "2", "--mode", "nilpotent", "--seed", "1", "--field", field]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "\nattempts: 1\n" in out and "result: PASS" in out
+
+
 def test_oracle_size_guard(capsys):
     assert main(["oracle", "--dim", "40", "--seed", "1"]) == 64
     assert "29640" in capsys.readouterr().err

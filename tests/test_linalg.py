@@ -1,6 +1,3 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,58 +84,6 @@ def test_inf_norm_propagates_nan(dtype, shape):
     a = np.ones(shape, dtype=dtype)
     a[-1, -1] = np.nan  # in the last slab, after a finite peak
     assert np.isnan(inf_norm(a)) and np.isnan(inf_norm(a.T))
-
-
-def _thread_every_pass(monkeypatch, threads, cpus):
-    """Let _chunk_map thread any pass, on min(threads, cpus) threads."""
-    monkeypatch.setattr(linalg, "_THREAD_MIN_BYTES", 0)
-    monkeypatch.setattr(linalg, "_MAX_THREADS", threads)
-    monkeypatch.setattr(linalg, "_cpus", lambda: cpus)
-
-
-@pytest.mark.parametrize("threads", [1, 2, 8])
-def test_chunk_map_covers_every_row_once_in_order(monkeypatch, threads):
-    """More threads than this box may have, switching as often as it can."""
-    _thread_every_pass(monkeypatch, threads, 64)
-    a = np.random.default_rng(3).standard_normal((1200, 500))  # ten chunks
-    seen = np.zeros(1200, dtype=int)
-
-    def fn(rows):
-        seen[rows] += 1  # slices are disjoint: no two threads write one row
-        return rows, float(np.abs(a[rows]).sum())
-
-    interval, alive = sys.getswitchinterval(), threading.active_count()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = linalg._chunk_map(fn, 1200, 500, a.itemsize)
-    finally:
-        sys.setswitchinterval(interval)
-    assert (seen == 1).all()
-    assert [rows for rows, _ in got] == linalg._row_chunks(1200, 500 * threads)
-    assert [total for _, total in got] == [float(np.abs(a[r]).sum()) for r, _ in got]
-    assert threading.active_count() == alive  # the helpers are joined
-
-
-@pytest.mark.parametrize("stop, cpus", [(10, 8), (1200, 1)])
-def test_chunk_map_runs_inline_on_one_chunk_or_one_cpu(monkeypatch, stop, cpus):
-    _thread_every_pass(monkeypatch, 8, cpus)
-    got = linalg._chunk_map(lambda rows: (rows, threading.get_ident()), stop, 500, 8)
-    assert [rows for rows, _ in got] == linalg._row_chunks(stop, 500)
-    assert {ident for _, ident in got} == {threading.get_ident()}
-
-
-@pytest.mark.parametrize("itemsize", [8, 16])
-def test_chunk_map_threads_only_a_pass_above_the_cutoff(monkeypatch, itemsize):
-    """A pass of exactly _THREAD_MIN_BYTES runs inline; one byte more threads."""
-    monkeypatch.setattr(linalg, "_cpus", lambda: 2)
-    nbytes = 1200 * 500 * itemsize
-    idents = {}
-    for cutoff in (nbytes, nbytes - 1):
-        monkeypatch.setattr(linalg, "_THREAD_MIN_BYTES", cutoff)
-        got = linalg._chunk_map(lambda rows: threading.get_ident(), 1200, 500, itemsize)
-        idents[cutoff] = set(got)
-    assert idents[nbytes] == {threading.get_ident()}
-    assert threading.get_ident() in idents[nbytes - 1] and len(idents[nbytes - 1]) == 2
 
 
 def test_rank_of_diagonal_example():
@@ -326,12 +271,11 @@ def test_a_validation_toggles_the_blas_thread_count_once(monkeypatch, dim, field
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_a_nilpotent_validation_takes_its_singular_values_on_one_blas_thread(monkeypatch, field):
-    """smallest_retained_sv of a nilpotent draw comes from the same pinned SVD
-    as a generic draw's; its rank and n need no BLAS call."""
+def test_a_nilpotent_validation_makes_no_blas_call_and_no_pin(monkeypatch, field):
+    """A nilpotent draw's rank and n come from its superdiagonal and its last
+    row: no SVD, no solve, no switch of the BLAS thread count."""
     pm = sample_parameter_matrix(64, NormalStream(1), field=field, mode="nilpotent")
     spy = _ThreadCountSpy(monkeypatch)
     null = validate_parameter_matrix(pm)
-    assert spy.seen == [("svd", 1)]
-    assert spy.puts == [1, 2] and spy.count == 2
-    assert null.smallest_retained_sv > 0.0
+    assert spy.seen == [] and spy.puts == [] and spy.count == 2
+    assert null.smallest_retained_sv is None

@@ -114,17 +114,17 @@ def test_nilpotent_draws_are_taken_first_time_with_n_exactly_e_N(dim, field):
         assert s.null.vector.dtype == e_n.dtype
         assert s.null.vector.tobytes() == e_n.tobytes()
         assert s.null.scale_factor is None
-        assert s.null.smallest_retained_sv > 0
+        assert s.null.smallest_retained_sv is None
 
 
 def test_nilpotent_rank_is_read_off_the_superdiagonal():
-    """Rank N-1 iff every |P{i, i+1}| exceeds tol_rank; smallest_retained_sv
-    is sigma_{N-1} however small."""
+    """Rank N-1 iff every |P{i, i+1}| exceeds tol_rank, however small; no
+    singular value is taken, so smallest_retained_sv is None."""
     p = np.triu(np.ones((4, 4)), 1)
     p[1, 2] = 1e-200
     null = validate_parameter_matrix(ParameterMatrix(p, "nilpotent"), Tolerances())
     np.testing.assert_array_equal(null.vector, [0.0, 0.0, 0.0, 1.0])
-    assert null.smallest_retained_sv == np.linalg.svd(p, compute_uv=False)[2]
+    assert null.smallest_retained_sv is None
     with pytest.raises(DegenerateParametersError, match="P\\{2,3\\}"):
         validate_parameter_matrix(ParameterMatrix(p, "nilpotent"), Tolerances(tol_rank=1e-100))
     p[1, 2] = 0.0  # rank 2: the rows of P[:3, 1:] are no longer independent
@@ -447,13 +447,9 @@ def _scale_cells():
         yield p, n
 
 
-def test_the_scale_pass_is_the_inf_norm_of_the_build_bit_for_bit(monkeypatch):
+def test_the_scale_pass_is_the_inf_norm_of_the_build_bit_for_bit():
     """_adjoint_scale builds only the rows its bounds cannot rule out, yet
-    gives inf_norm(build_adjoint(p, n)), NaN and inf included; the build it
-    is held to runs on three threads here."""
-    monkeypatch.setattr(linalg, "_THREAD_MIN_BYTES", 0)
-    monkeypatch.setattr(linalg, "_MAX_THREADS", 3)
-    monkeypatch.setattr(linalg, "_cpus", lambda: 3)
+    gives inf_norm(build_adjoint(p, n)), NaN and inf included."""
     seen = Counter()
     with np.errstate(over="ignore", invalid="ignore"):
         for p, n in _scale_cells():
@@ -557,37 +553,6 @@ def test_adjoint_build_and_scale_stay_within_one_chunk_of_memory():
         tracemalloc.stop()
     assert build_peak <= adj.nbytes + budget
     assert norm_peak - base < budget
-
-
-@pytest.mark.parametrize("cpus", [16, 64])
-def test_a_threaded_build_stays_within_one_chunk_of_memory_on_many_cpus(monkeypatch, cpus):
-    """The tracemalloc peak sees only the threads this box runs at once, so
-    the bound is also checked on what the threads may hold together: one
-    slice each, of a complex product and its float abs (at most 24 bytes an
-    entry), in the build's one pass."""
-    monkeypatch.setattr(linalg, "_cpus", lambda: cpus)
-    monkeypatch.setattr(linalg, "_THREAD_MIN_BYTES", 0)
-    in_flight = []
-    real_map = linalg._chunk_map
-
-    def spy(fn, stop, row, itemsize):
-        threads = min(linalg._MAX_THREADS, cpus, len(linalg._row_chunks(stop, row)))
-        first = linalg._row_chunks(stop, row * threads)[0]
-        in_flight.append((threads, threads * (first.stop - first.start) * row * 24))
-        return real_map(fn, stop, row, itemsize)
-
-    monkeypatch.setattr(sampler_module, "_chunk_map", spy)
-    p, n = _random_pn(96, "complex")
-    budget = 2 * 1024 * 1024
-    tracemalloc.start()
-    try:
-        adj = build_adjoint(p, n)
-        _, build_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(in_flight) == 1  # the build is one pass
-    assert all(threads > 1 and nbytes <= budget for threads, nbytes in in_flight)
-    assert build_peak <= adj.nbytes + budget
 
 
 def test_null_data_smallest_sv_positive():
@@ -711,22 +676,17 @@ def test_available_memory_is_the_smaller_of_meminfo_and_the_cgroup(monkeypatch):
         sampler_module._check_stack_fits(96, np.float64)
 
 
-# (dim, field, mode, seed): each build has several chunks
-_MULTI_CHUNK_BUILDS = [
-    (130, "real", "generic", 2), (96, "complex", "generic", 2), (64, "real", "nilpotent", 2),
-]
+# (dim, field, mode, seed): each draw has a pass of 96 blocks or more, which
+# splits in two on more than one CPU
+_SPLIT_DRAWS = [(157, "real", "generic", 2), (160, "complex", "generic", 2)]
 
 _FINGERPRINTS = f"""
 import hashlib, os, sys
 if sys.argv[1] == "pinned":
     os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
-from lieforge import generate, linalg
-linalg._THREAD_MIN_BYTES = 0  # thread every build of several chunks
-if sys.argv[1] == "three":
-    linalg._cpus = lambda: 3
-    linalg._MAX_THREADS = 3
-print(min(linalg._cpus(), linalg._MAX_THREADS))
-for dim, field, mode, seed in {_MULTI_CHUNK_BUILDS!r}:
+from lieforge import generate, rng
+print(rng._cpus())
+for dim, field, mode, seed in {_SPLIT_DRAWS!r}:
     s = generate(dim, seed, field=field, mode=mode)
     print(hashlib.sha256(s.adjoint.tobytes()).hexdigest(), s.scale.hex())
 """
@@ -736,19 +696,19 @@ for dim, field, mode, seed in {_MULTI_CHUNK_BUILDS!r}:
 def test_the_worker_count_cannot_change_the_output():
     src = os.path.dirname(os.path.dirname(os.path.abspath(sampler_module.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    # pinning changes the BLAS thread count too, which the null vector's
-    # solve, run on one BLAS thread, does not follow
+    # pinning changes the BLAS thread count too, which the validation, run
+    # on one BLAS thread, does not follow
     env = {**os.environ, "PYTHONPATH": path}
     runs = {}
-    for how in ("pinned", "unpinned", "three"):
+    for how in ("pinned", "unpinned"):
         out = subprocess.run(
             [sys.executable, "-c", _FINGERPRINTS, how],
             env=env, capture_output=True, text=True, check=True,
         ).stdout.splitlines()
         runs[how] = (int(out[0]), out[1:])
-    assert runs["pinned"][0] == 1 and runs["three"][0] == 3 and runs["unpinned"][0] >= 1
-    assert len(runs["pinned"][1]) == len(_MULTI_CHUNK_BUILDS)
-    assert runs["pinned"][1] == runs["unpinned"][1] == runs["three"][1]
+    assert runs["pinned"][0] == 1 and runs["unpinned"][0] >= 1
+    assert len(runs["pinned"][1]) == len(_SPLIT_DRAWS)
+    assert runs["pinned"][1] == runs["unpinned"][1]
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
