@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure, 2 generation failure,
 3 oracle singular system, 64 usage (an unwritable output path, and an adjoint
-stack or, for generate --emit none, a draw too large for available memory
-included), 65 input integrity (a document whose structure tensor or adjoint
-would not fit included). main maps library errors to these codes through
-_EXIT_CODES.
+stack, the write of generate's payload or, for generate --emit none, a draw
+too large for available memory included), 65 input integrity (a document
+whose structure tensor or adjoint would not fit included). main maps library
+errors to these codes through _EXIT_CODES.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .errors import (
 )
 from .oracle import MAX_SYSTEM_DIM, compare_tensors, count_equations, oracle_structure_constants
 from .rng import RNG_ID
-from .sampler import _DTYPES, FIELDS, MODES, _check_stack_fits, generate
-from .serialize import read_sample, write_sample
+from .sampler import _DTYPES, FIELDS, MODES, _check_fits, _check_stack_fits, generate
+from .serialize import _WRITE_STACKS, read_sample, write_sample
 
 __all__ = ["main", "CSV_HEADER"]
 
@@ -204,8 +204,12 @@ def cmd_generate(args) -> int:
     if args.max_attempts < 1:
         args._parser.error("--max-attempts must be at least 1")
     if args.emit != "none":
-        # a payload is written from the N^3 stack, so it is sized before the first draw
-        _check_stack_fits(args.dim, _DTYPES[args.field])
+        # a payload is written from the N^3 stack through lists and text many
+        # stacks large, all sized before the first draw
+        _check_fits(
+            _WRITE_STACKS[args.emit] * args.dim**3 * _DTYPES[args.field].itemsize,
+            f"writing the N={args.dim} --emit {args.emit} document",
+        )
     seed = _resolve_seed(args)
     sample = generate(
         args.dim, seed, field=args.field, mode=args.mode, max_attempts=args.max_attempts

@@ -34,7 +34,7 @@ from .errors import (
     NullFirstComponentError,
     SystemSizeError,
 )
-from .linalg import EPS, _row_chunks, as_field_matrix, inf_norm, rank_and_left_null
+from .linalg import EPS, _row_chunks, as_field_matrix, rank_and_left_null
 from .rng import RNG_ID, NormalStream
 
 __all__ = [
@@ -66,9 +66,9 @@ class Tolerances:
 
     tol_rank: absolute floor for the rank threshold (0 = machine policy only).
     tau_n1: cutoff on |n{1}| below which the scale factor 1/n{1} is unusable.
-    tau_ver: verification tolerance, applied relative to scale^2 for bilinear
-        identities (scale the largest adjoint entry) and (2S)^(L+2) for the
-        depth-L series check (S the largest row sum of an adjoint matrix).
+    tau_ver: verification tolerance, applied relative to scale^d for a
+        degree-d probe identity (scale the largest adjoint entry) and
+        (2S)^(L+2) for the depth-L series check (S the largest row sum).
 
     Every field is finite, tol_rank >= 0, and tau_n1 and tau_ver are > 0.
     """
@@ -160,10 +160,10 @@ class LieAlgebraSample:
     build_adjoint(P, n), which is sized then and only then. structure[i, j, k]
     is the coefficient of g_k in [g_i, g_j] (indices zero-based): the given
     structure, else a transposed view of adjoint. Every array is read-only.
-    scale is max |A_k{r,c}|, the largest entry and the magnitude all bands
-    scale with; it equals inf_norm(adjoint) bit for bit, and without a
-    payload it is taken by _adjoint_scale, which holds no stack. stored names
-    the payloads given, in ("structure", "adjoint") order.
+    scale is max |A_k{r,c}| of build_adjoint(P, n), the magnitude every
+    probe band scales with, taken by _adjoint_scale from (P, n) alone with
+    no stack: a stored payload neither moves it nor is read for it. stored
+    names the payloads given, in ("structure", "adjoint") order.
     """
 
     dim: int
@@ -200,8 +200,6 @@ class LieAlgebraSample:
 
     @cached_property
     def scale(self) -> float:
-        if self.stored:
-            return inf_norm(self.adjoint)
         return _adjoint_scale(self.p.matrix, self.null.vector)
 
 
@@ -405,7 +403,7 @@ def build_adjoint(p: np.ndarray, null_vector: np.ndarray) -> np.ndarray:
     Equals P @ T_k for each k but runs in O(N^3) total, in one pass over
     _row_chunks on this thread: each chunk of rows a is built by
     _adjoint_block straight into the stack, with at most max(_SLAB_CHUNK,
-    N^2) entries of temporaries. A generated sample's scale comes from
+    N^2) entries of temporaries. A sample's scale comes from
     _adjoint_scale, which builds a few rows and no stack. Raises
     SystemSizeError, before it allocates, when the N^3 stack exceeds the
     memory the OS reports available.
@@ -479,22 +477,18 @@ def _adjoint_rows_max(p: np.ndarray, n: np.ndarray, flat: np.ndarray) -> float:
 
 
 def _adjoint_block(
-    p: np.ndarray,
-    n: np.ndarray,
-    rows: slice,
-    cols: slice = slice(None),
-    out: np.ndarray | None = None,
+    p: np.ndarray, n: np.ndarray, rows: slice, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """build_adjoint(p, n)[rows][:, :, cols], bit for bit: adj[a] = n{a} * P - P[:, a] (x) n.
+    """build_adjoint(p, n)[rows], bit for bit: adj[a] = n{a} * P - P[:, a] (x) n.
 
     The block is written to `out` (a fresh array when `out` is None). Both
     products put n first, so entry (a, r, c) is n{a} * P{r, c} - n{c} * P{r, a}:
     numpy's complex multiply rounds by operand order, and the same order on
     both sides keeps the structure tensor's antisymmetry bitwise exact.
     """
-    block = np.multiply(n[rows, None, None], p[:, cols], out=out)
+    block = np.multiply(n[rows, None, None], p, out=out)
     # outer[a, r, c] = n{c} * P{r, a}, laid out like block, not like p.T
-    outer = np.multiply(n[cols], p.T[rows, :, None], order="C")
+    outer = np.multiply(n, p.T[rows, :, None], order="C")
     return np.subtract(block, outer, out=block)
 
 

@@ -85,6 +85,18 @@ _UNIT_NORM_SLOP = 1e-12
 # once dim is read
 _READ_BYTES_PER_BYTE = 11
 
+# `lieforge generate` peaks at this many N^3 stacks of the field's dtype per
+# --emit: the stack, the payload's Python lists and its JSON text. Measured
+# in fresh children, seed 1, N = 100 / 150 / 200, the growth of peak RSS
+# over the --emit none run, in stacks:
+#   structure  real 13.4 / 13.5 / 13.7, complex 12.8 / 12.9 / 12.5
+#   adjoint    real 11.2 / 11.1 / 11.2, complex 15.9 / 15.9 / 15.9
+#   both       real 24.1 / 24.3 / 24.4, complex 28.3 / 28.5 / 28.1
+# and a real structure run at N = 320 peaks at 15.1, its indices above 256
+# being ints of their own. Each factor is the largest, rounded up, with one
+# stack to spare
+_WRITE_STACKS = {"structure": 16, "adjoint": 17, "both": 30}
+
 
 def _leaves(arr) -> list:
     """JSON leaves of an array, flattened row-major; complex values as [re, im]."""

@@ -59,6 +59,7 @@ def _sample_from(matrix, mode="generic"):
 
 
 def _band(sample, tau=1e-9):
+    """The band of a degree-2 probe check, jacobi's and closure's."""
     return tau * sample.scale**2
 
 
@@ -70,9 +71,10 @@ def _rescaled(s, factor):
 
 # --- probes ---------------------------------------------------------------
 
-# the probe checks verify_all runs, and the degree of each one's band in scale
-BILINEAR = ("jacobi", "almost_abelian", "closure", "derived", "killing", "tproduct")
-DEGREE = {name: 1 if name == "almost_abelian" else 2 for name in BILINEAR}
+# the probe checks verify_all runs, and the degree of each one's identity in
+# the tensor, which is the degree of its band in scale
+DEGREE = {"jacobi": 2, "almost_abelian": 1, "closure": 2, "derived": 4, "killing": 3, "tproduct": 1}
+PROBE_CHECKS = tuple(DEGREE)
 
 
 def _probe_vectors(check, arity, dim, seed=0):
@@ -275,20 +277,25 @@ def test_one_moved_adjoint_entry_fails_closure_and_tproduct(field):
         assert residual > band
 
 
+@pytest.mark.parametrize("check", PROBE_CHECKS)
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("mode", ["generic", "nilpotent"])
 @pytest.mark.parametrize("dim", [5, 12, 30])
-def test_almost_abelian_ratio_is_bitwise_invariant_under_powers_of_two(dim, mode, field):
-    """The check is linear in the tensor and its band is tau * scale, so
-    residual / tolerance is unit-free: P * 2^k leaves it bit for bit."""
+def test_almost_abelian_ratio_is_bitwise_invariant_under_powers_of_two(dim, mode, field, check):
+    """Each probe check's identity is a form of degree d in the tensor and its
+    band is tau * scale^d, scale taken from (P, n), so P * 2^k moves residual
+    and band by the same exact 2^(k d): residual / tolerance is unit-free bit
+    for bit, on the sample and on its document as read back."""
     s = generate(dim, 3, field=field, mode=mode)
     ratios = set()
-    for k in (-40, 0, 40):
+    for k in (-40, -24, 0, 12, 24, 40):
         scaled = _rescaled(s, 2.0**k)
         np.testing.assert_array_equal(scaled.null.vector, s.null.vector)
-        (check,) = verify_all(scaled, VerifyConfig(checks=("almost_abelian",))).checks
-        assert check.passed and check.tolerance == 1e-9 * scaled.scale
-        ratios.add(check.residual / check.tolerance)
+        for sample in (scaled, read_sample(write_sample(scaled))):
+            (result,) = verify_all(sample, VerifyConfig(checks=(check,))).checks
+            assert result.passed, (k, result)
+            assert result.tolerance == math.prod([1e-9, *[scaled.scale] * DEGREE[check]])
+            ratios.add(result.residual / result.tolerance)
     assert len(ratios) == 1, ratios
 
 
@@ -328,14 +335,15 @@ def test_a_nan_entry_fails_its_probe_checks_in_verify_all(payload, value):
     stored = {"structure": np.array(s.structure), "adjoint": np.array(s.adjoint)}
     stored[payload][2, 4, 1] = value
     sample = assemble_sample(s.p, s.null, seed=s.seed, **stored)
-    checks = {c.name: c for c in verify_all(sample, VerifyConfig(checks=BILINEAR)).checks}
-    hit = ("jacobi",) if payload == "structure" else BILINEAR[1:]
+    checks = {c.name: c for c in verify_all(sample, VerifyConfig(checks=PROBE_CHECKS)).checks}
+    hit = ("jacobi",) if payload == "structure" else PROBE_CHECKS[1:]
+    assert sample.scale == s.scale
     for name, check in checks.items():
+        # scale comes from (P, n), so every band stays finite: the checks
+        # that read the entry fail on its NaN, the others pass
         assert math.isnan(check.residual) is (name in hit), check
-        # scale is the largest adjoint entry: a NaN there fails every band,
-        # an inf one passes every finite residual
-        spared = payload == "structure" or value == np.inf
-        assert check.passed is (name not in hit and spared), check
+        assert check.tolerance == math.prod([1e-9, *[s.scale] * DEGREE[name]]), check
+        assert check.passed is (name not in hit), check
 
 
 def _overflowing_sample():
@@ -377,8 +385,8 @@ def test_almost_abelian_check_is_its_kernel_on_the_adjoint():
 
 
 def _probe_verdicts(sample, seed=0):
-    """Pass/fail of each bilinear check's probe, through verify_all."""
-    report = verify_all(sample, VerifyConfig(seed=seed, checks=BILINEAR))
+    """Pass/fail of each probe check, through verify_all."""
+    report = verify_all(sample, VerifyConfig(seed=seed, checks=PROBE_CHECKS))
     return {c.name: c.passed for c in report.checks}
 
 
@@ -403,7 +411,7 @@ def test_sampled_paths_match_full_verdicts():
     """Probe verdicts equal the exhaustive verdicts on a clean sample and on
     copies with one adjoint entry moved, under several seeds."""
     s = generate(9, 2)
-    assert _probe_verdicts(s) == _exhaustive_verdicts(s) == dict.fromkeys(BILINEAR, True)
+    assert _probe_verdicts(s) == _exhaustive_verdicts(s) == dict.fromkeys(PROBE_CHECKS, True)
     for where in ((0, 0, 0), (3, 1, 4), (8, 8, 2)):
         adj = np.array(s.adjoint)
         adj[where] += 1.0
@@ -415,7 +423,7 @@ def test_sampled_paths_match_full_verdicts():
 
 
 def test_verify_all_reports_checked_counts():
-    """Each bilinear detail says how many probe sets it checked, and a report
+    """Each probe check's detail says how many probe sets it checked, and a report
     is a pure function of (sample, seed)."""
     cfg = VerifyConfig(seed=5)
     sample = generate(9, 2)
@@ -426,7 +434,7 @@ def test_verify_all_reports_checked_counts():
         (c.residual, c.detail) for c in again.checks
     ]
     for check in report.checks:
-        if check.name in BILINEAR:
+        if check.name in PROBE_CHECKS:
             assert check.detail == f"{analysis._PROBE_SETS} probe sets", check
 
 
@@ -877,12 +885,13 @@ def test_verify_report_as_dict_is_json_ready():
     adj[3, 1, 4] = np.nan
     sample = assemble_sample(s.p, s.null, seed=s.seed, adjoint=adj, structure=s.structure)
     fields = json.loads(json.dumps(verify_all(sample).as_dict(), allow_nan=False))
-    assert fields["scale"] == "nan" and fields["passed"] is False
+    assert fields["scale"] == s.scale and fields["passed"] is False
     checks = {c["name"]: c for c in fields["checks"]}
     assert checks["payload"]["residual"] == "nan"
     assert checks["series"]["residual"] == "inf"
-    for name in BILINEAR[1:]:
-        assert checks[name]["residual"] == checks[name]["tolerance"] == "nan", checks[name]
+    for name in PROBE_CHECKS[1:]:
+        assert checks[name]["residual"] == "nan", checks[name]
+        assert math.isfinite(checks[name]["tolerance"]), checks[name]
 
 
 @pytest.mark.parametrize("mode", ["generic", "nilpotent"])

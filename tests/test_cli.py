@@ -110,7 +110,7 @@ def test_generate_adjoint_too_large_for_memory_is_usage_error(monkeypatch, tmp_p
     assert main(["generate", "--dim", "11", "--seed", "1", "--out", str(out)]) == 64
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith("lieforge generate: the N=11 adjoint stack needs")
+    assert err.startswith("lieforge generate: writing the N=11 --emit structure document needs")
     assert err.count("\n") == 1
 
 
@@ -122,7 +122,8 @@ def test_generate_without_a_payload_needs_no_room_for_the_stack(monkeypatch, tmp
     assert main([*argv, "--emit", "none"]) == 0
     assert "structure_constants" not in json.loads(out.read_text())
     assert main([*argv, "--emit", "structure"]) == 64
-    assert capsys.readouterr().err.startswith("lieforge generate: the N=40 adjoint stack needs")
+    err = capsys.readouterr().err
+    assert err.startswith("lieforge generate: writing the N=40 --emit structure document needs")
 
 
 # --- verify -----------------------------------------------------------------
@@ -452,6 +453,12 @@ _ARGV = {
     "oracle": ["oracle", "--dim", "5", "--seed", "1"],
     "bench": ["bench", "--dims", "5", "--repeat", "3"],
 }
+# each command's message when its memory check fails
+_TOO_LARGE = {
+    "generate": "writing the N=5 --emit structure document needs",
+    "oracle": "the N=5 adjoint stack needs",
+    "bench": "the N=5 adjoint stack needs",
+}
 
 
 @pytest.mark.parametrize(
@@ -462,7 +469,7 @@ _ARGV = {
             for command in _ARGV
             for trigger, code, message, error in (
                 (_reject_every_draw, 2, "no valid sample after 16 attempts", "GenerationFailed"),
-                (_no_memory, 64, "the N=5 adjoint stack needs", "SystemSize"),
+                (_no_memory, 64, _TOO_LARGE[command], "SystemSize"),
             )
         ),
         pytest.param(

@@ -37,7 +37,7 @@ from lieforge.sampler import (
     sample_parameter_matrix,
     validate_parameter_matrix,
 )
-from lieforge.serialize import read_sample, write_sample
+from lieforge.serialize import _WRITE_STACKS, read_sample, write_sample
 from reference import transfer_matrix
 
 AFFINE_P = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -394,20 +394,6 @@ def test_adjoint_rows_matches_earlier_kernel_on_any_slice(field):
         assert np.array_equal(_bits(stack[rows]), expect)
 
 
-@pytest.mark.parametrize("field", ["real", "complex"])
-def test_a_column_slice_of_the_block_kernel_is_that_slice_of_the_build(field):
-    dim = 11
-    p, n = _random_pn(dim, field)
-    whole = build_adjoint(p, n)
-    for rows in (slice(0, 1), slice(2, 9), slice(0, dim), slice(5, None)):
-        for cols in (
-            slice(0, 1), slice(rows.start, None), slice(3, 8), slice(1, 10, 3),
-            slice(None, None, -2), slice(4, 4),
-        ):
-            got = sampler_module._adjoint_block(p, n, rows, cols)
-            assert np.array_equal(_bits(got), _bits(whole[rows][:, :, cols]))
-
-
 def _unimodular(dim, field, seed):
     """(p, n) with every |P{r, c}| equal and every |n{c}| equal."""
     rng = np.random.default_rng(seed)
@@ -584,8 +570,9 @@ def test_an_adjoint_too_large_for_memory_fails_before_it_allocates(monkeypatch):
 @pytest.mark.parametrize("field, mib", [("real", 16), ("complex", 32)])
 @pytest.mark.parametrize("mode", ["generic", "nilpotent"])
 def test_generate_sizes_the_adjoint_before_it_draws(field, mib, mode, monkeypatch, capsys):
-    """`lieforge generate` writes every payload from the N^3 stack, so it
-    sizes the stack before the first draw; with no payload it sizes the draw."""
+    """`lieforge generate` writes every payload from the N^3 stack, through
+    lists and text that peak at _WRITE_STACKS[emit] stacks in all, so it
+    sizes that many before the first draw; with no payload it sizes the draw."""
 
     def no_draw(*args, **kwargs):
         raise AssertionError("drew a parameter matrix before sizing")
@@ -593,14 +580,16 @@ def test_generate_sizes_the_adjoint_before_it_draws(field, mib, mode, monkeypatc
     monkeypatch.setattr(sampler_module, "_available_memory", lambda: 0)
     monkeypatch.setattr(sampler_module, "sample_parameter_matrix", no_draw)
     argv = ["generate", "--dim", "128", "--seed", "1", "--field", field, "--mode", mode]
-    stack = f"lieforge generate: the N=128 adjoint stack needs {mib} MiB"
     for emit in ("adjoint", "structure", "both", "none"):
         assert main([*argv, "--emit", emit]) == 64
         err = capsys.readouterr().err
         if emit == "none":
             assert err.startswith("lieforge generate: the working set of the N=128 draw needs")
         else:
-            assert err.startswith(stack)
+            need = _WRITE_STACKS[emit] * mib  # mib: one stack
+            assert err.startswith(
+                f"lieforge generate: writing the N=128 --emit {emit} document needs {need} MiB"
+            )
 
 
 def test_the_memory_check_is_skipped_without_meminfo(monkeypatch):
@@ -717,25 +706,29 @@ def test_scale_is_the_inf_norm_of_the_adjoint_bit_for_bit(field):
         s = generate(dim, 3, field=field)
         assert s.scale.hex() == inf_norm(s.adjoint).hex()
         assert inf_norm(build_adjoint(s.p.matrix, s.null.vector)).hex() == s.scale.hex()
-        for flags in ((False, True), (True, False), (True, True)):
+        for flags in ((False, False), (False, True), (True, False), (True, True)):
             doc = write_sample(s, include_adjoint=flags[0], include_structure=flags[1])
             read = read_sample(doc)
             assert read.scale.hex() == inf_norm(read.adjoint).hex() == s.scale.hex()
 
 
 @pytest.mark.parametrize("dim", [4, 41])
-def test_a_nan_adjoint_gives_a_nan_scale(dim):
+def test_a_nan_adjoint_leaves_the_scale_of_p_and_n(dim):
+    """scale comes from (P, n) alone: a NaN stored in a payload leaves it
+    equal to the unstored sample's, bit for bit."""
     s = generate(dim, 1)
     adj = s.adjoint.copy()
     adj[dim - 1, 1, 2] = np.nan
-    assert np.isnan(assemble_sample(s.p, s.null, seed=1, adjoint=adj).scale)
+    stored = assemble_sample(s.p, s.null, seed=1, adjoint=adj, structure=adj.transpose(0, 2, 1))
+    assert stored.scale.hex() == generate(dim, 1).scale.hex()
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_scale_is_one_pass_and_the_adjoint_one_build(monkeypatch, field):
     """A generated sample takes scale in one _adjoint_scale pass that builds no
-    stack, and its adjoint in one build, each on first use; a given payload
-    is read once for scale."""
+    stack, and its adjoint in one build, each on first use; a sample with a
+    stored payload takes scale in one _adjoint_scale pass too, and never
+    reads the payload for it."""
     calls = Counter()
 
     def spy(name):
@@ -747,8 +740,9 @@ def test_scale_is_one_pass_and_the_adjoint_one_build(monkeypatch, field):
 
         monkeypatch.setattr(sampler_module, name, counted)
 
-    for name in ("inf_norm", "build_adjoint", "_adjoint_scale"):
+    for name in ("build_adjoint", "_adjoint_scale"):
         spy(name)
+    assert not hasattr(sampler_module, "inf_norm")
     s = generate(70, 3, field=field)
     assert not calls
     assert s.scale == s.scale
@@ -757,7 +751,8 @@ def test_scale_is_one_pass_and_the_adjoint_one_build(monkeypatch, field):
     assert calls == {"_adjoint_scale": 1, "build_adjoint": 1}
     stored = assemble_sample(s.p, s.null, seed=3, adjoint=s.adjoint)
     assert stored.scale == stored.scale == s.scale
-    assert calls == {"_adjoint_scale": 1, "build_adjoint": 1, "inf_norm": 1}
+    assert calls == {"_adjoint_scale": 2, "build_adjoint": 1}
+    assert "adjoint" not in vars(stored)
 
 
 def test_generic_real_samples_follow_the_ginibre_laws():
