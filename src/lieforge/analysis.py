@@ -14,9 +14,10 @@ built from P and n. P * 2^k moves residual and band by the same exact
 2^(k d) (Higham, Accuracy and Stability of Numerical Algorithms, section
 2.1), so residual / tolerance is unit-free bit for bit. The series runs in
 units of sigma, the smallest power of two at or above 2S, where S = max_k
-||A_k||_inf is the largest row sum; since ||[A, D]||_inf <= 2 ||A||_inf
-||D||_inf, its depth-L level is tested against tau_ver * (2S)^(L+2). A NaN
-anywhere in a check's evaluation becomes its residual, so the check fails.
+||A_k||_inf is the largest row sum of the adjoint built from P and n; since
+||[A, D]||_inf <= 2 ||A||_inf ||D||_inf, its depth-L level is tested against
+tau_ver * (2S)^(L+2). A stored payload is only ever the tensor under test,
+never a band's source. A NaN in an evaluation is its residual, and fails it.
 
 Both claims of the paper follow from the almost-abelian structure: it makes
 g' abelian and, with Jacobi, the algebra solvable. So almost_abelian, payload
@@ -48,9 +49,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import EPS, _row_chunks, inf_norm
+from .linalg import EPS, _ldexp, _row_chunks, inf_norm
 from .rng import NormalStream, SplitMix64, _check_seed
-from .sampler import LieAlgebraSample, _adjoint_block
+from .sampler import LieAlgebraSample, _adjoint_block, _adjoint_row_sum
 
 __all__ = [
     "CHECK_NAMES",
@@ -151,13 +152,6 @@ def _lift(size: float) -> int:
     return -math.frexp(size)[1] if 0.0 < size < _LIFT_BELOW else 0
 
 
-def _ldexp(m: np.ndarray, up: int) -> np.ndarray:
-    """m * 2^up, exact barring over- or underflow; a complex m scales on its float64 view."""
-    if m.dtype.kind == "c":
-        return np.ldexp(m.view(np.float64), up).view(m.dtype)
-    return np.ldexp(m, up)
-
-
 # ---------------------------------------------------------------------------
 # report types
 
@@ -176,10 +170,10 @@ class SeriesReport:
 
     Levels are numbered from 0 (the base bracket [A_j, A_k]); level L applies
     L further brackets. S = max_k ||A_k||_inf is the largest row sum of the
-    adjoint stack, and sigma the smallest power of two at or above 2S (1 when
-    S = 0). The series runs on A/sigma and P/sigma, so norm_per_level and
-    discrepancy_per_level hold max-entry norms in units of sigma^(L+2). In
-    those units a bracket cannot grow a level, so none exceeds 1/2.
+    adjoint built from (P, n), and sigma the smallest power of two at or
+    above 2S (1 when S = 0). The series runs on A/sigma and P/sigma, so
+    norm_per_level and discrepancy_per_level hold max-entry norms in units
+    of sigma^(L+2), where a bracket cannot grow a level past 1/2.
     """
 
     terminated: bool
@@ -364,13 +358,6 @@ def canonical_series_path(dim: int, depth: int) -> tuple[tuple[int, int], tuple[
     return base, (0,) * depth
 
 
-def _row_sum_norm(adj: np.ndarray) -> float:
-    """max_k ||A_k||_inf, read in one pass over _row_chunks; NaN propagates."""
-    dim = adj.shape[0]
-    sums = [np.abs(adj[ks]).sum(axis=2).max() for ks in _row_chunks(dim, dim * dim)]
-    return float(np.max(sums))
-
-
 def lower_central_series(
     adj: np.ndarray,
     p,
@@ -386,9 +373,10 @@ def lower_central_series(
     C_0 = P^2 @ m (x) n, m = n{k} e_j - n{j} e_k, and
     C_L = n{i_L} * (P @ C_{L-1}); it stays rank one, so only its column
     P^(L+2) @ m times the n{i} is carried. Both run on A/sigma and P/sigma,
-    sigma the smallest power of two at or above 2 max_k ||A_k||_inf, scaling
-    only the adjoint slices the path touches. Scaling by a power of two is
-    exact, and since ||[A, D]||_inf <= 2 ||A||_inf ||D||_inf no level can
+    sigma the smallest power of two at or above 2S, S = max_k ||A_k||_inf of
+    the adjoint built from (P, n) by _adjoint_row_sum; adj is read, and
+    scaled, only in the slices the path touches. Scaling by a power of two
+    is exact, and since ||[A, D]||_inf <= 2 ||A||_inf ||D||_inf no level can
     grow, so nothing overflows. Only where 2S exceeds 2^1023, the largest
     float power of two, is sigma held there, and a level may overflow to inf
     or NaN. Against underflow, the iterates are lifted by an exact power of
@@ -405,14 +393,13 @@ def lower_central_series(
     norm sinks into rounding noise.
     """
     adj = _check_cubic(adj, "adjoint stack")
-    return _series(adj, p, null, depth, base_pair, inner_indices, _row_sum_norm(adj))
+    row_sum = _adjoint_row_sum(_matrix_of(p), _vector_of(null))
+    return _series(adj, p, null, depth, base_pair, inner_indices, row_sum)
 
 
 def _series(adj, p, null, depth, base_pair, inner_indices, row_sum: float) -> SeriesReport:
-    """lower_central_series on a cubic adj whose S, max_k ||A_k||_inf, is row_sum.
-
-    verify_all runs two paths on one adjoint, and reads S once for both.
-    """
+    """lower_central_series on a cubic adj, in the unit S = row_sum, which
+    _check_series takes once for its two paths."""
     n = _vector_of(null)
     dim = adj.shape[0]
     if depth is None:
@@ -555,11 +542,11 @@ def _check_series(sample: LieAlgebraSample, seed: int, tau: float) -> tuple:
     """The series on the canonical path and one seeded random path.
 
     Every level must agree with its closed form within tau * (2S)^(L+2),
-    S = max_k ||A_k||_inf the largest row sum, and the paths must terminate
-    as the mode says: generic none within the tested depth, nilpotent both.
-    The residual is the binding level's |direct - closed| / (2S)^(L+2) and
-    the tolerance tau. A nilpotent-mode P is strictly upper triangular, so
-    P^N is exactly zero and needs no check of its own.
+    S = max_k ||A_k||_inf of the adjoint built from (P, n), which no stored
+    stack moves, and the paths must terminate as the mode says: generic
+    none within the tested depth, nilpotent both. The residual is the
+    binding level's |direct - closed| / (2S)^(L+2) and the tolerance tau. A
+    nilpotent-mode P is strictly upper triangular, so P^N is exactly zero.
     """
     dim = sample.dim
     depth = min(dim, _SERIES_MAX_LEVELS)
@@ -570,7 +557,7 @@ def _check_series(sample: LieAlgebraSample, seed: int, tau: float) -> tuple:
         j, k = (int(x) for x in rng.integers(2, dim))
     inner = tuple(int(x) for x in rng.integers(depth, dim))
     adj, p, null = sample.adjoint, sample.p, sample.null
-    row_sum = _row_sum_norm(adj)
+    row_sum = _adjoint_row_sum(p.matrix, null.vector)
     paths = {
         "canonical": _series(adj, p, null, depth, None, None, row_sum),
         "random": _series(adj, p, null, depth, (j, k), inner, row_sum),

@@ -278,7 +278,6 @@ def cmd_oracle(args) -> int:
             f"oracle system size dim_sys = {dim_sys} exceeds the guard ({MAX_SYSTEM_DIM}); "
             "reduce --dim"
         )
-    _check_stack_fits(args.dim, _DTYPES[args.field])
     seed = _resolve_seed(args)
     sample = generate(args.dim, seed, field=args.field, mode=args.mode)
     tensor, diagnostics = oracle_structure_constants(sample)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +28,10 @@ __all__ = [
 
 EPS = float(np.finfo(np.float64).eps)
 
-# entries per temporary in every chunked kernel (the adjoint build and the
-# payload check's rebuild, one block of adjoint matrices a chunk; the scale
-# pass's rows; the series' row sums; inf_norm; a pass of normal draws): 1 MB
-# of complex128, so a chunk works in cache
+# entries per temporary in every chunked kernel (the adjoint build, the
+# payload check's rebuild and the series' row sums, one block of adjoint
+# matrices built from (P, n) a chunk; the scale pass's rows; inf_norm; a pass
+# of normal draws): 1 MB of complex128, so a chunk works in cache
 _SLAB_CHUNK = 1 << 16
 
 
@@ -130,12 +131,23 @@ def _one_blas_thread():
         calls[1](before)
 
 
+def _ldexp(m: np.ndarray, up: int) -> np.ndarray:
+    """m * 2^up, exact barring over- or underflow; a complex m scales on its float64 view."""
+    if m.dtype.kind == "c":
+        return np.ldexp(np.ascontiguousarray(m).view(np.float64), up).view(m.dtype)
+    return np.ldexp(m, up)
+
+
 def _left_null(p: np.ndarray) -> np.ndarray | None:
     """[1, x] / ||[1, x]|| for the x that solves P[1:, 1:]^T x = -P[0, 1:].
 
-    One LU solve. None where P[1:, 1:] is singular to working precision:
-    LAPACK meets a zero pivot, or ||[1, x]|| overflows.
+    One LU solve, on P * 2^-e with e the exponent of max |P|: the scaling is
+    exact barring underflow (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2.1), so P * 2^k gives n bit for bit, also where an unscaled
+    elimination overflows. None where P[1:, 1:] is singular to working
+    precision: LAPACK meets a zero pivot, or ||[1, x]|| overflows.
     """
+    p = _ldexp(p, -math.frexp(inf_norm(p))[1])
     try:
         x = np.linalg.solve(p[1:, 1:].T, -p[0, 1:])
     except np.linalg.LinAlgError:

@@ -456,6 +456,14 @@ def _adjoint_scale(p: np.ndarray, null_vector: np.ndarray) -> float:
     return float(np.max([low, *maxima]))
 
 
+def _adjoint_row_sum(p: np.ndarray, null_vector: np.ndarray) -> float:
+    """max_k ||A_k||_inf of build_adjoint(p, n), bit for bit, NaN included, built
+    one _adjoint_block chunk at a time: O(N^3) time in O(N^2) memory, no stack."""
+    p, n, _ = _pn(p, null_vector)
+    chunks = _row_chunks(p.shape[0], p.size)
+    return float(np.max([np.abs(_adjoint_block(p, n, ks)).sum(axis=2).max() for ks in chunks]))
+
+
 def _row_bounds(p: np.ndarray, n: np.ndarray) -> np.ndarray:
     """bound[a, r] >= max |adj[a, r, :]| as computed, by _adjoint_scale's argument;
     inf or NaN where the bound overflows."""

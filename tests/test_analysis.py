@@ -32,6 +32,7 @@ from lieforge.linalg import inf_norm
 from lieforge.sampler import (
     ParameterMatrix,
     Tolerances,
+    _adjoint_row_sum,
     assemble_sample,
     build_adjoint,
     generate,
@@ -677,13 +678,42 @@ def test_series_fails_a_moved_adjoint_entry_on_the_path(dim, field):
         assert not check.passed and check.residual > check.tolerance, (k, check)
 
 
+def _inflated(doc, last):
+    """doc with every structure constant times 1 + 1e-3, and the last one
+    times `last` besides."""
+    data = json.loads(doc)
+    entries = data["structure_constants"]
+    factors = [1 + 1e-3] * len(entries)
+    factors[-1] *= last
+    for entry, factor in zip(entries, factors):
+        value = entry[3]
+        entry[3] = [factor * x for x in value] if isinstance(value, list) else factor * value
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("last", [1e4, 1e8])
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [8, 12, 20])
+def test_an_inflated_constant_cannot_raise_the_series_band(dim, field, last):
+    """Every constant times 1 + 1e-3 fails series. Inflating the last one too
+    raises the stored stack's row sums, and with them a band taken from the
+    stack, by up to 10^8; S comes from (P, n), so the tamper still fails."""
+    s = generate(dim, 3, field=field)
+    read = read_sample(_inflated(write_sample(s), last))
+    assert np.abs(read.adjoint).sum(axis=2).max() > 2 * _adjoint_row_sum(s.p.matrix, s.null.vector)
+    check = _series_check(read)
+    assert not check.passed and check.residual > check.tolerance, check
+
+
 def test_series_lifts_a_subnormal_level_without_overflow():
-    # the closed form's peak row sum is 1e-320, so its lift needs 2^1063;
-    # the lift is exact, so dividing it out gives that row sum back
+    # S = 1 from (I, n), so sigma = 2 and level L peaks at 1e-320 / 2^(L+2),
+    # a subnormal whose lift needs 2^1064; the lift is exact on both paths,
+    # so dividing it out gives those peaks back, and the paths agree exactly
     n = np.array([1.0, 1e-320, 0.0])
-    report = lower_central_series(np.zeros((3, 3, 3)), np.eye(3), n, depth=1)
-    assert report.norm_per_level == (0.0, 0.0)
-    assert report.discrepancy_per_level == (1e-320, 1e-320)
+    report = lower_central_series(build_adjoint(np.eye(3), n), np.eye(3), n, depth=1)
+    assert (report.S, report.sigma) == (1.0, 2.0)
+    assert report.norm_per_level == (1e-320 / 4, 1e-320 / 8)
+    assert report.discrepancy_per_level == (0.0, 0.0)
     assert not report.terminated
 
 
@@ -816,9 +846,9 @@ def test_payload_check_passes_a_sample_with_no_stored_payload(monkeypatch):
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("dim", [64, 130, 200])
 def test_payload_and_row_sum_passes_match_a_one_shot_evaluation(dim, field):
-    """_check_payload and _row_sum_norm walk the stack a chunk at a time; they
-    report the hits and the bits that one numpy pass over the whole stack
-    gives, NaN included."""
+    """_check_payload and the series' row sums build (P, n)'s stack a chunk
+    at a time; they report the hits and the bits that one numpy pass over
+    the whole stack gives, NaN included."""
     s = generate(dim, 2, field=field)
     rebuilt = build_adjoint(s.p.matrix, s.null.vector)
     scaled, with_nan = rebuilt.copy(), rebuilt.copy()
@@ -841,9 +871,13 @@ def test_payload_and_row_sum_passes_match_a_one_shot_evaluation(dim, field):
         f"max |stored - rebuilt|: structure nan at ({dim // 2}, 1, 3),"
         f" adjoint {d_adj:.3e} at {adj_at}"
     )
-    for adj in (scaled, with_nan):
-        assert analysis._row_sum_norm(adj).hex() == float(np.abs(adj).sum(axis=2).max()).hex()
-    assert math.isnan(analysis._row_sum_norm(with_nan))
+    p, n = s.p.matrix, s.null.vector
+    p_nan = p.copy()
+    p_nan[dim // 2, 1] = np.nan
+    for pm in (p, p_nan):
+        want = float(np.abs(build_adjoint(pm, n)).sum(axis=2).max())
+        assert _adjoint_row_sum(pm, n).hex() == want.hex()
+    assert math.isnan(_adjoint_row_sum(p_nan, n))
 
 
 def test_no_thread_starts_to_build_or_verify_an_n260_stack(monkeypatch):
@@ -888,7 +922,9 @@ def test_verify_report_as_dict_is_json_ready():
     assert fields["scale"] == s.scale and fields["passed"] is False
     checks = {c["name"]: c for c in fields["checks"]}
     assert checks["payload"]["residual"] == "nan"
-    assert checks["series"]["residual"] == "inf"
+    # the NaN fails exactly the checks that read it: jacobi reads the clean
+    # structure, and A_3 is on neither series path, whose unit is (P, n)'s
+    assert checks["jacobi"]["passed"] and checks["series"]["passed"]
     for name in PROBE_CHECKS[1:]:
         assert checks[name]["residual"] == "nan", checks[name]
         assert math.isfinite(checks[name]["tolerance"]), checks[name]
@@ -903,7 +939,7 @@ def test_a_document_near_the_float_range_gets_a_report_and_no_traceback(tmp_path
     path = tmp_path / "big.json"
     path.write_text(write_sample(s))
     read = read_sample(path.read_text())
-    assert 2.0 * analysis._row_sum_norm(read.adjoint) > 2.0**1023
+    assert 2.0 * _adjoint_row_sum(read.p.matrix, read.null.vector) > 2.0**1023
     report = verify_all(read)
     assert not report.passed
     assert next(c for c in report.checks if c.name == "series").passed

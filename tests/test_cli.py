@@ -340,7 +340,9 @@ def test_oracle_size_guard(capsys):
 
 
 def test_oracle_adjoint_too_large_for_memory_is_usage_error(monkeypatch, capsys):
-    _no_memory(monkeypatch)
+    # room for the N=5 draw's working set (800 B) but not its stack (1000 B):
+    # the build refuses the stack when the oracle's comparison first reads it
+    monkeypatch.setattr(sampler_module, "_available_memory", lambda: 900)
     assert main(["oracle", "--dim", "5", "--seed", "1"]) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -456,7 +458,7 @@ _ARGV = {
 # each command's message when its memory check fails
 _TOO_LARGE = {
     "generate": "writing the N=5 --emit structure document needs",
-    "oracle": "the N=5 adjoint stack needs",
+    "oracle": "the working set of the N=5 draw needs",
     "bench": "the N=5 adjoint stack needs",
 }
 

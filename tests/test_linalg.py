@@ -14,7 +14,12 @@ from lieforge.linalg import (
     rank_and_left_null,
 )
 from lieforge.rng import NormalStream
-from lieforge.sampler import generate, sample_parameter_matrix, validate_parameter_matrix
+from lieforge.sampler import (
+    ParameterMatrix,
+    generate,
+    sample_parameter_matrix,
+    validate_parameter_matrix,
+)
 from reference import commutator, svd_left_null
 
 
@@ -279,3 +284,16 @@ def test_a_nilpotent_validation_makes_no_blas_call_and_no_pin(monkeypatch, field
     null = validate_parameter_matrix(pm)
     assert spy.seen == [] and spy.puts == [] and spy.count == 2
     assert null.smallest_retained_sv is None
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_null_vector_is_solved_in_the_exponent_of_p(seed, field):
+    """The LU solve runs on P * 2^-e, e the exponent of max |P|, so P * 2^k
+    gives n bit for bit up to the top of the float range, where the unscaled
+    elimination overflowed and a valid P was refused with n{1} = 0."""
+    s = generate(20, seed, field=field)
+    p = s.p.matrix
+    for k in (-1000, 1016, 1018, 1020):
+        scaled = ParameterMatrix(np.ldexp(p.view(np.float64), k).view(p.dtype), "generic")
+        assert validate_parameter_matrix(scaled).vector.tobytes() == s.null.vector.tobytes(), k
