@@ -2,10 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 generation failure,
 3 oracle singular system, 64 usage (an unwritable output path, and an adjoint
-stack, the write of generate's payload or, for generate --emit none, a draw
-too large for available memory included), 65 input integrity (a document
-whose structure tensor or adjoint would not fit included). main maps library
-errors to these codes through _EXIT_CODES.
+stack or generate's draw too large for available memory included), 65 input
+integrity (a document whose structure tensor or adjoint would not fit
+included). main maps library errors to these codes through _EXIT_CODES.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from .errors import (
 )
 from .oracle import MAX_SYSTEM_DIM, compare_tensors, count_equations, oracle_structure_constants
 from .rng import RNG_ID
-from .sampler import _DTYPES, FIELDS, MODES, _check_fits, _check_stack_fits, generate
-from .serialize import _WRITE_STACKS, read_sample, write_sample
+from .sampler import _DTYPES, FIELDS, MODES, _check_stack_fits, generate
+from .serialize import _document_parts, read_sample
 
 __all__ = ["main", "CSV_HEADER"]
 
@@ -184,14 +183,15 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _write_output(command: str, path: str | None, text: str) -> int:
-    """Write text to path (stdout when None); an unwritable path is a usage error."""
+def _write_output(command: str, path: str | None, parts) -> int:
+    """Write an iterable of text parts to path (stdout when None), each as it
+    comes; an unwritable path is a usage error."""
     if not path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         return EXIT_OK
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     except OSError as err:
         print(f"lieforge {command}: cannot write output: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -203,23 +203,19 @@ def cmd_generate(args) -> int:
         args._parser.error("--dim must be at least 2")
     if args.max_attempts < 1:
         args._parser.error("--max-attempts must be at least 1")
-    if args.emit != "none":
-        # a payload is written from the N^3 stack through lists and text many
-        # stacks large, all sized before the first draw
-        _check_fits(
-            _WRITE_STACKS[args.emit] * args.dim**3 * _DTYPES[args.field].itemsize,
-            f"writing the N={args.dim} --emit {args.emit} document",
-        )
     seed = _resolve_seed(args)
     sample = generate(
         args.dim, seed, field=args.field, mode=args.mode, max_attempts=args.max_attempts
     )
-    doc = write_sample(
+    # written part by part, one block of adjoint matrices at a time, so no
+    # emit holds more than O(N^2) besides the draw; a payload JSON cannot
+    # write raises here, before the output is opened
+    parts = _document_parts(
         sample,
         include_adjoint=args.emit in ("adjoint", "both"),
         include_structure=args.emit in ("structure", "both"),
     )
-    return _write_output("generate", args.out, doc)
+    return _write_output("generate", args.out, parts)
 
 
 def _format_text_report(report: VerificationReport) -> str:
@@ -348,7 +344,7 @@ def cmd_bench(args) -> int:
             note += f" (reference baseline {baseline:g} s, {ratio:.1f}x headroom)"
         notes.append(note)
 
-    code = _write_output("bench", args.csv, "".join(row + "\n" for row in rows))
+    code = _write_output("bench", args.csv, [row + "\n" for row in rows])
     if code != EXIT_OK:
         return code
 

@@ -51,13 +51,14 @@ def as_field_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _row_chunks(stop: int, row: int) -> list[slice]:
+def _row_chunks(stop: int, row: int, chunk: int | None = None) -> list[slice]:
     """Slices covering range(stop) in order, for rows of `row` entries.
 
-    Each slice holds as many rows as fit in _SLAB_CHUNK entries, and at least
-    one, so a chunked loop over them keeps its temporaries in cache.
+    Each slice holds as many rows as fit in `chunk` entries (by default
+    _SLAB_CHUNK), and at least one, so a chunked loop over them keeps its
+    temporaries in cache.
     """
-    step = max(1, _SLAB_CHUNK // row)
+    step = max(1, (_SLAB_CHUNK if chunk is None else chunk) // row)
     return [slice(i, min(i + step, stop)) for i in range(0, stop, step)]
 
 

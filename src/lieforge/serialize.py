@@ -9,16 +9,22 @@ number as an [re, im] pair, the array's trailing axis of two doubles.
 Floats are written as the shortest decimal that round-trips, so a sample
 always encodes to the same bytes.
 
-_leaves writes any array and _numbers reads any array; each decides real
-versus complex once and checks a payload as a whole. Anything that is not a
-well-formed document, the numeric rules in README's "Document format"
-included, raises DocumentIntegrityError.
+The writer streams: _document_parts gives the head (P, n and c included)
+through json.dumps and formats each payload straight to text, repr of each
+float being the text json.dumps writes, a block of adjoint matrices at a
+time, stored or built from (P, n), so no N^3 stack is built for it.
+write_sample joins the parts and `lieforge generate` writes them as they
+come. _numbers reads any array; it decides real versus complex once and
+checks a payload as a whole. Anything that is not a well-formed document,
+the numeric rules in README's "Document format" included, raises
+DocumentIntegrityError.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from itertools import chain
 
 import numpy as np
@@ -31,7 +37,7 @@ from .errors import (
     NullFirstComponentError,
 )
 from . import sampler
-from .linalg import inf_norm, null_residual_tol
+from .linalg import _row_chunks, inf_norm, null_residual_tol
 from .sampler import (
     _DTYPES,
     FIELDS,
@@ -41,6 +47,7 @@ from .sampler import (
     Tolerances,
     _check_fits,
     _check_stack_fits,
+    adjoint_to_structure,
     assemble_sample,
     validate_parameter_matrix,
 )
@@ -85,17 +92,24 @@ _UNIT_NORM_SLOP = 1e-12
 # once dim is read
 _READ_BYTES_PER_BYTE = 11
 
-# `lieforge generate` peaks at this many N^3 stacks of the field's dtype per
-# --emit: the stack, the payload's Python lists and its JSON text. Measured
-# in fresh children, seed 1, N = 100 / 150 / 200, the growth of peak RSS
-# over the --emit none run, in stacks:
-#   structure  real 13.4 / 13.5 / 13.7, complex 12.8 / 12.9 / 12.5
-#   adjoint    real 11.2 / 11.1 / 11.2, complex 15.9 / 15.9 / 15.9
-#   both       real 24.1 / 24.3 / 24.4, complex 28.3 / 28.5 / 28.1
-# and a real structure run at N = 320 peaks at 15.1, its indices above 256
-# being ints of their own. Each factor is the largest, rounded up, with one
-# stack to spare
-_WRITE_STACKS = {"structure": 16, "adjoint": 17, "both": 30}
+# write_sample holds at most this many bytes per double its payloads hold
+# (an adjoint entry, or the value of a structure entry [i, j, k, value], one
+# double real and two complex): the document's text twice, as its parts and
+# as the string they join to. Measured as the growth of peak RSS over an
+# in-process write_sample of a fresh sample, in a fresh process, seed 1,
+# N = 100 / 150 / 200, over the payloads' largest number of doubles:
+#   structure  real 66.0 / 66.3 / 67.2, complex 56.8 / 56.5 / 56.3
+#   adjoint    real 42.0 / 42.1 / 41.9, complex 45.2 / 43.7 / 43.7
+#   both       real 49.6 / 49.9 / 50.2, complex 48.2 / 47.7 / 47.7
+# The largest rounded up, with room for the four-digit indices of N >= 1000,
+# three more bytes an entry in each copy
+_WRITE_BYTES_PER_DOUBLE = 80
+
+# values per piece of a payload's text, and per block of adjoint matrices the
+# pieces are formatted from (at least one matrix): a piece's Python strings
+# take about 200 bytes a value, so a write works in about 0.2 MB of text
+# besides its block
+_TEXT_CHUNK = 1 << 10
 
 
 def _leaves(arr) -> list:
@@ -106,22 +120,112 @@ def _leaves(arr) -> list:
     return flat.tolist()
 
 
-def _sparse_structure(structure: np.ndarray) -> list:
-    rows, cols = np.triu_indices(structure.shape[0], k=1)
-    half = structure[rows, cols]
-    pair, k = np.nonzero(half)
-    columns = (rows[pair].tolist(), cols[pair].tolist(), k.tolist(), _leaves(half[pair, k]))
-    return [list(entry) for entry in zip(*columns)]
+def _texts(values: np.ndarray) -> list[str]:
+    """The JSON text of each value of a flat array; a complex one as [re, im].
+
+    repr of a Python float is the text json.dumps writes for it, so the
+    payloads keep the bytes the encoder would give them.
+    """
+    if values.dtype.kind == "c":
+        return [f"[{re!r},{im!r}]" for re, im in zip(values.real.tolist(), values.imag.tolist())]
+    return list(map(repr, values.tolist()))
 
 
-def write_sample(
+def _upper(block: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """f[i - start, j, k] = A_i{k, j} for a block of adjoint matrices i = start,
+    start + 1, ..., and the mask of its (i, j) with i < j, the half the
+    structure payload writes."""
+    f = block.transpose(0, 2, 1)
+    count, dim = f.shape[:2]
+    return f, np.arange(dim) > np.arange(start, start + count)[:, None]
+
+
+def _adjoint_pieces(block: np.ndarray, start: int) -> Iterator[str]:
+    """The adjoint payload's text for a block of adjoint matrices, each a flat
+    row-major list, in pieces of at most _TEXT_CHUNK values to be joined by ","."""
+    for matrix in block:
+        flat = matrix.reshape(-1)
+        for lo in range(0, flat.size, _TEXT_CHUNK):
+            text = ",".join(_texts(flat[lo : lo + _TEXT_CHUNK]))
+            opens, closes = lo == 0, lo + _TEXT_CHUNK >= flat.size
+            yield "[" * opens + text + "]" * closes
+
+
+def _structure_pieces(block: np.ndarray, start: int) -> Iterator[str]:
+    """The structure payload's entries [i, j, k, f[i, j, k]] with i < j and a
+    nonzero value, in index order, for a block of adjoint matrices, in pieces
+    of at most _TEXT_CHUNK entries to be joined by ","."""
+    f, upper = _upper(block, start)
+    i, j, k = np.nonzero((f != 0) & upper[:, :, None])
+    for lo in range(0, i.size, _TEXT_CHUNK):
+        at = slice(lo, lo + _TEXT_CHUNK)
+        leaves = _texts(f[i[at], j[at], k[at]])
+        columns = ((i[at] + start).tolist(), j[at].tolist(), k[at].tolist(), leaves)
+        yield ",".join([f"[{a},{b},{c},{x}]" for a, b, c, x in zip(*columns)])
+
+
+def _structure_values(block: np.ndarray, start: int) -> np.ndarray:
+    """The values of a block of adjoint matrices that the structure payload may write."""
+    f, upper = _upper(block, start)
+    return f[upper]
+
+
+# each payload's key: its pieces of text and the values they may write
+_PAYLOADS = {
+    "adjoint": (_adjoint_pieces, lambda block, start: block),
+    "structure_constants": (_structure_pieces, _structure_values),
+}
+
+
+def _payload_blocks(sample: LieAlgebraSample, stack: np.ndarray | None):
+    """(start, block) for each block of adjoint matrices of a stored adjoint-layout
+    stack, or, with none, built from (P, n) by _adjoint_block with the build's
+    bits: as many matrices as fit in _TEXT_CHUNK entries, and at least one."""
+    p, n = sample.p.matrix, sample.null.vector
+    for rows in _row_chunks(sample.dim, sample.dim**2, _TEXT_CHUNK):
+        yield rows.start, (sampler._adjoint_block(p, n, rows) if stack is None else stack[rows])
+
+
+def _finite(sample: LieAlgebraSample, key: str, stack: np.ndarray | None) -> bool:
+    """Whether every value the key's payload writes is finite."""
+    # scale is the largest modulus built from (P, n), NaN included, so a finite
+    # one bounds every value; an infinite one may be a complex modulus that
+    # overflows over finite parts, so that case reads every block
+    if stack is None and math.isfinite(sample.scale):
+        return True
+    values = _PAYLOADS[key][1]
+    return all(np.isfinite(values(b, start)).all() for start, b in _payload_blocks(sample, stack))
+
+
+def _document_parts(
     sample: LieAlgebraSample,
     include_adjoint: bool = False,
     include_structure: bool = True,
-) -> str:
-    """Encode a sample as a canonical lieforge/1 document string."""
+) -> Iterator[str]:
+    """The canonical lieforge/1 document of a sample, as parts of its text.
+
+    The head, P, n and c included, goes through json.dumps; each payload is
+    formatted one _payload_blocks block of adjoint matrices at a time, in
+    parts of at most _TEXT_CHUNK values, so no N^3 stack is built. A payload comes
+    from the array the sample stores for it (the other stored payload's,
+    transposed, if only that one is stored), else from (P, n). A payload
+    that holds NaN or infinity raises ValueError, as json.dumps with
+    allow_nan=False does, when this is called, before any part is made.
+    """
+    adjoint = sample.stored_adjoint
+    structure = sample.stored_structure
+    if structure is not None:
+        structure = adjoint_to_structure(structure)  # its own inverse: adjoint layout
+    payloads = []
+    if include_adjoint:
+        payloads.append(("adjoint", structure if adjoint is None else adjoint))
+    if include_structure:
+        payloads.append(("structure_constants", adjoint if structure is None else structure))
+    for key, stack in payloads:
+        if not _finite(sample, key, stack):
+            raise ValueError(f"the {key} payload holds NaN or infinity, which JSON cannot write")
     c = sample.null.scale_factor
-    doc: dict = {
+    head = {
         "format_version": FORMAT_VERSION,
         "dim": sample.dim,
         "field": sample.field,
@@ -134,11 +238,43 @@ def write_sample(
         "null_vector": _leaves(sample.null.vector),
         "c": None if c is None else _leaves(c)[0],
     }
-    if include_adjoint:
-        doc["adjoint"] = [_leaves(a) for a in sample.adjoint]
-    if include_structure:
-        doc["structure_constants"] = _sparse_structure(sample.structure)
-    return json.dumps(doc, allow_nan=False, separators=(",", ":")) + "\n"
+    head_text = json.dumps(head, allow_nan=False, separators=(",", ":"))
+
+    def parts():
+        yield head_text[:-1]  # the object stays open for the payloads
+        for key, stack in payloads:
+            yield f',"{key}":['
+            sep = ""
+            for start, block in _payload_blocks(sample, stack):
+                for piece in _PAYLOADS[key][0](block, start):
+                    yield sep
+                    yield piece
+                    sep = ","
+            yield "]"
+        yield "}\n"
+
+    return parts()
+
+
+def write_sample(
+    sample: LieAlgebraSample,
+    include_adjoint: bool = False,
+    include_structure: bool = True,
+) -> str:
+    """Encode a sample as a canonical lieforge/1 document string.
+
+    The string is the join of _document_parts. Before any part is made, it
+    raises SystemSizeError when the string, sized at _WRITE_BYTES_PER_DOUBLE
+    bytes per double of its payloads (the structure payload counted at its
+    largest, every i < j entry nonzero), would not fit in available memory,
+    and ValueError when a payload holds NaN or infinity.
+    """
+    dim = sample.dim
+    entries = include_adjoint * dim**3 + include_structure * dim**2 * (dim - 1) // 2
+    if entries:
+        doubles = entries * (_DTYPES[sample.field].itemsize // 8)
+        _check_fits(doubles * _WRITE_BYTES_PER_DOUBLE, f"writing the N={dim} document")
+    return "".join(_document_parts(sample, include_adjoint, include_structure))
 
 
 def _fail(message: str) -> DocumentIntegrityError:

@@ -1,5 +1,7 @@
 """Literal references that tests compare the library's closed forms against."""
 
+import json
+
 import numpy as np
 
 from lieforge.errors import ContractViolation
@@ -164,3 +166,48 @@ def exhaustive_almost_abelian(null_vector: np.ndarray, adj: np.ndarray) -> float
     a_basis = np.einsum("ip,irc->prc", basis, adj)  # A_v for each basis vector v
     inside = a_basis @ basis  # [v_p, v_q] as (p, r, q)
     return float(np.max([np.abs(outside).max(initial=0.0), np.abs(inside).max(initial=0.0)]))
+
+
+# --- the lieforge/1 encoder ------------------------------------------------
+# The writer as it was before it streamed: every payload turned into Python
+# lists and the whole document through one json.dumps. Tests compare the
+# streamed writer's bytes with it.
+
+
+def _leaves(arr) -> list:
+    """JSON leaves of an array, flattened row-major; complex values as [re, im]."""
+    flat = np.ascontiguousarray(arr).reshape(-1)
+    if flat.dtype.kind == "c":
+        return flat.view(np.float64).reshape(-1, 2).tolist()
+    return flat.tolist()
+
+
+def _sparse_structure(structure: np.ndarray) -> list:
+    rows, cols = np.triu_indices(structure.shape[0], k=1)
+    half = structure[rows, cols]
+    pair, k = np.nonzero(half)
+    columns = (rows[pair].tolist(), cols[pair].tolist(), k.tolist(), _leaves(half[pair, k]))
+    return [list(entry) for entry in zip(*columns)]
+
+
+def encode_sample(sample, include_adjoint: bool = False, include_structure: bool = True) -> str:
+    """A sample's lieforge/1 document through one json.dumps of its lists."""
+    c = sample.null.scale_factor
+    doc: dict = {
+        "format_version": "lieforge/1",
+        "dim": sample.dim,
+        "field": sample.field,
+        "mode": sample.mode,
+        "seed": int(sample.seed),
+        "rng_id": sample.rng_id,
+        "attempts": int(sample.attempts),
+        "tolerances": sample.tolerances.as_dict(),
+        "p_matrix": _leaves(sample.p.matrix),
+        "null_vector": _leaves(sample.null.vector),
+        "c": None if c is None else _leaves(c)[0],
+    }
+    if include_adjoint:
+        doc["adjoint"] = [_leaves(a) for a in sample.adjoint]
+    if include_structure:
+        doc["structure_constants"] = _sparse_structure(sample.structure)
+    return json.dumps(doc, allow_nan=False, separators=(",", ":")) + "\n"

@@ -3,13 +3,17 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
+import lieforge.cli as cli_module
 import lieforge.oracle as oracle_module
 import lieforge.sampler as sampler_module
 import lieforge.serialize as serialize_module
 from lieforge.cli import CSV_HEADER, main
 from lieforge.errors import DegenerateParametersError
+from lieforge.sampler import NullData, ParameterMatrix, assemble_sample, generate
+from lieforge.serialize import write_sample
 
 
 def _generate_doc(tmp_path, *extra):
@@ -110,20 +114,34 @@ def test_generate_adjoint_too_large_for_memory_is_usage_error(monkeypatch, tmp_p
     assert main(["generate", "--dim", "11", "--seed", "1", "--out", str(out)]) == 64
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith("lieforge generate: writing the N=11 --emit structure document needs")
+    assert err.startswith("lieforge generate: the working set of the N=11 draw needs")
     assert err.count("\n") == 1
 
 
-def test_generate_without_a_payload_needs_no_room_for_the_stack(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("emit", ["none", "structure", "adjoint", "both"])
+def test_generate_needs_no_room_for_the_stack_or_the_document(emit, monkeypatch, tmp_path):
+    """Every emit is written a block of adjoint matrices at a time, so room for
+    the draw, and for neither the N^3 stack nor the document's text, will do."""
     stack = 40**3 * 8
     monkeypatch.setattr(sampler_module, "_available_memory", lambda: stack - 1)
     out = tmp_path / "x.json"
-    argv = ["generate", "--dim", "40", "--seed", "1", "--out", str(out)]
-    assert main([*argv, "--emit", "none"]) == 0
-    assert "structure_constants" not in json.loads(out.read_text())
-    assert main([*argv, "--emit", "structure"]) == 64
-    err = capsys.readouterr().err
-    assert err.startswith("lieforge generate: writing the N=40 --emit structure document needs")
+    assert main(["generate", "--dim", "40", "--seed", "1", "--emit", emit, "--out", str(out)]) == 0
+    monkeypatch.undo()
+    flags = (emit in ("adjoint", "both"), emit in ("structure", "both"))
+    assert out.read_text() == write_sample(generate(40, 1), *flags)
+
+
+def test_generate_leaves_no_file_when_a_payload_cannot_be_written(monkeypatch, tmp_path):
+    """A payload JSON cannot write raises ValueError, as json.dumps does, before
+    the output is opened."""
+    pm = ParameterMatrix(np.array([[0.0, 0.0], [0.0, 1e308]]), "generic")
+    null = NullData(vector=np.array([2.0, 0.0]), scale_factor=None, smallest_retained_sv=None)
+    overflow = assemble_sample(pm, null, seed=1)  # n{1} * P{2, 2} = 2e308
+    monkeypatch.setattr(cli_module, "generate", lambda *args, **kwargs: overflow)
+    out = tmp_path / "x.json"
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="NaN or infinity"):
+        main(["generate", "--dim", "2", "--seed", "1", "--out", str(out)])
+    assert not out.exists()
 
 
 # --- verify -----------------------------------------------------------------
@@ -457,7 +475,7 @@ _ARGV = {
 }
 # each command's message when its memory check fails
 _TOO_LARGE = {
-    "generate": "writing the N=5 --emit structure document needs",
+    "generate": "the working set of the N=5 draw needs",
     "oracle": "the working set of the N=5 draw needs",
     "bench": "the N=5 adjoint stack needs",
 }

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -31,7 +32,7 @@ from lieforge.sampler import (
     validate_parameter_matrix,
 )
 from lieforge.serialize import FORMAT_VERSION, read_sample, write_sample
-from reference import svd_left_null
+from reference import encode_sample, svd_left_null
 
 AFFINE_DOC = (
     '{"format_version":"lieforge/1","dim":2,"field":"real","mode":"generic",'
@@ -131,6 +132,185 @@ def test_nilpotent_document_has_null_c():
     assert doc["c"] is None
 
 
+# --- the streamed writer against the json.dumps encoder ----------------------
+
+# (include_adjoint, include_structure) for --emit structure, adjoint, both and none
+FLAGS = ((False, True), (True, False), (True, True), (False, False))
+
+
+def _assert_encodes_alike(sample, where):
+    for flags in FLAGS:
+        assert write_sample(sample, *flags) == encode_sample(sample, *flags), (where, flags)
+
+
+# from N = 3 a payload spans more than one block of adjoint matrices, and at
+# complex N=48 and real N=64 a matrix spans more than one piece of text
+@pytest.mark.parametrize(
+    "dim, field",
+    [
+        *itertools.product([*range(2, 21), 30], ["real", "complex"]),
+        (48, "complex"),
+        (64, "real"),
+    ],
+)
+def test_the_streamed_writer_gives_the_encoders_bytes(dim, field):
+    """Every emit, written from a fresh sample and from a sample read back from
+    each emit's document (stored structure, adjoint, or both), is the string
+    one json.dumps of the payloads' lists gives."""
+    for mode in MODES:
+        s = generate(dim, 1, field=field, mode=mode)
+        _assert_encodes_alike(s, "fresh")
+        for flags in FLAGS[:3]:
+            back = read_sample(encode_sample(s, *flags))
+            assert back.stored  # a payload comes from the array the sample stores
+            _assert_encodes_alike(back, back.stored)
+
+
+@pytest.mark.parametrize("k", [-1000, 1000])
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("mode", MODES)
+def test_exponent_form_values_are_written_as_the_encoder_writes_them(k, field, mode):
+    """P * 2^k, revalidated, puts every value in exponent form (1e-300, 1e+300)."""
+    s = generate(9, 3, field=field, mode=mode)
+    pm = ParameterMatrix(s.p.matrix * 2.0**k, mode)  # exact: no entry leaves the normal range
+    scaled = assemble_sample(pm, validate_parameter_matrix(pm, Tolerances()), seed=s.seed)
+    text = write_sample(scaled)
+    assert ("e+" if k > 0 else "e-") in text[text.index("structure_constants") :]
+    _assert_encodes_alike(scaled, k)
+    _assert_encodes_alike(read_sample(write_sample(scaled, True, True)), k)
+
+
+def _unchecked_sample(p, n, **payloads):
+    """A sample of P and n as given, not validated against each other."""
+    pm = ParameterMatrix(np.array(p), "generic")
+    null = sampler_module.NullData(vector=np.array(n), scale_factor=None, smallest_retained_sv=None)
+    return assemble_sample(pm, null, seed=0, **payloads)
+
+
+def _encodes_alike_or_raises(sample, flags) -> bool:
+    """Whether the encoder raises ValueError for a non-finite value; if it does,
+    _document_parts must raise it at the call, before any part is made, and if
+    not, write_sample must give the encoder's string."""
+    with np.errstate(all="ignore"):
+        try:
+            want = encode_sample(sample, *flags)
+        except ValueError:
+            with pytest.raises(ValueError, match="payload holds NaN or infinity"):
+                serialize_module._document_parts(sample, *flags)
+            return True
+        assert write_sample(sample, *flags) == want, flags
+        return False
+
+
+def test_a_payload_free_write_checks_its_values_before_any_part(monkeypatch):
+    """A finite scale bounds every value built from (P, n), so the check builds
+    no block; n{1} * P{2, 2} = 2e308 overflows where both payloads write it, and
+    ValueError comes when the parts are asked for, before the first one."""
+    s = generate(30, 1)
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("built a block to check a finite scale")
+
+    monkeypatch.setattr(sampler_module, "_adjoint_block", no_block)
+    serialize_module._document_parts(s, True, True)
+    monkeypatch.undo()
+    overflow = _unchecked_sample([[0.0, 0.0], [0.0, 1e308]], [2.0, 0.0])
+    assert all(_encodes_alike_or_raises(overflow, flags) for flags in FLAGS[:3])
+
+
+def test_a_non_finite_value_raises_only_where_its_payload_writes_it():
+    """n{2} * P{2, 2} - n{2} * P{2, 2} = inf - inf is NaN on A_2's diagonal,
+    which the adjoint payload writes and the structure payload, i < j only,
+    does not; and |1.3e308 (1 + i)| is inf over finite parts, so it writes.
+    Either way the scale is not finite and every block is read."""
+    diagonal = _unchecked_sample([[0.0, 0.0], [0.0, 1e308]], [0.0, 2.0])
+    overflow = _unchecked_sample([[0, 0], [0, 1.3e308 * (1 + 1j)]], [1.0 + 0j, 0j])
+    with np.errstate(all="ignore"):
+        assert not (math.isfinite(diagonal.scale) or math.isfinite(overflow.scale))
+    raised = {flags: _encodes_alike_or_raises(diagonal, flags) for flags in FLAGS}
+    assert raised == {(False, True): False, (True, False): True, (True, True): True, (False, False): False}
+    assert not any(_encodes_alike_or_raises(overflow, flags) for flags in FLAGS)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_a_stored_non_finite_value_raises_as_the_encoder_does(bad, field):
+    """A value NaN or infinite at f[2, 4, 3] (i < j), f[4, 2, 3] (i > j) or
+    f[3, 3, 1], stored in either payload or with a clean other payload: each
+    emit raises, before any part, exactly where the encoder raises."""
+    s = generate(5, 2, field=field)
+    raised = 0
+    for a, k, j in ((2, 3, 4), (4, 3, 2), (3, 1, 3)):
+        stack = np.array(s.adjoint)
+        stack[a, k, j] = bad
+        for stored in (
+            {"adjoint": stack},
+            {"structure": stack.transpose(0, 2, 1)},
+            {"adjoint": stack, "structure": s.structure},
+            {"adjoint": s.adjoint, "structure": stack.transpose(0, 2, 1)},
+        ):
+            sample = assemble_sample(s.p, s.null, seed=s.seed, **stored)
+            raised += sum(_encodes_alike_or_raises(sample, flags) for flags in FLAGS)
+    # f[2, 4, 3] raises in 10 of its 16 writes (all but a clean payload's two
+    # and --emit none's four); each other place in the 6 with a bad adjoint
+    assert raised == 10 + 6 + 6
+
+
+def test_a_payload_free_write_builds_no_stack(monkeypatch):
+    """A fresh sample's payloads are formatted from blocks of adjoint matrices
+    built from (P, n) and dropped: build_adjoint is never called, and streaming
+    the structure payload peaks below a tenth of the N=96 stack."""
+    dim = 96
+    s = generate(dim, 1)
+
+    def no_stack(*args):
+        raise AssertionError("built the N^3 stack to write a payload-free sample")
+
+    monkeypatch.setattr(sampler_module, "build_adjoint", no_stack)
+    text = write_sample(s)
+    parts = serialize_module._document_parts(s)  # the head, P and n, is made here
+    tracemalloc.start()
+    try:
+        for part in parts:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dim**3 * 8 // 10
+    assert "adjoint" not in vars(s)
+    monkeypatch.undo()
+    assert text == encode_sample(s)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_write_sample_sizes_its_string_before_it_formats(field, monkeypatch):
+    """The string and its parts are sized at _WRITE_BYTES_PER_DOUBLE bytes per
+    double of the payloads, the structure payload counted at N^2 (N - 1) / 2
+    entries; a write with no payload sizes nothing."""
+    dim, per = 7, 2 if field == "complex" else 1
+    s = generate(dim, 1, field=field)
+    doubles = {
+        (False, True): dim**2 * (dim - 1) // 2 * per,
+        (True, False): dim**3 * per,
+        (True, True): (dim**3 + dim**2 * (dim - 1) // 2) * per,
+    }
+
+    def no_parts(*args, **kwargs):
+        raise AssertionError("formatted a document that does not fit")
+
+    for flags, count in doubles.items():
+        need = count * serialize_module._WRITE_BYTES_PER_DOUBLE
+        monkeypatch.setattr(sampler_module, "_available_memory", lambda: need)
+        assert write_sample(s, *flags) == encode_sample(s, *flags)
+        monkeypatch.setattr(sampler_module, "_available_memory", lambda: need - 1)
+        with monkeypatch.context() as m:
+            m.setattr(serialize_module, "_document_parts", no_parts)
+            with pytest.raises(SystemSizeError, match=f"writing the N={dim} document needs"):
+                write_sample(s, *flags)
+    monkeypatch.setattr(sampler_module, "_available_memory", lambda: 0)
+    assert write_sample(s, False, False) == encode_sample(s, False, False)
+
+
 # --- round trips ------------------------------------------------------------
 
 
@@ -198,6 +378,7 @@ def test_a_read_document_reports_what_its_sample_reports(field, mode):
 def test_a_document_with_a_payload_is_never_rebuilt(emit, monkeypatch):
     s = generate(7, 3, field="complex")
     doc = write_sample(s, *EMITS[emit])
+    want = s.adjoint  # the write builds no stack, so it is built here
 
     def no_build(*args):
         raise AssertionError("built an adjoint the document stores")
@@ -205,7 +386,7 @@ def test_a_document_with_a_payload_is_never_rebuilt(emit, monkeypatch):
     monkeypatch.setattr(sampler_module, "build_adjoint", no_build)
     back = read_sample(doc)
     assert back.scale == s.scale
-    np.testing.assert_array_equal(back.adjoint, s.adjoint)
+    np.testing.assert_array_equal(back.adjoint, want)
 
 
 def test_samples_and_their_parts_compare_and_hash_by_identity():
@@ -515,6 +696,7 @@ def test_a_document_with_both_payloads_is_sized_for_two_stacks(
 
     sample = generate(60, 1, field=field)
     both = write_sample(sample, include_adjoint=True, include_structure=True)
+    structure = write_sample(sample)
     stack = 60**3 * (16 if field == "complex" else 8)
     monkeypatch.setattr(sampler_module, "_available_memory", lambda: stack * 3 // 2)
     # the document's own length bound would refuse it first; this is the stacks'
@@ -526,7 +708,7 @@ def test_a_document_with_both_payloads_is_sized_for_two_stacks(
     assert main(["verify", str(path)]) == 65
     err = capsys.readouterr().err
     assert err.startswith("lieforge verify: holding 2 N=60 stacks needs") and err.count("\n") == 1
-    assert read_sample(write_sample(sample)).stored == ("structure",)
+    assert read_sample(structure).stored == ("structure",)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
